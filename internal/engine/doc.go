@@ -60,19 +60,18 @@
 //     repartitions of a steady drift are geometrically spaced.
 //
 // Migration safety: a migration takes EVERY shard commit lock in
-// ascending order — the same protocol multi-shard committers use, so it
-// cannot deadlock against them — freezing the write path while the
-// affected trees are rebuilt from their sorted live points. The new
-// partition and its matching tree vector are then published in ONE
-// snapshot pointer swap under the publish lock. Queries only ever read a
-// snapshot's coupled (partition, tree-vector) pair, so they observe a
-// migration atomically and keep seeing every committed batch
-// all-or-nothing. A committer that routed its group under the old
-// partition discovers the swap under its shard lock (commitShard compares
-// each request's routing partition against the current one; commitMulti
-// re-validates after acquiring its ascending lock set) and re-routes the
-// whole group under the new partition — no update is lost or applied
-// twice across a migration.
+// ascending order — the same protocol every committer uses, so it cannot
+// deadlock against them — freezing the write path while the affected
+// trees are rebuilt from their sorted live points. The new partition and
+// its matching tree vector are then published in ONE snapshot pointer
+// swap under the publish lock. Queries only ever read a snapshot's
+// coupled (partition, tree-vector) pair, so they observe a migration
+// atomically and keep seeing every committed batch all-or-nothing. A
+// committer that routed its group under the old partition discovers the
+// swap once it holds its shard locks (commit compares the partition it
+// routed under against the current one) and re-routes the whole group
+// under the new partition — no update is lost or applied twice across a
+// migration.
 //
 // # Snapshot protocol and two-phase publish
 //
@@ -93,13 +92,20 @@
 // — so the serialized fraction of a commit does not grow with batch size
 // or tree size.
 //
-// A batch that spans multiple shards takes the global commit path: it
-// acquires all affected shards' commit locks in ascending shard order
-// (deadlock-free against both single-shard committers and other
-// multi-shard committers), prepares every affected shard's version in
-// parallel via the scheduler, and installs them with ONE vector swap.
-// Readers therefore observe a multi-shard batch all-or-nothing: there is
-// no instant at which some of its shards are visible and others are not.
+// There is one commit path (Engine.commit), parameterised by the set of
+// shards a commit group touches: lock those shards' commit locks in
+// ascending order (deadlock-free against every other committer and the
+// rebalancer), re-validate the routing partition under the locks, prepare
+// each affected shard's next version — inline for one shard, in parallel
+// via the scheduler for several — publish them with ONE vector swap, and
+// acknowledge each request. A group confined to one shard is the set {s};
+// a batch that spans shards is a larger set; the founding commit is every
+// shard, with the prepare step swapped for a bulk build of partition and
+// trees. Readers therefore observe a multi-shard batch all-or-nothing:
+// there is no instant at which some of its shards are visible and others
+// are not. Engine.publish is the only function that installs a snapshot
+// (commits, the founding commit, and migrations alike) and Engine.finish
+// the only one that produces an acknowledgement.
 //
 // Consistency guarantee: every query (and every query group) runs entirely
 // against one snapshot load. The counts, ids, and neighbors it returns are
@@ -176,8 +182,8 @@
 // RetainWatermark is the oldest currently resolvable epoch — the GC
 // boundary the ring trim advances.
 //
-// Every snapshot-install site feeds the ring — ordinary publishes, the
-// founding commit, rebalancer migrations (whose note epochs change no
+// Every installed snapshot feeds the ring — publish (commits, the
+// founding commit, and rebalancer migrations, whose note epochs change no
 // live points but still consume epochs, so AsOf across a migration
 // resolves), and recovery. Recovery RESETS the ring: the recovered epoch
 // is not contiguous with anything the process held before, and
@@ -195,6 +201,14 @@
 //	ack:     after the record's group-commit fsync (SyncEvery<=1), or
 //	         immediately, with a background fsync every K records
 //	         (SyncEvery=K>1: prefix durability to the last sync)
+//
+// The ack rule is per request, decided in one place (Engine.finish): a
+// request that changes nothing — an empty update, a delete that matches
+// nothing — never reports an epoch above the durable prefix, even when it
+// shares a commit group with requests that do. It has no record in the
+// group's epoch, so it is acknowledged at the last fsync-covered epoch
+// (SyncEvery>1) or after the log tail is fsynced (SyncEvery<=1); only
+// requests whose rows are in the group's record report the group's epoch.
 //
 // The append sits INSIDE the publish critical section, so the log's
 // record order is exactly the epoch order and a failed append publishes

@@ -253,31 +253,26 @@ func (e *Engine) appendCommit(epoch uint64, group []*updateReq) (uint64, error) 
 }
 
 // waitDurable blocks until the record at lsn is durable (no-op for
-// non-durable engines and relaxed SyncEvery>1 mode). lsn 0 means the
-// commit appended nothing (it changed no state); even then a poisoned
-// log rejects the ack — the engine is fail-stopped, and acknowledging a
-// no-op would vouch for a current epoch whose durability is unknown.
+// non-durable engines and relaxed SyncEvery>1 mode).
 func (e *Engine) waitDurable(lsn uint64) error {
 	if e.log == nil {
 		return nil
 	}
-	if lsn == 0 {
-		return e.log.Err()
-	}
 	return e.log.WaitDurable(lsn)
 }
 
-// ackNoop produces the epoch and error for a commit that changed no state
-// (a delete matching nothing, or a multi-shard route that touched no
-// shard). The reported epoch must honor the same acked⇒durable-prefix
-// contract as a real commit's: the naked published epoch won't do,
-// because a concurrently publishing commit can have bumped it past the
-// last fsync in relaxed SyncEvery>1 mode. Under publishMu the published
-// epoch and the log tail correspond exactly (every append happens under
-// that lock); waiting on the tail LSN makes the published epoch safe to
-// report in strict mode, and in relaxed mode — where WaitDurable returns
-// immediately by design — the ack falls back to the last fsync-covered
-// epoch, a statement that survives any crash.
+// ackNoop produces the epoch and error for a request that changed no state
+// (an empty update, or a delete matching nothing) — whether its commit
+// group published on behalf of other members or not. The reported epoch
+// must honor the same acked⇒durable-prefix contract as a real commit's:
+// neither the naked published epoch nor the group's own will do, because
+// in relaxed SyncEvery>1 mode both can be past the last fsync, and a
+// request with no record in an epoch has no business vouching for it.
+// Under publishMu the published epoch and the log tail correspond exactly
+// (every append happens under that lock); waiting on the tail LSN makes
+// the published epoch safe to report in strict mode, and in relaxed mode —
+// where WaitDurable returns immediately by design — the ack falls back to
+// the last fsync-covered epoch, a statement that survives any crash.
 func (e *Engine) ackNoop() (uint64, error) {
 	if e.log == nil {
 		return e.snap.Load().epoch, nil
@@ -385,13 +380,4 @@ func (e *Engine) Checkpoint() error {
 	}
 	wal.PruneCheckpoints(e.durFS, e.durDir, c.Epoch)
 	return nil
-}
-
-// failGroup rejects every request of a group with err: the commit was
-// not applied (its WAL append failed before the snapshot swap).
-func failGroup(group []*updateReq, err error) {
-	for _, r := range group {
-		r.res = UpdateResult{Err: err}
-		close(r.done)
-	}
 }

@@ -222,12 +222,12 @@ func (sh *shard) recentCount() int {
 
 // sampleGroup records a committed group's write sample: every request's
 // insert batch, falling back to the first non-empty delete batch when the
-// group inserted nothing. ins/del return request i's batch as routed to
-// this shard. Caller holds the shard's commit lock.
-func (sh *shard) sampleGroup(n, dim int, ins, del func(i int) geom.Points) {
+// group inserted nothing. ins[i] and del[i] are request i's batches as
+// routed to this shard. Caller holds the shard's commit lock.
+func (sh *shard) sampleGroup(dim int, ins, del []geom.Points) {
 	sampled := false
-	for i := 0; i < n; i++ {
-		if b := ins(i); b.Len() > 0 {
+	for _, b := range ins {
+		if b.Len() > 0 {
 			sh.sampleRows(b, dim)
 			sampled = true
 		}
@@ -235,8 +235,8 @@ func (sh *shard) sampleGroup(n, dim int, ins, del func(i int) geom.Points) {
 	if sampled {
 		return
 	}
-	for i := 0; i < n; i++ {
-		if b := del(i); b.Len() > 0 {
+	for _, b := range del {
+		if b.Len() > 0 {
 			sh.sampleRows(b, dim)
 			return
 		}
@@ -505,7 +505,31 @@ func (e *Engine) Update(insert, del geom.Points) UpdateResult {
 			return UpdateResult{Err: ErrClosed}
 		}
 	}
-	req := &updateReq{ins: insert, del: del, done: make(chan struct{}), lead: make(chan struct{})}
+	req := e.newUpdateReq(insert, del)
+	stream := globalStream // multi-shard updates, and everything before the partition exists
+	if req.part != nil {
+		if s, single := singleShard(req.part, insert, del); single {
+			stream = s
+		}
+	}
+	if !e.submitUpdate(stream, req) {
+		// Shed at a full commit queue: nothing was routed, logged, or
+		// applied. The reserved id block is discarded — ids are never
+		// reused, so a gap is harmless.
+		e.statShed.Add(1)
+		return UpdateResult{Err: ErrOverloaded}
+	}
+	if req.res.Err == nil {
+		e.statUpdates.Add(1)
+	}
+	return req.res
+}
+
+// newUpdateReq builds one update's commit request: it reserves the insert
+// batch's block of global ids and records the partition the request is
+// about to be routed under (nil before the founding commit).
+func (e *Engine) newUpdateReq(insert, del geom.Points) *updateReq {
+	req := &updateReq{ins: insert, del: del, part: e.part.Load(), done: make(chan struct{}), lead: make(chan struct{})}
 	if n := insert.Len(); n > 0 {
 		base := e.nextID.Add(int64(n)) - int64(n)
 		if base+int64(n) > math.MaxInt32 {
@@ -519,38 +543,7 @@ func (e *Engine) Update(insert, del geom.Points) UpdateResult {
 			req.insIDs[i] = int32(base) + int32(i)
 		}
 	}
-	part := e.part.Load()
-	req.part = part
-	if part != nil {
-		if s, single := singleShard(part, insert, del); single {
-			if !e.submitUpdate(&e.shards[s].comb, req, func(group []*updateReq) {
-				e.commitShard(s, group)
-			}) {
-				return e.shedUpdate()
-			}
-			return e.noteUpdateDone(req.res)
-		}
-	}
-	if !e.submitUpdate(&e.global, req, e.commitGlobal) {
-		return e.shedUpdate()
-	}
-	return e.noteUpdateDone(req.res)
-}
-
-// shedUpdate rejects one update at a full commit queue. The reserved id
-// block is discarded — ids are engine-global and never reused, so a gap
-// is harmless — and nothing was routed, logged, or applied.
-func (e *Engine) shedUpdate() UpdateResult {
-	e.statShed.Add(1)
-	return UpdateResult{Err: ErrOverloaded}
-}
-
-// noteUpdateDone counts an acknowledged update on its way out.
-func (e *Engine) noteUpdateDone(res UpdateResult) UpdateResult {
-	if res.Err == nil {
-		e.statUpdates.Add(1)
-	}
-	return res
+	return req
 }
 
 // Insert commits a batch of new points and returns their assigned ids.
@@ -584,11 +577,15 @@ func singleShard(p *partition, ins, del geom.Points) (int, bool) {
 	return s, true
 }
 
-// submitUpdate runs the flat-combining protocol on c: enqueue req, then
-// either wait to be answered or — as the leader — drain one group, commit
-// it, and pass the baton to a still-pending waiter. One group per leader
-// bounds every caller's latency to one commit beyond its own, however
-// sustained the write load.
+// globalStream names the engine-wide commit stream (Engine.global) where a
+// shard index names a shard's own.
+const globalStream = -1
+
+// submitUpdate runs the flat-combining protocol on one commit stream — a
+// shard's, or the global one: enqueue req, then either wait to be answered
+// or — as the leader — drain one group, commit it, and pass the baton to a
+// still-pending waiter. One group per leader bounds every caller's latency
+// to one commit beyond its own, however sustained the write load.
 //
 // With Options.MaxPending set, the enqueue is an admission decision: a
 // request that would be the (MaxPending+1)-th parked behind the running
@@ -597,7 +594,11 @@ func singleShard(p *partition, ins, del geom.Points) (int, bool) {
 // prompt shedding instead of unbounded queue growth. An arrival that
 // would become the leader is always admitted: it starts a commit rather
 // than lengthening a queue.
-func (e *Engine) submitUpdate(c *combiner, req *updateReq, commit func([]*updateReq)) bool {
+func (e *Engine) submitUpdate(stream int, req *updateReq) bool {
+	c := &e.global
+	if stream != globalStream {
+		c = &e.shards[stream].comb
+	}
 	c.mu.Lock()
 	if max := e.opts.MaxPending; max > 0 && c.active && len(c.pending) >= max {
 		c.mu.Unlock()
@@ -619,7 +620,7 @@ func (e *Engine) submitUpdate(c *combiner, req *updateReq, commit func([]*update
 	group := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	commit(group)
+	e.commit(stream, group)
 	c.mu.Lock()
 	if len(c.pending) == 0 {
 		c.active = false
@@ -652,153 +653,234 @@ func (e *Engine) noteDrift(part *partition, group []*updateReq) {
 	}
 }
 
-// finish publishes each request's result and releases its waiter. A
-// non-nil err (failed durability wait) still reports ids and epoch: the
-// batch is visible in memory, but its durability is unknown.
-func finish(group []*updateReq, perDeleted []int, epoch uint64, err error) {
-	for i, r := range group {
-		r.res = UpdateResult{IDs: r.insIDs, Deleted: perDeleted[i], Epoch: epoch, Err: err}
-		close(r.done)
-	}
+// shardWork is one affected shard's share of a commit group, request-major:
+// ins[i], ids[i] and del[i] are the rows of group member i that route to
+// the shard (empty for a member that does not touch it).
+type shardWork struct {
+	shard   int
+	ins     []geom.Points
+	ids     [][]int32
+	del     []geom.Points
+	deleted []int         // per member: live points its deletions removed here
+	rows    int           // update rows routed here, for the shard's load EWMA
+	next    *bdltree.Tree // prepared version; nil leaves the shard unchanged
 }
 
-// commitShard commits one shard-local group: phase one prepares the
-// shard's next tree version copy-on-write under the shard's commit lock
-// (other shards keep committing concurrently), phase two swaps the shard
-// vector. Deletions apply per request in arrival order so each result
-// reports its own removal count; insertions combine into one batch.
-//
-// A group member may have routed itself to shard s under a partition that a
-// migration has since replaced — its rows might now belong to different
-// shards (or to a different index of the same range). Holding the shard
-// lock pins the current partition (the rebalancer swaps only while holding
-// EVERY shard lock), so comparing each request's routing partition against
-// the current one under the lock is a race-free staleness test; a stale
-// group falls back to the multi-shard path, which re-routes every row under
-// the current partition.
-func (e *Engine) commitShard(s int, group []*updateReq) {
-	sh := e.shards[s]
-	sh.commitMu.Lock()
-	cur := e.part.Load()
-	for _, r := range group {
-		if r.part != cur {
-			sh.commitMu.Unlock()
-			e.commitMulti(cur, group)
-			return
-		}
-	}
-	e.noteDrift(cur, group)
-	old := e.snap.Load()
-	tree := old.trees[s]
-	perDeleted := make([]int, len(group))
-	deleted := 0
-	for i, r := range group {
-		if r.del.Len() > 0 {
-			tree, perDeleted[i] = tree.PersistentDelete(r.del)
-			deleted += perDeleted[i]
-		}
-	}
+// prepare derives the shard's next tree version from old, copy-on-write:
+// every member's deletions in arrival order, so each result reports its
+// own removal count, then all insertions as one batch. next stays nil when
+// the live set did not change — a deletion that matched nothing (e.g.
+// against a still-empty engine) publishes no no-op clone.
+func (w *shardWork) prepare(old *bdltree.Tree, dim int) {
+	tree, changed := old, false
+	w.deleted = make([]int, len(w.del))
 	var insData []float64
 	var insIDs []int32
-	rows := 0
-	for _, r := range group {
-		insData = append(insData, r.ins.Data...)
-		insIDs = append(insIDs, r.insIDs...)
-		rows += r.ins.Len() + r.del.Len()
+	for i, del := range w.del {
+		if del.Len() > 0 {
+			tree, w.deleted[i] = tree.PersistentDelete(del)
+			changed = changed || w.deleted[i] > 0
+		}
+		insData = append(insData, w.ins[i].Data...)
+		insIDs = append(insIDs, w.ids[i]...)
+		w.rows += w.ins[i].Len() + del.Len()
 	}
 	if len(insIDs) > 0 {
-		tree = tree.PersistentInsertWithIDs(geom.Points{Data: insData, Dim: e.dim}, insIDs)
+		tree = tree.PersistentInsertWithIDs(geom.Points{Data: insData, Dim: dim}, insIDs)
+		changed = true
 	}
-	// Publish only when the live set actually changed: a deletion batch that
-	// matched nothing (e.g. deletes against a still-empty engine) keeps the
-	// current epoch and tree version instead of publishing a no-op clone.
-	if len(insIDs) == 0 && deleted == 0 {
-		sh.commitMu.Unlock()
-		epoch, err := e.ackNoop()
-		finish(group, perDeleted, epoch, err)
-		return
+	if changed {
+		w.next = tree
 	}
-	epoch, lsn, err := e.publish(group, func(vec []*bdltree.Tree) { vec[s] = tree })
-	if err != nil {
-		sh.commitMu.Unlock()
-		failGroup(group, err)
-		return
-	}
-	sh.noteCommit(rows)
-	sh.sampleGroup(len(group), e.dim,
-		func(i int) geom.Points { return group[i].ins },
-		func(i int) geom.Points { return group[i].del })
-	sh.commitMu.Unlock()
-	// The durability wait happens OUTSIDE the shard lock: other shards'
-	// committers append and join the same group-commit fsync concurrently.
-	finish(group, perDeleted, epoch, e.waitDurable(lsn))
 }
 
-// commitGlobal commits one group from the global stream: multi-shard
-// updates, everything before the partition exists, and all updates of an
-// unsharded engine.
-func (e *Engine) commitGlobal(group []*updateReq) {
-	part := e.part.Load()
+// route decides which shards a commit group touches under part and returns
+// each one's share of the group, ascending by shard. A group drained from
+// shard s's stream whose members all routed under part is the set {s} and
+// needs no re-splitting; so is any group while there is no partition (one
+// tree, shard 0). The exception is founding: the first insertions of a
+// sharded engine define the partition, so they touch every shard and are
+// not split (the returned shares are empty — the founding commit pools the
+// group instead). Everything else — global-stream groups, and shard-stream
+// groups holding a member that routed under a partition a migration has
+// since replaced — is re-split row by row under part.
+func (e *Engine) route(part *partition, group []*updateReq, stream int) (work []*shardWork, founding bool) {
+	newWork := func(s int) *shardWork {
+		n := len(group)
+		return &shardWork{shard: s, ins: make([]geom.Points, n), ids: make([][]int32, n), del: make([]geom.Points, n)}
+	}
+	single := stream != globalStream
 	if part == nil {
-		if e.nshard > 1 {
-			for _, r := range group {
-				if r.ins.Len() > 0 {
-					e.commitFounding(group)
-					return
+		stream, single = 0, true
+		for _, r := range group {
+			founding = founding || (e.nshard > 1 && r.ins.Len() > 0)
+		}
+	}
+	for _, r := range group {
+		single = single && r.part == part
+	}
+	switch {
+	case founding:
+		for s := range e.shards {
+			work = append(work, &shardWork{shard: s})
+		}
+	case single:
+		w := newWork(stream)
+		for i, r := range group {
+			w.ins[i], w.ids[i], w.del[i] = r.ins, r.insIDs, r.del
+		}
+		work = append(work, w)
+	default:
+		byShard := make([]*shardWork, part.shards())
+		at := func(s int) *shardWork {
+			if byShard[s] == nil {
+				byShard[s] = newWork(s)
+			}
+			return byShard[s]
+		}
+		for i, r := range group {
+			insBy, idsBy, aff := part.splitByShard(r.ins, r.insIDs)
+			for _, s := range aff {
+				w := at(s)
+				w.ins[i], w.ids[i] = insBy[s], idsBy[s]
+			}
+			delBy, _, aff := part.splitByShard(r.del, nil)
+			for _, s := range aff {
+				at(s).del[i] = delBy[s]
+			}
+		}
+		for _, w := range byShard {
+			if w != nil {
+				work = append(work, w)
+			}
+		}
+	}
+	return work, founding
+}
+
+// commit is the one commit path: every drained group, from a shard's
+// stream or the global one, whatever it touches, goes through the same
+// lock–prepare–publish–ack sequence.
+//
+//	lock:    route the group under the current partition and take the
+//	  affected shards' commit locks in ascending order, so committers
+//	  cannot deadlock against each other or against the rebalancer (which
+//	  takes every lock, also ascending). The routing is only valid while
+//	  its partition is current, and a migration needs every shard lock to
+//	  swap partitions: if the pointer still matches under a held lock no
+//	  swap can complete before release; a mismatch means a migration won
+//	  the race, and the group is re-routed under the new partition.
+//	prepare: derive every affected shard's next tree version copy-on-write
+//	  (see shardWork.prepare), in parallel through the scheduler when there
+//	  are several. Shards outside the set keep committing concurrently.
+//	  The founding commit instead pools the group's insertions and bulk-
+//	  builds partition and all shard trees from them (shardedBuild); its
+//	  deletions, applied first, meet an empty tree and remove nothing.
+//	publish: one snapshot swap makes every prepared version visible
+//	  atomically — a reader observes none or all of a multi-shard batch.
+//	  Skipped when nothing changed.
+//	ack:     per request, outside the shard locks (see finish).
+func (e *Engine) commit(stream int, group []*updateReq) {
+	var part *partition
+	var work []*shardWork
+	var founding bool
+	unlock := func() {
+		for i := len(work) - 1; i >= 0; i-- {
+			e.shards[work[i].shard].commitMu.Unlock()
+		}
+	}
+	for {
+		part = e.part.Load()
+		work, founding = e.route(part, group, stream)
+		for _, w := range work {
+			e.shards[w.shard].commitMu.Lock()
+		}
+		if e.part.Load() == part {
+			break
+		}
+		unlock()
+	}
+	e.noteDrift(part, group)
+
+	// trees is the next shard vector; publish fills nil slots from the
+	// current one.
+	old := e.snap.Load()
+	var newPart *partition
+	trees := make([]*bdltree.Tree, len(old.trees))
+	changed := founding
+	switch {
+	case founding:
+		var data []float64
+		var ids []int32
+		for _, r := range group {
+			data = append(data, r.ins.Data...)
+			ids = append(ids, r.insIDs...)
+		}
+		pool := geom.Points{Data: data, Dim: e.dim}
+		newPart, trees = e.shardedBuild(geom.BoundingBoxAll(pool), pool, ids)
+	case len(work) == 1:
+		work[0].prepare(old.trees[work[0].shard], e.dim)
+	default:
+		thunks := make([]func(), len(work))
+		for t, w := range work {
+			thunks[t] = func() { w.prepare(old.trees[w.shard], e.dim) }
+		}
+		parlay.Submit(thunks).Wait()
+	}
+	deleted := make([]int, len(group))
+	for _, w := range work {
+		if w.next != nil {
+			trees[w.shard], changed = w.next, true
+		}
+		for i, d := range w.deleted {
+			deleted[i] += d
+		}
+	}
+
+	var epoch, lsn uint64
+	var err error
+	if changed {
+		if epoch, lsn, err = e.publish(group, newPart, trees); err == nil {
+			for _, w := range work {
+				if w.next != nil {
+					sh := e.shards[w.shard]
+					sh.noteCommit(w.rows)
+					sh.sampleGroup(e.dim, w.ins, w.del)
 				}
 			}
 		}
-		// Unsharded engine, or a sharded one that has only ever seen
-		// deletions (its single tree is still empty): the single-tree
-		// commit is exactly the shard-0 commit.
-		e.commitShard(0, group)
-		return
 	}
-	e.commitMulti(part, group)
+	unlock()
+	// Acks wait for durability outside the shard locks: other shards'
+	// committers append and join the same group-commit fsync concurrently.
+	e.finish(group, deleted, epoch, lsn, err)
 }
 
-// commitFounding is the partition-defining commit of a sharded engine: the
-// first committed insertion. It pools the group's insertions, samples their
-// Morton codes to place the shard boundaries, sorts the pool into Morton
-// order, cuts it into per-shard contiguous slices, builds all shard trees
-// in parallel, and publishes partition and shard vector together. Deletion
-// batches in the group apply before insertions, i.e. against the empty
-// pre-partition tree: they remove nothing.
-func (e *Engine) commitFounding(group []*updateReq) {
-	var data []float64
-	var ids []int32
-	for _, r := range group {
-		data = append(data, r.ins.Data...)
-		ids = append(ids, r.insIDs...)
-	}
-	pool := geom.Points{Data: data, Dim: e.dim}
-	part, trees := e.shardedBuild(geom.BoundingBoxAll(pool), pool, ids)
-
-	// Publish snapshot and partition together; the partition pointer is
-	// stored after (and under the same lock as) the S-wide snapshot, so
-	// any writer that routes per-shard sees the S-wide vector. The WAL
-	// record is appended before the swap, under the same lock, so the
-	// durable epoch sequence matches the published one exactly.
-	e.publishMu.Lock()
-	cur := e.snap.Load()
-	epoch := cur.epoch + 1
-	var lsn uint64
-	if e.log != nil {
-		var err error
-		lsn, err = e.appendCommit(epoch, group)
-		if err != nil {
-			e.publishMu.Unlock()
-			failGroup(group, err)
-			return
+// finish is the only place an update is acknowledged: it decides each
+// request's result and releases its waiter. The rule is per request, not
+// per group. A request that inserted nothing and deleted nothing changed
+// no state, so it is acked through ackNoop and never reports an epoch
+// above the durable prefix — whether or not the group it rode in published
+// (in relaxed SyncEvery>1 mode the group's own epoch is not fsynced yet,
+// and only requests whose records are IN that epoch may report it). Every
+// other request reports the group's epoch once its record is durable; a
+// failed wait still reports ids and epoch — the batch is visible in
+// memory, its durability unknown. pubErr is a failed WAL append: nothing
+// was published or applied, and the whole group is rejected with it.
+func (e *Engine) finish(group []*updateReq, deleted []int, epoch, lsn uint64, pubErr error) {
+	durable := sync.OnceValue(func() error { return e.waitDurable(lsn) })
+	noop := sync.OnceValues(func() (uint64, error) { return e.ackNoop() })
+	for i, r := range group {
+		switch {
+		case pubErr != nil:
+			r.res = UpdateResult{Err: pubErr}
+		case len(r.insIDs) == 0 && deleted[i] == 0:
+			r.res.Epoch, r.res.Err = noop()
+		default:
+			r.res = UpdateResult{IDs: r.insIDs, Deleted: deleted[i], Epoch: epoch, Err: durable()}
 		}
+		close(r.done)
 	}
-	next := &Snapshot{eng: e, part: part, trees: trees, epoch: epoch, size: pool.Len()}
-	e.snap.Store(next)
-	e.retain(next)
-	e.part.Store(part)
-	e.publishMu.Unlock()
-	e.noteWALCommit()
-	finish(group, make([]int, len(group)), epoch, e.waitDurable(lsn))
 }
 
 // shardedBuild is the shared bulk-construction step of the founding commit
@@ -839,202 +921,62 @@ func (e *Engine) shardedBuild(world geom.Box, pool geom.Points, ids []int32) (*p
 	return part, trees
 }
 
-// commitMulti commits one multi-shard group with the two-phase protocol:
+// publish is the only place a snapshot is installed: it takes publishMu,
+// appends the epoch's WAL record, swaps the snapshot pointer (one atomic
+// store), feeds the retention ring, and — when given one — stores the new
+// routing partition. trees is the next shard vector with nil marking slots
+// kept from the current snapshot; callers prepared the non-nil slots
+// beforehand and hold those shards' commit locks, so concurrent publishes
+// never clobber each other's slots. A new partition (the founding commit,
+// a migration) comes with every slot set and every commit lock held; its
+// pointer is stored after, and under the same lock as, the snapshot built
+// under it, so a writer that routes per shard always finds the matching
+// shard vector. group is the commit being logged; nil publishes a
+// migration — an epoch that changes no live point, logged as a data-free
+// note record and not counted as a commit.
 //
-//	phase 1 (parallel): under the affected shards' commit locks — taken in
-//	  ascending shard order, so multi-shard committers cannot deadlock
-//	  against each other, against single-shard committers, or against the
-//	  rebalancer (which takes every lock, also ascending) — prepare every
-//	  affected shard's next tree version copy-on-write, fanning the
-//	  per-shard work out through the scheduler;
-//	phase 2 (serialized, tiny): swap the shard-vector pointer once, making
-//	  every shard's new version visible atomically.
-//
-// A reader therefore observes either none or all of a multi-shard batch.
-//
-// The routing produced from part is only valid while part is current. Once
-// the affected locks are held, the check `e.part.Load() == part` decides:
-// the rebalancer needs every shard lock to swap partitions, so if the
-// pointer still matches under at least one held lock, no swap can complete
-// before the locks are released. A mismatch means a migration won the race;
-// the routing is discarded and recomputed under the new partition.
-func (e *Engine) commitMulti(part *partition, group []*updateReq) {
-	nG := len(group)
-retry:
-	for {
-		S := part.shards()
-		insBy := make([][]geom.Points, nG) // [request][shard]
-		idsBy := make([][][]int32, nG)
-		delBy := make([][]geom.Points, nG)
-		touched := make([]bool, S)
-		for i, r := range group {
-			var aff []int
-			insBy[i], idsBy[i], aff = part.splitByShard(r.ins, r.insIDs)
-			for _, s := range aff {
-				touched[s] = true
-			}
-			delBy[i], _, aff = part.splitByShard(r.del, nil)
-			for _, s := range aff {
-				touched[s] = true
-			}
-		}
-		var affected []int
-		for s := 0; s < S; s++ {
-			if touched[s] {
-				affected = append(affected, s)
-			}
-		}
-		if len(affected) == 0 {
-			// No shard lock is held here, so a concurrent publish can bump
-			// the live epoch at any moment: the ack must report an epoch
-			// covered by the durable prefix, not the raw snapshot read.
-			epoch, err := e.ackNoop()
-			finish(group, make([]int, nG), epoch, err)
-			return
-		}
-
-		for _, s := range affected {
-			e.shards[s].commitMu.Lock()
-		}
-		if cur := e.part.Load(); cur != part {
-			// Raced a migration swap between routing and lock acquisition:
-			// re-route the whole group under the new partition.
-			for i := len(affected) - 1; i >= 0; i-- {
-				e.shards[affected[i]].commitMu.Unlock()
-			}
-			part = cur
-			continue retry
-		}
-		e.noteDrift(part, group)
-		old := e.snap.Load()
-		newTrees := make([]*bdltree.Tree, S) // nil = unchanged
-		perDelShard := make([][]int, S)
-		rowsShard := make([]int, S)
-		thunks := make([]func(), len(affected))
-		for t, s := range affected {
-			s := s
-			perDelShard[s] = make([]int, nG)
-			thunks[t] = func() {
-				tree := old.trees[s]
-				deleted := 0
-				for i := range group {
-					if delBy[i][s].Len() > 0 {
-						tree, perDelShard[s][i] = tree.PersistentDelete(delBy[i][s])
-						deleted += perDelShard[s][i]
-					}
-					rowsShard[s] += insBy[i][s].Len() + delBy[i][s].Len()
-				}
-				var insData []float64
-				var insIDs []int32
-				for i := range group {
-					insData = append(insData, insBy[i][s].Data...)
-					insIDs = append(insIDs, idsBy[i][s]...)
-				}
-				if len(insIDs) > 0 {
-					tree = tree.PersistentInsertWithIDs(geom.Points{Data: insData, Dim: e.dim}, insIDs)
-				}
-				if len(insIDs) > 0 || deleted > 0 {
-					newTrees[s] = tree
-					// One thunk per shard and the caller holds the shard's
-					// commit lock until after Wait, so the ring write is
-					// exclusive and ordered before the lock release.
-					e.shards[s].sampleGroup(nG, e.dim,
-						func(i int) geom.Points { return insBy[i][s] },
-						func(i int) geom.Points { return delBy[i][s] })
-				}
-			}
-		}
-		parlay.Submit(thunks).Wait()
-
-		var epoch, lsn uint64
-		changed := false
-		for _, s := range affected {
-			if newTrees[s] != nil {
-				changed = true
-				break
-			}
-		}
-		if changed {
-			var err error
-			epoch, lsn, err = e.publish(group, func(vec []*bdltree.Tree) {
-				for _, s := range affected {
-					if newTrees[s] != nil {
-						vec[s] = newTrees[s]
-					}
-				}
-			})
-			if err != nil {
-				for i := len(affected) - 1; i >= 0; i-- {
-					e.shards[affected[i]].commitMu.Unlock()
-				}
-				failGroup(group, err)
-				return
-			}
-			for _, s := range affected {
-				if newTrees[s] != nil {
-					e.shards[s].noteCommit(rowsShard[s])
-				}
-			}
-		}
-		for i := len(affected) - 1; i >= 0; i-- {
-			e.shards[affected[i]].commitMu.Unlock()
-		}
-		perDeleted := make([]int, nG)
-		for i := range group {
-			for _, s := range affected {
-				perDeleted[i] += perDelShard[s][i]
-			}
-		}
-		if !changed {
-			// Nothing published: ack like any other no-op commit, with a
-			// durable-covered epoch rather than the raw live one.
-			epoch, err := e.ackNoop()
-			finish(group, perDeleted, epoch, err)
-			return
-		}
-		finish(group, perDeleted, epoch, e.waitDurable(lsn))
-		return
-	}
-}
-
-// publish is phase two of a commit: replace the published shard vector's
-// changed slots and bump the epoch, all under one short lock, with one
-// atomic store. Callers prepared their tree versions beforehand and hold
-// the commit locks of every slot they change, so concurrent publishes
-// never clobber each other's slots.
-//
-// On a durable engine the group's WAL record is appended first, under
-// the same lock — write-ahead: if the append fails, nothing is published
-// (the error is returned and the in-memory state is untouched), and the
-// durable epoch sequence always matches the published one. The returned
-// lsn (0 when nothing was logged) feeds waitDurable AFTER the caller
-// releases its shard locks, so fsync latency is paid outside every lock
-// and concurrent commits share flushes.
-func (e *Engine) publish(group []*updateReq, apply func(vec []*bdltree.Tree)) (uint64, uint64, error) {
+// The WAL append comes first, under the same lock — write-ahead: if it
+// fails, nothing is published (the error is returned and the in-memory
+// state is untouched), and the durable epoch sequence always matches the
+// published one. The returned lsn (0 on a non-durable engine) feeds
+// waitDurable AFTER the caller releases its shard locks, so fsync latency
+// is paid outside every lock and concurrent commits share flushes.
+func (e *Engine) publish(group []*updateReq, part *partition, trees []*bdltree.Tree) (epoch, lsn uint64, err error) {
 	e.publishMu.Lock()
 	cur := e.snap.Load()
-	epoch := cur.epoch + 1
-	var lsn uint64
+	epoch = cur.epoch + 1
 	if e.log != nil {
-		var err error
-		lsn, err = e.appendCommit(epoch, group)
+		if group == nil {
+			lsn, err = e.log.Append(wal.KindNote, epoch, nil)
+		} else {
+			lsn, err = e.appendCommit(epoch, group)
+		}
 		if err != nil {
 			e.publishMu.Unlock()
 			return 0, 0, err
 		}
 	}
-	vec := append([]*bdltree.Tree(nil), cur.trees...)
-	apply(vec)
 	size := 0
-	for _, t := range vec {
-		size += t.Size()
+	for s, t := range trees {
+		if t == nil {
+			trees[s] = cur.trees[s]
+		}
+		size += trees[s].Size()
 	}
-	next := &Snapshot{eng: e, part: cur.part, trees: vec, epoch: epoch, size: size}
+	next := &Snapshot{eng: e, part: cur.part, trees: trees, epoch: epoch, size: size}
+	if part != nil {
+		next.part = part
+	}
 	e.snap.Store(next)
 	e.retain(next)
+	if part != nil {
+		e.part.Store(part)
+	}
 	e.publishMu.Unlock()
-	e.statCommits.Add(1)
-	e.noteWALCommit()
+	if group != nil {
+		e.statCommits.Add(1)
+		e.noteWALCommit()
+	}
 	return epoch, lsn, nil
 }
 

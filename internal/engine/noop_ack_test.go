@@ -124,6 +124,94 @@ func TestNoopAckDurableUnderLoad(t *testing.T) {
 	}
 }
 
+// TestNoopRiderAckDurable is the deterministic form of the failure above:
+// it hands commit a hand-built group in which a no-match delete rides with
+// an insert, at SyncEvery=64 with no fsync yet due, so the group's own
+// epoch is published but not durable. The insert reports that epoch; the
+// delete changed nothing and must report an epoch inside the durable prefix
+// — whatever the group's shape (one shard, several, the founding commit,
+// an unsharded engine) and wherever the rider sits in it. The scheduler
+// plays no part, so it holds at any GOMAXPROCS.
+func TestNoopRiderAckDurable(t *testing.T) {
+	miss := geom.Points{Data: []float64{50.5, 50.5}, Dim: 2} // never inserted
+	for _, tc := range []struct {
+		name   string
+		shards int
+		seeded bool // a founding insert precedes the group
+		multi  bool // the group's insert spans shards
+	}{
+		{"one shard", 4, true, false},
+		{"multi-shard", 4, true, true},
+		{"founding", 4, false, true},
+		{"unsharded", 1, true, false},
+	} {
+		for _, deleteFirst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/deleteFirst=%v", tc.name, deleteFirst), func(t *testing.T) {
+				e, err := Open(2, durOpts(wal.NewMemFS(), tc.shards, func(d *Durability) { d.SyncEvery = 64 }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				rng := rand.New(rand.NewSource(5))
+				batch := func(n int) geom.Points {
+					pts := geom.NewPoints(n, 2)
+					for i := 0; i < n; i++ {
+						pts.Set(i, []float64{rng.Float64() * 100, rng.Float64() * 100})
+					}
+					return pts
+				}
+				if tc.seeded {
+					if res := e.Insert(batch(64)); res.Err != nil {
+						t.Fatal(res.Err)
+					}
+				}
+
+				// The group, routed the way Update would route it.
+				part := e.part.Load()
+				ins := batch(32)
+				stream := globalStream
+				if part != nil {
+					if !tc.multi {
+						// Right beside the missing point: the delete's shard.
+						ins = geom.Points{Data: []float64{50.5, 50.25}, Dim: 2}
+					}
+					s, single := singleShard(part, ins, miss)
+					if single == tc.multi {
+						t.Fatalf("group routes to one shard: %v, want %v", single, !tc.multi)
+					}
+					if single {
+						stream = s
+					}
+				}
+				insert := e.newUpdateReq(ins, geom.Points{Dim: 2})
+				rider := e.newUpdateReq(geom.Points{Dim: 2}, miss)
+				group := []*updateReq{insert, rider}
+				if deleteFirst {
+					group = []*updateReq{rider, insert}
+				}
+				before := e.Epoch()
+				e.commit(stream, group)
+				<-insert.done
+				<-rider.done
+
+				durable := e.log.DurableEpoch()
+				if insert.res.Err != nil || len(insert.res.IDs) != ins.Len() || insert.res.Epoch != before+1 || e.Epoch() != before+1 {
+					t.Fatalf("insert acked %+v at live epoch %d, want the published epoch %d", insert.res, e.Epoch(), before+1)
+				}
+				if durable >= insert.res.Epoch {
+					t.Fatalf("durable epoch %d already covers the group's epoch %d: no fsync was meant to be due", durable, insert.res.Epoch)
+				}
+				if rider.res.Err != nil || rider.res.Deleted != 0 || len(rider.res.IDs) != 0 {
+					t.Fatalf("no-match delete acked %+v", rider.res)
+				}
+				if rider.res.Epoch > durable {
+					t.Fatalf("no-match delete reported epoch %d above the durable prefix %d: it vouched for its group's un-fsynced epoch", rider.res.Epoch, durable)
+				}
+			})
+		}
+	}
+}
+
 // TestCheckpointAfterCloseRejected: a checkpoint submitted after Close
 // must be refused with ErrClosed and must not touch the directory — the
 // old code would happily write checkpoint files and prune WAL segments

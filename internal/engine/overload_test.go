@@ -24,6 +24,9 @@ func TestMaxPendingSheds(t *testing.T) {
 	if res := e.Insert(generators.UniformCube(512, 2, 7)); res.Err != nil {
 		t.Fatal(res.Err)
 	}
+	if st := e.Stats(); st.Commits != 1 {
+		t.Fatalf("founding commit counted %d times, want 1", st.Commits)
+	}
 	// Pick the stall point and the control point from the live partition:
 	// probe the world box's diagonal for two points on different shards.
 	part := e.part.Load()
@@ -118,6 +121,15 @@ func TestMaxPendingSheds(t *testing.T) {
 	}
 	if st := e.Stats(); st.Shed != 1 || st.CommitQueue != 0 {
 		t.Fatalf("drained stats: shed=%d queue=%d, want 1, 0", st.Shed, st.CommitQueue)
+	}
+	// Every state-changing publish is counted once — the founding commit,
+	// A, B (its own group: it parked behind A) and the other-shard insert —
+	// and a delete that matches nothing publishes nothing.
+	if res := e.Delete(geom.Points{Data: []float64{1e9, 1e9}, Dim: 2}); res.Err != nil || res.Deleted != 0 {
+		t.Fatalf("no-match delete: %+v", res)
+	}
+	if st := e.Stats(); st.Commits != 4 {
+		t.Fatalf("commits=%d, want 4", st.Commits)
 	}
 }
 

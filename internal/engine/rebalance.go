@@ -8,7 +8,6 @@ import (
 	"pargeo/internal/bdltree"
 	"pargeo/internal/geom"
 	"pargeo/internal/morton"
-	"pargeo/internal/wal"
 )
 
 // Online repartitioning. The founding commit's partition is a guess frozen
@@ -30,15 +29,15 @@ import (
 //     codes stop aliasing and the drifted mass spreads over all S shards.
 //
 // Migration safety: a migration runs with EVERY shard commit lock held (in
-// ascending order, the same protocol multi-shard committers use, so it
-// cannot deadlock against them), which freezes the write path while the
+// ascending order, the same protocol every committer uses, so it cannot
+// deadlock against them), which freezes the write path while the
 // affected trees are rebuilt from their sorted live points. The new
 // partition and the new shard vector are then published in ONE snapshot
 // pointer swap under the publish lock — queries, which only ever read a
 // snapshot's coupled (partition, tree-vector) pair, observe the migration
 // atomically and keep seeing every committed batch all-or-nothing.
 // Committers that routed a batch under the old partition detect the swap
-// under their shard locks (see commitShard / commitMulti) and re-route.
+// under their shard locks (see commit) and re-route.
 
 // RebalanceAction reports what a rebalance pass did.
 type RebalanceAction int
@@ -366,15 +365,13 @@ func (e *Engine) splitMergeLocked(snap *Snapshot, part *partition, scores, ewmas
 
 	newBounds := make([]uint64, S-1)
 	newTrees := make([]*bdltree.Tree, S)
-	size := 0
 	for i, sp := range spans {
 		if i < S-1 {
 			newBounds[i] = sp.hi
 		}
 		newTrees[i] = sp.tree
-		size += sp.tree.Size()
 	}
-	if !e.swapPartition(newPartitionFromBounds(e.dim, part.world, newBounds), newTrees, size) {
+	if !e.swapPartition(newPartitionFromBounds(e.dim, part.world, newBounds), newTrees) {
 		return RebalanceNone
 	}
 	for i, sp := range spans {
@@ -471,11 +468,7 @@ func (e *Engine) repartitionLocked(snap *Snapshot) bool {
 		}
 	}
 	part, trees := e.shardedBuild(world, pts, ids)
-	size := 0
-	for _, t := range trees {
-		size += t.Size()
-	}
-	if !e.swapPartition(part, trees, size) {
+	if !e.swapPartition(part, trees) {
 		return false
 	}
 	e.outOfWorld.Store(0)
@@ -491,33 +484,22 @@ func (e *Engine) repartitionLocked(snap *Snapshot) bool {
 	return true
 }
 
-// swapPartition is a migration's phase two: publish the new partition and
-// its matching shard vector in one snapshot pointer swap under the publish
-// lock. Caller holds every shard commit lock, so no commit's publish can
-// interleave and the routing pointer update cannot race a router that has
-// already validated under a held lock.
+// swapPartition publishes a migration: the new partition and its matching
+// shard vector in one snapshot pointer swap (see publish). Caller holds
+// every shard commit lock, so no commit's publish can interleave and the
+// routing pointer update cannot race a router that has already validated
+// under a held lock.
 //
-// A migration publishes an epoch without changing the live point set, so
-// on a durable engine it logs a data-free note record to keep the WAL's
-// epoch sequence gap-free. If the append fails (poisoned or closed log)
-// the migration is abandoned — returns false with the partition
+// A migration consumes an epoch without changing the live point set; on a
+// durable engine publish logs it as a data-free note record to keep the
+// WAL's epoch sequence gap-free. If that append fails (poisoned or closed
+// log) the migration is abandoned — returns false with the partition
 // untouched — keeping the in-memory epoch sequence aligned with the
 // durable one.
-func (e *Engine) swapPartition(part *partition, trees []*bdltree.Tree, size int) bool {
-	e.publishMu.Lock()
-	cur := e.snap.Load()
-	epoch := cur.epoch + 1
-	if e.log != nil {
-		if _, err := e.log.Append(wal.KindNote, epoch, nil); err != nil {
-			e.publishMu.Unlock()
-			return false
-		}
+func (e *Engine) swapPartition(part *partition, trees []*bdltree.Tree) bool {
+	if _, _, err := e.publish(nil, part, trees); err != nil {
+		return false
 	}
-	next := &Snapshot{eng: e, part: part, trees: trees, epoch: epoch, size: size}
-	e.snap.Store(next)
-	e.retain(next)
-	e.part.Store(part)
-	e.publishMu.Unlock()
 	// Shard indices shift meaning across a migration; drop the recent-write
 	// rings rather than misattribute their rows (they refill within a few
 	// commits, and the EWMAs are remapped explicitly by the callers).

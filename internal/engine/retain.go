@@ -54,8 +54,8 @@ type pinEntry struct {
 
 // retain records a freshly published snapshot in the retention ring and
 // trims unpinned versions past the watermark — this trim is the whole
-// retention GC. Called from every publish site (commit publish, founding
-// commit, migration swap, recovery seed) under publishMu, so ring order is
+// retention GC. Called wherever a snapshot is installed — publish (under
+// publishMu) and the seeds of a new or recovered engine — so ring order is
 // exactly epoch order and ring epochs are contiguous.
 func (e *Engine) retain(next *Snapshot) {
 	keep := e.opts.RetainEpochs
