@@ -2,11 +2,15 @@ package bdltree
 
 import (
 	"math"
+	"slices"
 
 	"pargeo/internal/geom"
 	"pargeo/internal/kdtree"
+	"pargeo/internal/kernel"
 	"pargeo/internal/parlay"
 )
+
+var inf = math.Inf(1)
 
 func f64bits(v float64) uint64 { return math.Float64bits(v) }
 
@@ -34,7 +38,7 @@ type B1 struct {
 	split  SplitRule
 	coords []float64
 	gids   []int32
-	tree   *vebTree
+	tree   *level
 	nextID int32
 }
 
@@ -47,12 +51,7 @@ func NewB1(dim int, split SplitRule) *B1 {
 func (b *B1) Size() int { return len(b.gids) }
 
 func (b *B1) rebuild() {
-	if len(b.gids) == 0 {
-		b.tree = nil
-		return
-	}
-	cp := geom.Points{Data: append([]float64(nil), b.coords...), Dim: b.dim}
-	b.tree = newVEBTree(cp, append([]int32(nil), b.gids...), b.split)
+	b.tree = newLevel(geom.Points{Data: b.coords, Dim: b.dim}, b.gids, b.split)
 }
 
 // Insert appends the batch and rebuilds the tree.
@@ -301,7 +300,7 @@ func (b *B2) deleteOne(nd *b2node, p []float64) int {
 			if nd.dead[i] {
 				continue
 			}
-			if coordsEqual(nd.coords[i*b.dim:(i+1)*b.dim], p) {
+			if slices.Equal(nd.coords[i*b.dim:(i+1)*b.dim], p) {
 				nd.dead[i] = true
 				nd.liveN--
 				removed++
@@ -324,14 +323,14 @@ func (b *B2) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
 			if exclude != nil {
 				ex = exclude[i]
 			}
-			b.knnRec(b.root, queries.At(i), ex, buf)
+			b.knnNode(b.root, queries.At(i), ex, buf)
 			out[i] = buf.Result(nil)
 		}
 	})
 	return out
 }
 
-func (b *B2) knnRec(nd *b2node, q []float64, exclude int32, buf *kdtree.KNNBuffer) {
+func (b *B2) knnNode(nd *b2node, q []float64, exclude int32, buf *kdtree.KNNBuffer) {
 	if nd == nil {
 		return
 	}
@@ -348,22 +347,8 @@ func (b *B2) knnRec(nd *b2node, q []float64, exclude int32, buf *kdtree.KNNBuffe
 	if q[nd.splitDim] >= nd.splitVal {
 		near, far = far, near
 	}
-	b.knnRec(near, q, exclude, buf)
-	if !buf.Full() || b.boxSqDist(far, q) < buf.Bound() {
-		b.knnRec(far, q, exclude, buf)
+	b.knnNode(near, q, exclude, buf)
+	if !buf.Full() || kernel.MinSqDistToBox(q, far.minC[:b.dim], far.maxC[:b.dim]) < buf.Bound() {
+		b.knnNode(far, q, exclude, buf)
 	}
-}
-
-func (b *B2) boxSqDist(nd *b2node, q []float64) float64 {
-	s := 0.0
-	for c := 0; c < b.dim; c++ {
-		if v := q[c]; v < nd.minC[c] {
-			d := nd.minC[c] - v
-			s += d * d
-		} else if v > nd.maxC[c] {
-			d := v - nd.maxC[c]
-			s += d * d
-		}
-	}
-	return s
 }

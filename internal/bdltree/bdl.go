@@ -1,9 +1,55 @@
+// Package bdltree implements the BDL-tree (§5, Appendix C): a parallel
+// batch-dynamic kd-tree built with the logarithmic method. A BDL-tree is a
+// buffer tree of capacity X plus a ladder of static trees with capacities
+// X·2^i; batch insertions rebuild the smallest prefix of trees needed
+// (bitmask arithmetic, Algorithm 3), batch deletions erase in parallel from
+// every tree and reinsert the contents of any tree that falls below half
+// capacity (Algorithm 4), and k-NN queries run data-parallel across query
+// points, sharing one k-NN buffer per query across all the trees
+// (Appendix C.4).
+//
+// Where this departs from the paper: the static trees are NOT laid out in
+// the van Emde Boas order of Appendix C.1.1. Every level is a row-ordered
+// kdtree arena (kdtree.BuildRows) — preorder nodes, points gathered into
+// leaf order at the end of the build, dimension-major float32 leaf slabs
+// scanned by internal/kernel as a filter with float64 re-verification, one
+// global id per row, 64-point leaves, and a tombstone bitset that does not
+// exist until the level's first erase — so the repository has one k-NN
+// traversal, one range traversal and one float64 fallback, in kdtree. And
+// a k-NN walks the ladder LARGEST LEVEL FIRST, buffer tree last: every
+// level is an unbiased sample of the same point set, so the big level
+// almost always holds the true neighbours, and once the shared buffer's
+// k-th-distance bound is that tight the small levels cost a descent and
+// one leaf each. Measured at the commit that made the switch (≈ 516 k
+// clustered 2-D points, 6 levels + buffer, k = 8, one caller;
+// BenchmarkLadderKNN, BenchmarkLevelBuild, TestFootprintPerPoint):
+//
+//	                          ns/query   B/point   build ns/point
+//	vEB levels, buffer first    14 700      52.5        275
+//	arena levels, largest first  4 700      33.0        214
+//	one static kd-tree           2 100
+//
+// The package also provides the two baselines the paper evaluates against
+// (§6.3): B1, which rebuilds one static tree on every update, and B2, which
+// inserts into leaf buffers in place and tombstones deletions.
 package bdltree
 
 import (
+	"math/bits"
+
 	"pargeo/internal/geom"
 	"pargeo/internal/kdtree"
 	"pargeo/internal/parlay"
+)
+
+// SplitRule mirrors kdtree.SplitRule for the two median heuristics.
+type SplitRule = kdtree.SplitRule
+
+const (
+	// ObjectMedian splits at the median point (balanced trees).
+	ObjectMedian = kdtree.ObjectMedian
+	// SpatialMedian splits at the box midpoint (cheaper, can skew).
+	SpatialMedian = kdtree.SpatialMedian
 )
 
 // DefaultBufferSize is the default buffer-tree capacity X (§5: "the sizes
@@ -12,15 +58,15 @@ import (
 const DefaultBufferSize = 1024
 
 // Tree is the parallel batch-dynamic BDL-tree: a buffer tree of capacity X
-// and static vEB trees with capacities X·2^i (Figure 7).
+// and static trees with capacities X·2^i (Figure 7).
 type Tree struct {
 	dim    int
 	x      int
 	split  SplitRule
-	buffer *vebTree   // < X live points (slot -1 of the structure)
-	trees  []*vebTree // trees[i] holds up to X·2^i points (nil if empty)
-	nextID int32      // monotone global id generator
-	size   int        // total live points
+	buffer *level   // < X live points (slot -1 of the structure)
+	trees  []*level // trees[i] holds up to X·2^i points (nil if empty)
+	nextID int32    // monotone global id generator
+	size   int      // total live points
 }
 
 // Options configure the BDL-tree.
@@ -75,9 +121,9 @@ func (t *Tree) Insert(batch geom.Points) []int32 {
 // entry point for shard trees, whose ids must be unique across a whole
 // sharded engine: the caller reserves a global id block and each shard
 // inserts its slice of the batch carrying the matching slice of ids. The
-// internal id generator is advanced past every supplied id, so internal
-// reassignment (deletion rebalancing) can never collide with a live
-// caller-assigned id.
+// internal id generator is advanced past every supplied id, so a later
+// Insert can never collide with a live caller-assigned id. (Deletion
+// rebalancing moves points between levels under the ids they have.)
 func (t *Tree) InsertWithIDs(batch geom.Points, ids []int32) {
 	if batch.Dim != t.dim {
 		panic("bdltree: dimension mismatch")
@@ -93,102 +139,87 @@ func (t *Tree) InsertWithIDs(batch geom.Points, ids []int32) {
 	t.insertWithIDs(batch, ids)
 }
 
+// levels returns the buffer tree followed by the static trees, smallest
+// first (nil slots included).
+func (t *Tree) levels() []*level {
+	return append([]*level{t.buffer}, t.trees...)
+}
+
 // insertWithIDs is the shared body of Insert and InsertWithIDs: ids are
-// already assigned and t.nextID already advanced past them.
+// already assigned and t.nextID already advanced past them. It never
+// writes into a level, so it is safe on a shallow clone (persistent.go).
 func (t *Tree) insertWithIDs(batch geom.Points, ids []int32) {
 	b := batch.Len()
 	t.size += b
-	// Loose points: buffer contents + batch.
-	coords := make([]float64, 0, (t.buffer.size()+b)*t.dim)
-	gids := make([]int32, 0, t.buffer.size()+b)
-	coords, gids = t.buffer.livePoints(coords, gids)
-	coords = append(coords, batch.Data...)
-	gids = append(gids, ids...)
-	t.buffer = nil
-
-	loose := len(gids)
-	newBufCount := loose % t.x
-	k := loose / t.x
-	if k == 0 {
-		t.rebuildBuffer(coords, gids, loose)
-		return
-	}
-	// Bitmask arithmetic: F_new = F + k.
+	// Bitmask arithmetic: F_new = F + ⌊loose/X⌋, where the loose points are
+	// the buffer's contents plus the batch.
+	loose := t.buffer.size() + b
 	f := 0
 	for i, tr := range t.trees {
 		if tr.size() > 0 {
 			f |= 1 << i
 		}
 	}
-	fnew := f + k
-	destroy := f &^ fnew
-	create := fnew &^ f
-	// Gather the points of destroyed trees plus the loose non-buffer
-	// points into one pool.
-	pool := geom.Points{Data: append([]float64(nil), coords[newBufCount*t.dim:]...), Dim: t.dim}
-	poolIDs := append([]int32(nil), gids[newBufCount:]...)
-	for i := range t.trees {
+	fnew := f + loose/t.x
+	destroy, create := f&^fnew, fnew&^f
+	// One pool receives every point that moves — the loose points, then the
+	// live points of the destroyed trees — and the new levels build over
+	// slices of it in place: a point is copied here and once more by its
+	// level's leaf-order gather, nowhere else.
+	total := loose
+	for i, tr := range t.trees {
 		if destroy&(1<<i) != 0 {
-			pool.Data, poolIDs = t.trees[i].livePoints(pool.Data, poolIDs)
+			total += tr.size()
+		}
+	}
+	coords := make([]float64, 0, total*t.dim)
+	gids := make([]int32, 0, total)
+	coords, gids = t.buffer.livePoints(coords, gids)
+	coords = append(coords, batch.Data...)
+	gids = append(gids, ids...)
+	for i, tr := range t.trees {
+		if destroy&(1<<i) != 0 {
+			coords, gids = tr.livePoints(coords, gids)
 			t.trees[i] = nil
 		}
 	}
-	t.rebuildBuffer(coords, gids, newBufCount)
-	// Build the created trees in parallel, filling the largest first.
-	var slots []int
-	for i := 0; (1 << i) <= create; i++ {
-		if create&(1<<i) != 0 {
-			slots = append(slots, i)
-		}
-	}
-	for len(t.trees) <= slots[len(slots)-1] {
-		t.trees = append(t.trees, nil)
-	}
-	// Assign contiguous pool ranges, largest tree first.
+	// The first |loose| mod X rows are the new buffer tree (slot -1); the
+	// rest fill the created trees from the back, largest first. With full
+	// source trees they fit exactly; trees thinned by deletions can leave a
+	// remainder, which joins the smallest created tree.
 	type job struct{ slot, lo, hi int }
-	jobs := make([]job, 0, len(slots))
-	offset := pool.Len()
-	for s := len(slots) - 1; s >= 0; s-- {
-		slot := slots[s]
-		cap := t.x << slot
-		lo := offset - cap
-		if lo < 0 {
-			lo = 0
+	nb := loose % t.x
+	jobs := []job{{-1, 0, nb}}
+	offset := total
+	for slot := bits.Len(uint(create)) - 1; slot >= 0; slot-- {
+		if create&(1<<slot) != 0 {
+			lo := max(offset-t.x<<slot, nb)
+			jobs = append(jobs, job{slot, lo, offset})
+			offset = lo
 		}
-		jobs = append(jobs, job{slot, lo, offset})
-		offset = lo
 	}
-	if offset != 0 {
-		// With full source trees the pool exactly fits the created trees;
-		// partially-full trees (after deletions) can leave a remainder,
-		// which goes into the smallest created tree's slot via a direct
-		// rebuild of that slot with the extra points.
-		last := &jobs[len(jobs)-1]
-		last.lo = 0
+	if offset > nb {
+		jobs[len(jobs)-1].lo = nb
+	}
+	for len(t.trees) < bits.Len(uint(create)) {
+		t.trees = append(t.trees, nil)
 	}
 	parlay.For(len(jobs), 1, func(j int) {
 		jb := jobs[j]
-		if jb.lo >= jb.hi {
-			return
+		pts := geom.Points{Data: coords[jb.lo*t.dim : jb.hi*t.dim], Dim: t.dim}
+		l := newLevel(pts, gids[jb.lo:jb.hi], t.split)
+		if jb.slot < 0 {
+			t.buffer = l
+		} else {
+			t.trees[jb.slot] = l
 		}
-		sub := geom.Points{Data: pool.Data[jb.lo*t.dim : jb.hi*t.dim], Dim: t.dim}
-		cp := geom.Points{Data: append([]float64(nil), sub.Data...), Dim: t.dim}
-		t.trees[jb.slot] = newVEBTree(cp, append([]int32(nil), poolIDs[jb.lo:jb.hi]...), t.split)
 	})
-}
-
-func (t *Tree) rebuildBuffer(coords []float64, gids []int32, count int) {
-	if count == 0 {
-		t.buffer = nil
-		return
-	}
-	cp := geom.Points{Data: append([]float64(nil), coords[:count*t.dim]...), Dim: t.dim}
-	t.buffer = newVEBTree(cp, append([]int32(nil), gids[:count]...), t.split)
 }
 
 // Delete performs the batch deletion of Algorithm 4: erase the batch from
 // every tree in parallel, then gather the points of any tree that fell
-// below half capacity and reinsert them.
+// below half capacity and reinsert them. Erasing is copy-on-write per level
+// (level.erase), so Delete, too, is safe on a shallow clone.
 func (t *Tree) Delete(batch geom.Points) int {
 	if batch.Dim != t.dim {
 		panic("bdltree: dimension mismatch")
@@ -197,66 +228,28 @@ func (t *Tree) Delete(batch geom.Points) int {
 	for i := range cand {
 		cand[i] = int32(i)
 	}
-	all := append([]*vebTree{t.buffer}, t.trees...)
-	removed := make([]int, len(all))
+	all := t.levels()
 	parlay.For(len(all), 1, func(i int) {
-		removed[i] = all[i].erase(batch, cand)
+		all[i] = all[i].erase(batch, cand)
 	})
-	total := 0
-	for _, r := range removed {
-		total += r
-	}
-	t.size -= total
+	t.buffer = all[0]
+	copy(t.trees, all[1:])
 	// Rebalance: trees below half capacity are emptied and reinserted.
+	before := t.size
+	t.size = t.buffer.size()
 	var coords []float64
 	var gids []int32
-	if t.buffer.size() == 0 {
-		t.buffer = nil
-	}
 	for i, tr := range t.trees {
-		if tr == nil {
-			continue
-		}
-		if tr.size() == 0 {
-			t.trees[i] = nil
-			continue
-		}
 		if tr.size() < (t.x<<i)/2 {
 			coords, gids = tr.livePoints(coords, gids)
 			t.trees[i] = nil
 		}
+		t.size += t.trees[i].size()
 	}
 	if len(gids) > 0 {
-		t.reinsert(coords, gids)
+		t.insertWithIDs(geom.Points{Data: coords, Dim: t.dim}, gids)
 	}
-	return total
-}
-
-// reinsert is Insert for points that already carry global ids.
-func (t *Tree) reinsert(coords []float64, gids []int32) {
-	t.size -= len(gids) // Insert re-adds them
-	sub := geom.Points{Data: coords, Dim: t.dim}
-	newIDs := t.Insert(sub)
-	// Restore the original ids (Insert assigned fresh ones).
-	idmap := make(map[int32]int32, len(newIDs))
-	for i, nid := range newIDs {
-		idmap[nid] = gids[i]
-	}
-	t.remapIDs(idmap)
-}
-
-func (t *Tree) remapIDs(idmap map[int32]int32) {
-	all := append([]*vebTree{t.buffer}, t.trees...)
-	for _, tr := range all {
-		if tr == nil {
-			continue
-		}
-		for i, g := range tr.orig {
-			if ng, ok := idmap[g]; ok {
-				tr.orig[i] = ng
-			}
-		}
-	}
+	return before - t.size
 }
 
 // KNN returns, for each query coordinate row, the global ids of its k
@@ -277,7 +270,6 @@ func (t *Tree) KNNPooled(queries geom.Points, k int, exclude []int32, pool *kdtr
 	}
 	n := queries.Len()
 	out := make([][]int32, n)
-	all := append([]*vebTree{t.buffer}, t.trees...)
 	parlay.ForBlocked(n, 32, func(lo, hi int) {
 		var buf *kdtree.KNNBuffer
 		if pool != nil {
@@ -291,10 +283,7 @@ func (t *Tree) KNNPooled(queries geom.Points, k int, exclude []int32, pool *kdtr
 			if exclude != nil {
 				ex = exclude[i]
 			}
-			q := queries.At(i)
-			for _, tr := range all {
-				tr.knnInto(q, ex, buf)
-			}
+			t.KNNInto(queries.At(i), ex, buf)
 			out[i] = buf.Result(nil)
 		}
 		if pool != nil {
@@ -304,14 +293,42 @@ func (t *Tree) KNNPooled(queries geom.Points, k int, exclude []int32, pool *kdtr
 	return out
 }
 
+// RangeSearch returns the global ids of all live points inside the closed
+// box, querying the buffer tree and every static tree (in parallel across
+// trees for large structures).
+func (t *Tree) RangeSearch(box geom.Box) []int32 {
+	all := t.levels()
+	results := make([][]int32, len(all))
+	parlay.For(len(all), 1, func(i int) {
+		if all[i] != nil {
+			results[i] = all[i].RangeSearch(box)
+		}
+	})
+	var out []int32
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	return out
+}
+
+// RangeCount returns the number of live points inside the closed box.
+func (t *Tree) RangeCount(box geom.Box) int {
+	n := 0
+	for _, l := range t.levels() {
+		if l != nil {
+			n += l.RangeCount(box)
+		}
+	}
+	return n
+}
+
 // Points returns the coordinates and global ids of all live points (test /
 // verification helper).
 func (t *Tree) Points() (geom.Points, []int32) {
 	var coords []float64
 	var gids []int32
-	coords, gids = t.buffer.livePoints(coords, gids)
-	for _, tr := range t.trees {
-		coords, gids = tr.livePoints(coords, gids)
+	for _, l := range t.levels() {
+		coords, gids = l.livePoints(coords, gids)
 	}
 	return geom.Points{Data: coords, Dim: t.dim}, gids
 }
@@ -319,9 +336,9 @@ func (t *Tree) Points() (geom.Points, []int32) {
 // TreeSizes returns the live sizes [buffer, tree0, tree1, ...] for
 // structural tests (Figure 7's configurations).
 func (t *Tree) TreeSizes() []int {
-	out := []int{t.buffer.size()}
-	for _, tr := range t.trees {
-		out = append(out, tr.size())
+	var out []int
+	for _, l := range t.levels() {
+		out = append(out, l.size())
 	}
 	return out
 }

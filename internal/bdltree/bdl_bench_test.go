@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"pargeo/internal/generators"
+	"pargeo/internal/geom"
+	"pargeo/internal/kdtree"
+	"pargeo/internal/rng"
 )
 
 func BenchmarkConstruction(b *testing.B) {
@@ -74,7 +77,9 @@ func BenchmarkKNNOverTrees(b *testing.B) {
 	})
 }
 
-func BenchmarkVEBBuild(b *testing.B) {
+// BenchmarkLevelBuild times one level's construction, leaf-order gather
+// included, from caller-owned points and ids.
+func BenchmarkLevelBuild(b *testing.B) {
 	pts := generators.UniformCube(100000, 3, 4)
 	ids := make([]int32, pts.Len())
 	for i := range ids {
@@ -82,7 +87,49 @@ func BenchmarkVEBBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cp := pts.Gather(ids)
-		newVEBTree(cp, ids, ObjectMedian)
+		newLevel(pts, ids, ObjectMedian)
 	}
+}
+
+// BenchmarkLadderKNN is the tree rung of the read path, reproducible with
+// `go test -bench LadderKNN` alone: k = 8 queries through a 6-level ladder
+// (plus buffer tree) over ≈ 516 k clustered 2-D points — the shape of the
+// benchmark's D2 — against one static kd-tree over the same points. Three
+// queries in four are jittered data points, every fourth is uniform in the
+// bounding box (the far-backtracking population).
+func BenchmarkLadderKNN(b *testing.B) {
+	const n = 0b111111000*DefaultBufferSize + 300
+	pts := generators.VisualVar(n, 2022)
+	box := geom.BoundingBoxAll(pts)
+	r := rng.NewXoshiro256(7)
+	queries := geom.NewPoints(4096, 2)
+	for i := 0; i < queries.Len(); i++ {
+		q := queries.At(i)
+		if i%4 != 3 {
+			p := pts.At(r.Intn(n))
+			q[0], q[1] = p[0]+r.Float64()-0.5, p[1]+r.Float64()-0.5
+		} else {
+			q[0] = box.Min[0] + r.Float64()*(box.Max[0]-box.Min[0])
+			q[1] = box.Min[1] + r.Float64()*(box.Max[1]-box.Min[1])
+		}
+	}
+	ladder := New(2, Options{})
+	ladder.Insert(pts)
+	if got := ladder.NumTrees(); got != 6 {
+		b.Fatalf("ladder has %d levels, want 6", got)
+	}
+	static := kdtree.Build(pts, kdtree.Options{})
+	buf := kdtree.NewKNNBuffer(8)
+	b.Run("ladder", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			ladder.KNNInto(queries.At(i%queries.Len()), -1, buf)
+		}
+	})
+	b.Run("static", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			static.KNNInto(queries.At(i%queries.Len()), -1, buf)
+		}
+	})
 }

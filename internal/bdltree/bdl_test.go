@@ -229,45 +229,6 @@ func TestDeleteEverything(t *testing.T) {
 	}
 }
 
-func TestVEBOrderIsPermutation(t *testing.T) {
-	for l := 1; l <= 12; l++ {
-		tab := vebOrder(l)
-		n := 1<<l - 1
-		seen := make([]bool, n)
-		for h := 1; h <= n; h++ {
-			s := tab[h]
-			if s < 0 || int(s) >= n || seen[s] {
-				t.Fatalf("l=%d: bad slot %d for heap %d", l, s, h)
-			}
-			seen[s] = true
-		}
-		// Root is always laid out first.
-		if tab[1] != 0 {
-			t.Fatalf("l=%d: root slot %d", l, tab[1])
-		}
-	}
-}
-
-func TestVEBOrderRecursiveContiguity(t *testing.T) {
-	// For l = 4 (lb = lt = 2): top 3 nodes occupy slots 0..2 and each of
-	// the 4 bottom subtrees occupies a contiguous 3-slot block — the
-	// layout of Figure 13.
-	tab := vebOrder(4)
-	if tab[1] != 0 || tab[2] != 1 || tab[3] != 2 {
-		t.Fatalf("top tree slots: %d %d %d", tab[1], tab[2], tab[3])
-	}
-	for j := 0; j < 4; j++ {
-		root := 4 + j
-		base := tab[root]
-		if base != int32(3+3*j) {
-			t.Fatalf("bottom subtree %d root slot = %d, want %d", j, base, 3+3*j)
-		}
-		if tab[2*root] != base+1 || tab[2*root+1] != base+2 {
-			t.Fatalf("bottom subtree %d children at %d,%d", j, tab[2*root], tab[2*root+1])
-		}
-	}
-}
-
 func TestMixedWorkload(t *testing.T) {
 	// Interleaved inserts and deletes with continuous correctness checks.
 	dim := 3

@@ -1,10 +1,14 @@
 package bdltree
 
-import "unsafe"
+import (
+	"unsafe"
 
-// MemoryFootprint estimates the heap bytes of the tree's storage — point
-// buffers, global-id and permutation arrays, vEB node arrays, tombstone
-// bitmaps, and leaf-order coordinate caches — that are not already
+	"pargeo/internal/kdtree"
+)
+
+// MemoryFootprint estimates the heap bytes of the tree's storage — each
+// level's leaf-ordered float64 rows, float32 leaf slabs, global-id array,
+// node arena and (once it has one) tombstone bitset — that are not already
 // recorded in seen, and records them. Passing one seen map across the
 // versions of a persistent chain therefore measures the chain's total
 // without double-counting shared structure: a version derived with
@@ -34,20 +38,15 @@ func (t *Tree) MemoryFootprint(seen map[any]struct{}) uint64 {
 		seen[key] = struct{}{}
 		total += uint64(bytes)
 	}
-	count := func(vt *vebTree) {
-		if vt == nil {
-			return
+	for _, l := range t.levels() {
+		if l == nil {
+			continue
 		}
-		charge(unsafe.SliceData(vt.pts.Data), len(vt.pts.Data)*8)
-		charge(unsafe.SliceData(vt.orig), len(vt.orig)*4)
-		charge(unsafe.SliceData(vt.idx), len(vt.idx)*4)
-		charge(unsafe.SliceData(vt.nodes), len(vt.nodes)*int(unsafe.Sizeof(vnode{})))
-		charge(unsafe.SliceData(vt.dead), len(vt.dead))
-		charge(unsafe.SliceData(vt.coordsF32), len(vt.coordsF32)*4)
-	}
-	count(t.buffer)
-	for _, vt := range t.trees {
-		count(vt)
+		charge(unsafe.SliceData(l.Pts.Data), len(l.Pts.Data)*8)
+		charge(unsafe.SliceData(l.CoordsF32), len(l.CoordsF32)*4)
+		charge(unsafe.SliceData(l.Idx), len(l.Idx)*4)
+		charge(unsafe.SliceData(l.Nodes), len(l.Nodes)*int(unsafe.Sizeof(kdtree.Node{})))
+		charge(unsafe.SliceData(l.Dead), len(l.Dead)*8)
 	}
 	return total
 }

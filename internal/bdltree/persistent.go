@@ -4,46 +4,29 @@ import "pargeo/internal/geom"
 
 // Persistent (copy-on-write) batch updates.
 //
-// The logarithmic method makes the BDL-tree naturally persistent: a batch
-// insertion only ever *reads* the surviving static trees (it destroys some,
-// builds new ones, and leaves the rest untouched), and a batch deletion's
-// only in-place writes are to the per-tree tombstone bitmaps. PersistentInsert
-// and PersistentDelete exploit this to produce a brand-new *Tree that shares
-// every untouched vebTree — node arrays, point copies, index permutations and
-// global ids included — with the receiver, which stays fully queryable and
-// immutable. One update therefore copies O(live points of rebuilt trees)
-// for an insertion and O(n/64) bitmap words for a deletion, never the whole
-// structure.
+// The logarithmic method makes the BDL-tree naturally persistent: levels
+// are immutable. A batch insertion only ever *reads* the surviving levels
+// (it drains some, builds new ones, and leaves the rest untouched), and a
+// batch deletion replaces exactly the levels that lose a row by copies that
+// share every array except a fresh tombstone bitset (level.erase).
+// PersistentInsert and PersistentDelete therefore run the ordinary update
+// on a copy of the Tree header and its slot vector: the result shares every
+// untouched level — nodes, rows, f32 slabs, global ids and bitsets included
+// — with the receiver, which stays fully queryable. One update copies
+// O(live points of rebuilt levels) for an insertion and, for a deletion,
+// n/64 bitmap words of each level that actually lost a row (plus any level
+// the rebalance rebuilds), never the whole structure.
 //
 // This is the storage layer of internal/engine's snapshot protocol: readers
 // query a published *Tree while the single committer derives the next one
 // from it and installs it with an atomic pointer swap.
 
-// shallowClone copies the Tree header and the trees slice; the vebTrees
+// shallowClone copies the Tree header and the slot vector; the levels
 // themselves are shared with the receiver.
 func (t *Tree) shallowClone() *Tree {
-	return &Tree{
-		dim:    t.dim,
-		x:      t.x,
-		split:  t.split,
-		buffer: t.buffer,
-		trees:  append([]*vebTree(nil), t.trees...),
-		nextID: t.nextID,
-		size:   t.size,
-	}
-}
-
-// cloneForErase returns a copy of the vebTree whose tombstone bitmap may be
-// written without affecting the receiver. The point buffer, global ids,
-// index permutation, and vEB node array are immutable after construction
-// and remain shared.
-func (t *vebTree) cloneForErase() *vebTree {
-	if t == nil {
-		return nil
-	}
-	cp := *t
-	cp.dead = append([]bool(nil), t.dead...)
-	return &cp
+	nt := *t
+	nt.trees = append([]*level(nil), t.trees...)
+	return &nt
 }
 
 // PersistentInsert returns a new tree containing the receiver's live points
@@ -52,9 +35,6 @@ func (t *vebTree) cloneForErase() *vebTree {
 // trees share all static trees the insertion did not rebuild.
 func (t *Tree) PersistentInsert(batch geom.Points) (*Tree, []int32) {
 	nt := t.shallowClone()
-	// Insert never writes into a surviving vebTree: it drains the buffer and
-	// the destroyed trees read-only (livePoints) and builds replacements from
-	// scratch, so operating on the shallow clone is already copy-on-write.
 	ids := nt.Insert(batch)
 	return nt, ids
 }
@@ -64,14 +44,6 @@ func (t *Tree) PersistentInsert(batch geom.Points) (*Tree, []int32) {
 // The receiver is not modified and remains safe for concurrent queries.
 func (t *Tree) PersistentDelete(batch geom.Points) (*Tree, int) {
 	nt := t.shallowClone()
-	// Delete writes tombstones in place, so clone the bitmaps first. Trees
-	// that fall below half capacity are then rebuilt via reinsert, which only
-	// constructs fresh vebTrees; its id remapping never matches the (older)
-	// ids held by shared trees, so sharing orig arrays is safe.
-	nt.buffer = nt.buffer.cloneForErase()
-	for i, tr := range nt.trees {
-		nt.trees[i] = tr.cloneForErase()
-	}
 	removed := nt.Delete(batch)
 	return nt, removed
 }

@@ -21,9 +21,8 @@ import (
 // NewFromSorted builds a tree directly from a pre-sorted contiguous slice
 // of points carrying their global ids — the per-shard construction step of
 // a sharded bulk load, where the caller has Morton-sorted the input and cut
-// it into per-shard slices. The slice order is preserved into the initial
-// buffer/static-tree layout, so Morton-sorted input keeps spatially nearby
-// points nearby in the built trees' storage.
+// it into per-shard slices. (Storage order inside the built levels is kd
+// leaf order whatever the input order; see kdtree.BuildRows.)
 func NewFromSorted(dim int, opts Options, pts geom.Points, ids []int32) *Tree {
 	t := New(dim, opts)
 	if pts.Len() > 0 {
@@ -111,9 +110,17 @@ func Merge(world geom.Box, a, b *Tree) *Tree {
 // visiting a sequence of shard trees through one buffer gives each
 // successive tree a tighter radius — the shared shrinking-radius walk of a
 // sharded k-NN. exclude (or -1) is a global id to skip.
+//
+// The ladder is walked largest level first, buffer tree last. Every level
+// is an unbiased sample of the tree's points, so all root boxes coincide
+// and no geometric order can separate them; but the largest level holds
+// half the points or more and almost always the true neighbours, so after
+// it the bound is tight and each smaller level is a descent plus a leaf.
+// (Slot order is size order: a static tree below half capacity is
+// reinserted by Delete, so trees[i] outweighs trees[i-1].)
 func (t *Tree) KNNInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
-	t.buffer.knnInto(q, exclude, buf)
-	for _, tr := range t.trees {
-		tr.knnInto(q, exclude, buf)
+	for i := len(t.trees) - 1; i >= 0; i-- {
+		t.trees[i].knnInto(q, exclude, buf)
 	}
+	t.buffer.knnInto(q, exclude, buf)
 }

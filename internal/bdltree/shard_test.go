@@ -43,7 +43,7 @@ func TestInsertWithIDsRoundTrip(t *testing.T) {
 			t.Fatalf("fresh id %d collides with caller-assigned id", id)
 		}
 	}
-	// Deletion rebalancing (reinsert + remap) must preserve surviving ids.
+	// Deletion rebalancing (reinsert) must preserve surviving ids.
 	tr.Delete(geom.Points{Data: batch.Data[:200*dim], Dim: dim})
 	_, gids = tr.Points()
 	want := make(map[int32]bool)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSpatialMedianOnLine: all points on a diagonal line makes spatial
-// splits maximally uneven; the vEB builder's object-median fallback must
+// splits maximally uneven; the builder's object-median fallback must
 // keep the trees usable and queries exact.
 func TestSpatialMedianOnLine(t *testing.T) {
 	n := 2000

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 
 	"pargeo/internal/bdltree"
 	"pargeo/internal/geom"
@@ -86,7 +85,11 @@ func (s *Snapshot) knnPooled(queries geom.Points, k int, pool *kdtree.BufferPool
 // the remaining shards, and the buffer afterward holds exactly the global k
 // nearest. exclude (or -1) is a global id to skip.
 func (s *Snapshot) KNNInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
-	s.knnOne(q, exclude, buf, nil)
+	// The shard order lives on this frame (knnOne's append moves it to the
+	// heap only past 16 shards), so a reused buffer makes the call
+	// allocation-free.
+	var order [16]shardDist
+	s.knnOne(q, exclude, buf, order[:0])
 }
 
 // AllKNN answers one k-NN query per row of queries against the snapshot,
@@ -144,14 +147,21 @@ func (s *Snapshot) knnOne(q []float64, exclude int32, buf *kdtree.KNNBuffer, scr
 		s.trees[0].KNNInto(q, exclude, buf)
 		return scratch
 	}
+	// Insertion sort as the shards are appended: S is a handful, and
+	// sort.Slice would allocate a closure and a reflection swapper per query.
 	order := scratch[:0]
 	for sh := range s.trees {
 		if s.trees[sh].Size() == 0 {
 			continue
 		}
-		order = append(order, shardDist{sh, s.part.minSqDist(sh, q)})
+		sd := shardDist{sh, s.part.minSqDist(sh, q)}
+		i := len(order)
+		order = append(order, sd)
+		for ; i > 0 && order[i-1].d > sd.d; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = sd
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].d < order[j].d })
 	for _, sd := range order {
 		if sd.d >= buf.Bound() { // Bound() is +inf until k candidates seen
 			break

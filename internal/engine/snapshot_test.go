@@ -129,3 +129,38 @@ func TestSnapshotKNNInto(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotKNNIntoZeroAllocs: the solo read through a sharded snapshot —
+// shard ordering, every shard's ladder, the shared buffer — allocates
+// nothing with a reused buffer, and the shard order it walks is still
+// nearest-first (the answer matches the oracle).
+func TestSnapshotKNNIntoZeroAllocs(t *testing.T) {
+	const dim, k = 2, 8
+	e := New(dim, Options{BufferSize: 64, Shards: 4})
+	defer e.Close()
+	pts := generators.UniformCube(5000, dim, 47)
+	if res := e.Insert(pts); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	snap := e.Snapshot()
+	if snap.Shards() != 4 {
+		t.Fatalf("%d shards, want 4", snap.Shards())
+	}
+	buf := kdtree.NewKNNBuffer(k)
+	q := []float64{pts.Coord(99, 0) + 0.25, pts.Coord(99, 1)}
+	allocs := testing.AllocsPerRun(200, func() {
+		buf.Reset()
+		snap.KNNInto(q, -1, buf)
+	})
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("Snapshot.KNNInto with a reused buffer did %.2f allocs/run, want 0", allocs)
+	}
+	dists := make([]float64, k)
+	ids := make([]int32, k)
+	buf.ResultInto(ids, dists)
+	for j, want := range oracle.KNNDists(pts, q, k, -1) {
+		if dists[j] != want {
+			t.Fatalf("neighbour %d at %v, oracle %v", j, dists[j], want)
+		}
+	}
+}

@@ -91,15 +91,7 @@ func (t *Tree) allknnWalk(ni int32, path []int32, st *allknnState, emit func(int
 			seedFromPrev(buf, st.prev, st.prevKth, q)
 		}
 		buf.PrepareF32(q, t.maxAbs, t.f32ok)
-		if buf.ScanF32() {
-			t.scanLeafF32(nd, q, pid, buf)
-		} else {
-			for j := nd.Lo; j < nd.Hi; j++ {
-				if id := t.Idx[j]; id != pid {
-					buf.Insert(id, geom.SqDist(q, t.Pts.At(int(id))))
-				}
-			}
-		}
+		t.scanLeaf(nd, q, pid, buf)
 		child := ni
 		for j := len(path) - 1; j >= 0; j-- {
 			anc := &t.Nodes[path[j]]

@@ -22,11 +22,18 @@
 // data-independent shapes, so the arena is carved into exact disjoint
 // per-subtree ranges during the parallel build (lock-free, O(1)
 // allocations); spatial-median builds carve worst-case slabs (bounded by a
-// minimum leaf fill) and compact to gap-free preorder afterwards. This is
-// the general tree's analogue of the paper's cache-oblivious van Emde Boas
-// order for the BDL static trees (Appendix C.1.1, see bdltree/veb.go):
-// contiguous, pointer-free, and cache-friendly for the traversals ParGeo
-// performs.
+// minimum leaf fill) and compact to gap-free preorder afterwards. It stands
+// in for the paper's cache-oblivious van Emde Boas order (Appendix C.1.1)
+// everywhere, the BDL-tree's static levels included: contiguous,
+// pointer-free, and cache-friendly for the traversals ParGeo performs.
+//
+// Row-ordered trees (BuildRows) are what a BDL level is: the build's last
+// step gathers the points into leaf order, so row r of Pts is the point
+// whose f32 image sits in slot r of its leaf slab, Idx[r] is the caller's
+// label for that row (the id queries report) rather than a permutation,
+// and Dead may tombstone rows. Every traversal in this file serves both
+// kinds; the only per-kind code resolves a row that survived the filter
+// (Tree.row).
 //
 // Leaf scan layout: the tree caches each leaf's coordinates as a
 // dimension-major (SoA) float32 slab (Tree.CoordsF32). A leaf owning Idx
@@ -115,10 +122,14 @@ func (nd *Node) IsLeaf() bool { return nd.Left == 0 }
 // Size returns the number of points in the node's subtree.
 func (nd *Node) Size() int { return int(nd.Hi - nd.Lo) }
 
-// Tree is a static kd-tree over an externally owned point buffer.
+// Tree is a static kd-tree over an externally owned point buffer (Build,
+// BuildIndexed), or over its own leaf-ordered copy of one (BuildRows).
 type Tree struct {
 	Pts geom.Points
-	Idx []int32 // permutation of the point indices; leaves own ranges
+	// Idx maps leaf-order rows to what queries report: a permutation of
+	// the point indices (row r is Pts.At(Idx[r])), or, in a row-ordered
+	// tree, the label of row r (which is Pts.At(r)). Leaves own ranges.
+	Idx []int32
 	// Nodes is the preorder node arena: Nodes[0] is the root, every subtree
 	// occupies a contiguous range, and a node's left child immediately
 	// follows it. Allocated in bulk — builds do O(1) allocations.
@@ -136,6 +147,31 @@ type Tree struct {
 	maxAbs float64
 	f32ok  bool
 	opts   Options
+	// rows marks a row-ordered tree (BuildRows).
+	rows bool
+	// Dead is a row-ordered tree's tombstone bitset: bit r set means row r
+	// is deleted and no query reports it. nil — always, in a static tree —
+	// means every row is live. Never written once the tree is visible to
+	// readers: an eraser installs a fresh bitset in a copy of the Tree,
+	// which shares every other array.
+	Dead []uint64
+}
+
+// IsDead reports whether row r is tombstoned.
+func (t *Tree) IsDead(r int32) bool {
+	return t.Dead != nil && t.Dead[r>>6]>>(uint(r)&63)&1 != 0
+}
+
+// row resolves leaf-order row r: the id queries report for it, the index
+// of its float64 coordinates in Pts, and whether it is live. This is all
+// the code that tells a row-ordered tree from a static one at query time,
+// and it runs only for rows that survived a leaf's filter.
+func (t *Tree) row(r int32) (id, at int32, live bool) {
+	id = t.Idx[r]
+	if !t.rows {
+		return id, id, true
+	}
+	return id, r, !t.IsDead(r)
 }
 
 // Root returns the root node, or nil for an empty tree.
@@ -158,6 +194,29 @@ func Build(pts geom.Points, opts Options) *Tree {
 	idx := make([]int32, n)
 	parlay.For(n, 0, func(i int) { idx[i] = int32(i) })
 	return BuildIndexed(pts, idx, opts)
+}
+
+// BuildRows constructs a row-ordered tree over all points in pts: the
+// build runs over pts in place (pts and labels are only read), and one
+// final gather copies every point to the row its leaf slab already gives
+// it. Afterwards Pts is that leaf-ordered copy — the float64
+// re-verification of a filtered leaf reads the rows next to each other —
+// and Idx[r] is the label of row r, so the tree keeps no permutation and
+// nothing of the caller's buffers. Queries report, and exclude, labels.
+// AllKNN and the node-range consumers (WSPD, EMST, BCCP), which read Idx as
+// point indices, are for static trees only.
+func BuildRows(pts geom.Points, labels []int32, opts Options) *Tree {
+	t := Build(pts, opts)
+	dim := pts.Dim
+	rows := make([]float64, len(pts.Data))
+	parlay.For(len(t.Idx), 0, func(r int) {
+		src := int(t.Idx[r])
+		copy(rows[r*dim:(r+1)*dim], pts.Data[src*dim:(src+1)*dim])
+		t.Idx[r] = labels[src]
+	})
+	t.Pts = geom.Points{Data: rows, Dim: dim}
+	t.rows = true
+	return t
 }
 
 // BuildIndexed constructs a kd-tree over the subset of pts given by idx.
@@ -300,7 +359,7 @@ func (t *Tree) buildObject(node, lo, hi int32, par bool) {
 	}
 	dim := widestDim(nd, t.Pts.Dim)
 	mid := lo + n/2
-	t.nthElement(lo, hi, mid, dim)
+	NthElement(t.Pts, t.Idx[lo:hi], int(n/2), dim)
 	nd.SplitVal = t.Pts.Coord(int(t.Idx[mid]), dim)
 	nd.SplitDim = int8(dim)
 	nd.Left = node + 1
@@ -331,14 +390,14 @@ func (t *Tree) buildSpatial(arena []Node, node, lo, hi int32, par bool) int32 {
 	leafSize := int32(t.opts.LeafSize)
 	dim := widestDim(nd, t.Pts.Dim)
 	splitVal := (nd.MinC[dim] + nd.MaxC[dim]) / 2
-	mid := t.partition(lo, hi, dim, splitVal)
+	mid := lo + int32(PartitionVal(t.Pts, t.Idx[lo:hi], dim, splitVal))
 	if fill := minLeafFill(leafSize); mid-lo < fill || hi-mid < fill {
 		// Degenerate or heavily skewed spatial cut: fall back to the object
 		// median. This guarantees progress (the classic mid==lo/hi case) and
 		// keeps every leaf at least half full, which is what bounds the
 		// arena and the tree depth.
 		mid = lo + n/2
-		t.nthElement(lo, hi, mid, dim)
+		NthElement(t.Pts, t.Idx[lo:hi], int(n/2), dim)
 		splitVal = t.Pts.Coord(int(t.Idx[mid]), dim)
 	}
 	nd.SplitVal = splitVal
@@ -461,67 +520,6 @@ func widestDim(nd *Node, dim int) int {
 	return best
 }
 
-// partition reorders Idx[lo:hi] so points with coord < splitVal precede the
-// rest; returns the boundary.
-func (t *Tree) partition(lo, hi int32, dim int, splitVal float64) int32 {
-	i, j := lo, hi-1
-	for i <= j {
-		for i <= j && t.Pts.Coord(int(t.Idx[i]), dim) < splitVal {
-			i++
-		}
-		for i <= j && t.Pts.Coord(int(t.Idx[j]), dim) >= splitVal {
-			j--
-		}
-		if i < j {
-			t.Idx[i], t.Idx[j] = t.Idx[j], t.Idx[i]
-			i++
-			j--
-		}
-	}
-	return i
-}
-
-// nthElement quickselects Idx[lo:hi] so Idx[kth] has rank kth-lo by the
-// given coordinate (ties broken by index for determinism).
-func (t *Tree) nthElement(lo, hi, kth int32, dim int) {
-	key := func(i int32) float64 { return t.Pts.Coord(int(t.Idx[i]), dim) }
-	for hi-lo > 1 {
-		mid := (lo + hi - 1) / 2
-		// Median-of-three.
-		if key(mid) < key(lo) {
-			t.Idx[mid], t.Idx[lo] = t.Idx[lo], t.Idx[mid]
-		}
-		if key(hi-1) < key(lo) {
-			t.Idx[hi-1], t.Idx[lo] = t.Idx[lo], t.Idx[hi-1]
-		}
-		if key(hi-1) < key(mid) {
-			t.Idx[hi-1], t.Idx[mid] = t.Idx[mid], t.Idx[hi-1]
-		}
-		pivot := key(mid)
-		i, j := lo, hi-1
-		for i <= j {
-			for key(i) < pivot {
-				i++
-			}
-			for key(j) > pivot {
-				j--
-			}
-			if i <= j {
-				t.Idx[i], t.Idx[j] = t.Idx[j], t.Idx[i]
-				i++
-				j--
-			}
-		}
-		if kth <= j {
-			hi = j + 1
-		} else if kth >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
-}
-
 // Points returns the point indices stored in the node's subtree.
 func (t *Tree) Points(nd *Node) []int32 { return t.Idx[nd.Lo:nd.Hi] }
 
@@ -547,8 +545,11 @@ func (t *Tree) KNN(queries []int32, k int) [][]int32 {
 
 // KNNInto runs a single k-NN query for coordinates q into buf (which the
 // caller Reset()s between unrelated queries but deliberately reuses across
-// the multiple trees of a BDL-tree). exclude is a point index to skip (-1
-// for none). With a reused buffer the query allocates nothing.
+// the levels of a BDL-tree: the candidates and the k-th-distance bound
+// carry over, while the float32 filter is re-armed here for this tree's own
+// magnitude gate). exclude is a reported id — point index, or label in a
+// row-ordered tree — to skip (-1 for none). With a reused buffer the query
+// allocates nothing.
 func (t *Tree) KNNInto(q []float64, exclude int32, buf *KNNBuffer) {
 	if len(t.Nodes) > 0 {
 		buf.PrepareF32(q, t.maxAbs, t.f32ok)
@@ -559,17 +560,7 @@ func (t *Tree) KNNInto(q []float64, exclude int32, buf *KNNBuffer) {
 func (t *Tree) knnRec(ni int32, q []float64, exclude int32, buf *KNNBuffer) {
 	nd := &t.Nodes[ni]
 	if nd.Left == 0 {
-		if buf.ScanF32() {
-			t.scanLeafF32(nd, q, exclude, buf)
-		} else {
-			// Fallback (huge or NaN coordinates): exact scalar scan of the
-			// float64 truth.
-			for i := nd.Lo; i < nd.Hi; i++ {
-				if id := t.Idx[i]; id != exclude {
-					buf.Insert(id, geom.SqDist(q, t.Pts.At(int(id))))
-				}
-			}
-		}
+		t.scanLeaf(nd, q, exclude, buf)
 		return
 	}
 	// Descend into the nearer child first.
@@ -594,12 +585,36 @@ func (t *Tree) knnRec(ni int32, q []float64, exclude int32, buf *KNNBuffer) {
 	}
 }
 
+// offer re-measures row r in float64 and offers it to buf, unless it is
+// the excluded id or tombstoned. Every candidate of every k-NN scan enters
+// the buffer here, after whatever filtering the scan did.
+func (t *Tree) offer(r int32, q []float64, exclude int32, buf *KNNBuffer) {
+	if id, at, live := t.row(r); live && id != exclude {
+		buf.Insert(id, geom.SqDist(q, t.Pts.At(int(at))))
+	}
+}
+
+// scanLeaf offers one leaf's rows to buf: through the float32 filter when
+// it is armed for this tree and query, else — huge or NaN coordinates — by
+// an exact scalar scan of the float64 truth, the one such fallback for
+// k-NN.
+func (t *Tree) scanLeaf(nd *Node, q []float64, exclude int32, buf *KNNBuffer) {
+	if buf.ScanF32() {
+		t.scanLeafF32(nd, q, exclude, buf)
+		return
+	}
+	for r := nd.Lo; r < nd.Hi; r++ {
+		t.offer(r, q, exclude, buf)
+	}
+}
+
 // scanLeafF32 is the filtered leaf scan: one kernel call computes the f32
 // squared distances of the whole leaf's columns, then only candidates
 // within the refinement threshold (the f32 image of the current bound,
 // padded by the filter's error — see KNNBuffer.PrepareF32) are re-measured
-// in float64 and offered to the buffer. Points the filter skips provably
-// could not have been inserted, so results are exact, id for id.
+// in float64 and offered to the buffer — the tombstone test runs there, on
+// survivors only. Points the filter skips provably could not have been
+// inserted, so results are exact, id for id.
 func (t *Tree) scanLeafF32(nd *Node, q []float64, exclude int32, buf *KNNBuffer) {
 	dim := t.Pts.Dim
 	m := int(nd.Hi - nd.Lo)
@@ -607,11 +622,17 @@ func (t *Tree) scanLeafF32(nd *Node, q []float64, exclude int32, buf *KNNBuffer)
 	dists := buf.DistScratch(m)
 	kernel.SqDistsF32(dists, buf.Q32(dim), t.CoordsF32[base:base+m*dim], m, m)
 	thr := buf.RefineThreshold()
-	eager := math.IsInf(thr, 1)
-	if eager {
+	unbounded := math.IsInf(thr, 1)
+	if unbounded {
 		// Unbounded (eager) phase: bound the true k-th distance from the
 		// f32 scan itself, so even the first leaf refines only ~k points.
-		thr = buf.EagerThreshold(dists)
+		// That bound counts every scanned row as a neighbour, and the slab
+		// still holds tombstoned rows: where k dead rows sit nearest, it
+		// would discard every live one. A tree with tombstones refines the
+		// whole leaf instead.
+		if t.Dead == nil {
+			thr = buf.EagerThreshold(dists)
+		}
 	} else if buf.seeded && buf.fresh {
 		// First leaf of a seeded query — for batch queries this is the
 		// query's own leaf, whose (k+1)-th f32 distance usually beats the
@@ -625,15 +646,13 @@ func (t *Tree) scanLeafF32(nd *Node, q []float64, exclude int32, buf *KNNBuffer)
 	buf.fresh = false
 	for i := 0; i < m; i++ {
 		if float64(dists[i]) <= thr {
-			if id := t.Idx[nd.Lo+int32(i)]; id != exclude {
-				buf.Insert(id, geom.SqDist(q, t.Pts.At(int(id))))
-				if t2 := buf.RefineThreshold(); t2 < thr {
-					thr = t2
-				}
+			t.offer(nd.Lo+int32(i), q, exclude, buf)
+			if t2 := buf.RefineThreshold(); t2 < thr {
+				thr = t2
 			}
 		}
 	}
-	if eager {
+	if unbounded {
 		buf.SealEager()
 	}
 }
@@ -677,22 +696,23 @@ func (t *Tree) makeRangeCtx(box geom.Box) rangeCtx {
 	return rc
 }
 
-// RangeSearch returns the indices of all points inside the closed box.
+// RangeSearch returns the reported ids (point indices, or labels in a
+// row-ordered tree) of all live points inside the closed box.
 func (t *Tree) RangeSearch(box geom.Box) []int32 {
 	var out []int32
 	if len(t.Nodes) > 0 {
 		rc := t.makeRangeCtx(box)
-		t.rangeRec(0, &rc, &out)
+		t.rangeRec(0, &rc, &out, nil)
 	}
 	return out
 }
 
-// RangeCount returns the number of points inside the closed box.
+// RangeCount returns the number of live points inside the closed box.
 func (t *Tree) RangeCount(box geom.Box) int {
 	cnt := 0
 	if len(t.Nodes) > 0 {
 		rc := t.makeRangeCtx(box)
-		t.rangeCountRec(0, &rc, &cnt)
+		t.rangeRec(0, &rc, nil, &cnt)
 	}
 	return cnt
 }
@@ -710,10 +730,51 @@ func (t *Tree) nodeBoxIn(nd *Node, box geom.Box) (inside, disjoint bool) {
 	return inside, false
 }
 
+// rangeRec reports the live in-box rows under node ni: their ids appended
+// to out when it is non-nil, else counted into cnt.
+func (t *Tree) rangeRec(ni int32, rc *rangeCtx, out *[]int32, cnt *int) {
+	nd := &t.Nodes[ni]
+	inside, disjoint := t.nodeBoxIn(nd, rc.box)
+	switch {
+	case disjoint:
+	case inside && t.Dead == nil:
+		if out != nil {
+			*out = append(*out, t.Idx[nd.Lo:nd.Hi]...)
+		} else {
+			*cnt += nd.Size()
+		}
+	case inside || (nd.Left == 0 && !rc.f32):
+		// A covered subtree with tombstones to skip, or a leaf of the
+		// fallback (huge or NaN coordinates): row by row against the
+		// float64 truth, the one such scan for range queries.
+		for r := nd.Lo; r < nd.Hi; r++ {
+			t.rangeRow(r, rc, inside, out, cnt)
+		}
+	case nd.Left == 0:
+		t.rangeLeafF32(nd, rc, out, cnt)
+	default:
+		t.rangeRec(nd.Left, rc, out, cnt)
+		t.rangeRec(nd.Right, rc, out, cnt)
+	}
+}
+
+// rangeRow reports row r if it is live and — unless the caller knows the
+// whole node is inside — its float64 coordinates are in the box.
+func (t *Tree) rangeRow(r int32, rc *rangeCtx, inside bool, out *[]int32, cnt *int) {
+	id, at, live := t.row(r)
+	if live && (inside || rc.box.Contains(t.Pts.At(int(at)))) {
+		if out != nil {
+			*out = append(*out, id)
+		} else {
+			*cnt++
+		}
+	}
+}
+
 // rangeLeafF32 scans one leaf through the f32 column filter: PruneBox
 // masks rangeChunk points at a time against the widened f32 box, and only
-// masked-in points are verified against the exact float64 box. Appends ids
-// to out when non-nil, else counts into cnt.
+// masked-in rows are checked for tombstones and verified against the exact
+// float64 box.
 func (t *Tree) rangeLeafF32(nd *Node, rc *rangeCtx, out *[]int32, cnt *int) {
 	dim := t.Pts.Dim
 	m := int(nd.Hi - nd.Lo)
@@ -721,82 +782,14 @@ func (t *Tree) rangeLeafF32(nd *Node, rc *rangeCtx, out *[]int32, cnt *int) {
 	slab := t.CoordsF32[base : base+m*dim]
 	var mask [rangeChunk]byte
 	for off := 0; off < m; off += rangeChunk {
-		cn := m - off
-		if cn > rangeChunk {
-			cn = rangeChunk
-		}
+		cn := min(m-off, rangeChunk)
 		kernel.PruneBox(mask[:cn], rc.lo32[:dim], rc.hi32[:dim], slab[off:], cn, m)
 		for i := 0; i < cn; i++ {
-			if mask[i] == 0 {
-				continue
-			}
-			id := t.Idx[nd.Lo+int32(off+i)]
-			if rc.box.Contains(t.Pts.At(int(id))) {
-				if out != nil {
-					*out = append(*out, id)
-				} else {
-					*cnt++
-				}
+			if mask[i] != 0 {
+				t.rangeRow(nd.Lo+int32(off+i), rc, false, out, cnt)
 			}
 		}
 	}
-}
-
-func (t *Tree) rangeLeafF64(nd *Node, rc *rangeCtx, out *[]int32, cnt *int) {
-	for i := nd.Lo; i < nd.Hi; i++ {
-		id := t.Idx[i]
-		if rc.box.Contains(t.Pts.At(int(id))) {
-			if out != nil {
-				*out = append(*out, id)
-			} else {
-				*cnt++
-			}
-		}
-	}
-}
-
-func (t *Tree) rangeRec(ni int32, rc *rangeCtx, out *[]int32) {
-	nd := &t.Nodes[ni]
-	inside, disjoint := t.nodeBoxIn(nd, rc.box)
-	if disjoint {
-		return
-	}
-	if inside {
-		*out = append(*out, t.Idx[nd.Lo:nd.Hi]...)
-		return
-	}
-	if nd.Left == 0 {
-		if rc.f32 {
-			t.rangeLeafF32(nd, rc, out, nil)
-		} else {
-			t.rangeLeafF64(nd, rc, out, nil)
-		}
-		return
-	}
-	t.rangeRec(nd.Left, rc, out)
-	t.rangeRec(nd.Right, rc, out)
-}
-
-func (t *Tree) rangeCountRec(ni int32, rc *rangeCtx, cnt *int) {
-	nd := &t.Nodes[ni]
-	inside, disjoint := t.nodeBoxIn(nd, rc.box)
-	if disjoint {
-		return
-	}
-	if inside {
-		*cnt += nd.Size()
-		return
-	}
-	if nd.Left == 0 {
-		if rc.f32 {
-			t.rangeLeafF32(nd, rc, nil, cnt)
-		} else {
-			t.rangeLeafF64(nd, rc, nil, cnt)
-		}
-		return
-	}
-	t.rangeCountRec(nd.Left, rc, cnt)
-	t.rangeCountRec(nd.Right, rc, cnt)
 }
 
 // RangeSearchParallel answers many box queries data-parallel.

@@ -40,9 +40,9 @@ type KNNBuffer struct {
 }
 
 // knnScratchInit pre-sizes the kernel scratch column to cover default-sized
-// leaves (kdtree LeafSize 32, bdltree vEB leaves 16) without ever growing —
-// the zero-alloc guarantee of the scan path. Larger user-set leaves (or
-// skewed spatial-median vEB leaves) grow it once per buffer.
+// leaves (kdtree LeafSize 32, BDL levels 64) without ever growing — the
+// zero-alloc guarantee of the scan path. Larger user-set leaves grow it
+// once per buffer.
 const knnScratchInit = 64
 
 // NewKNNBuffer returns a buffer for k neighbors.

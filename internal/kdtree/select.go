@@ -3,8 +3,8 @@ package kdtree
 import "pargeo/internal/geom"
 
 // NthElement reorders idx so idx[kth] holds the element of rank kth by
-// coordinate dim (quickselect with median-of-three pivots). Shared by this
-// package's builder and the BDL-tree's vEB builder.
+// coordinate dim (quickselect with median-of-three pivots; ties land on
+// either side). Shared by this package's builder and the B2 baseline's.
 func NthElement(pts geom.Points, idx []int32, kth int, dim int) {
 	lo, hi := 0, len(idx)
 	key := func(i int) float64 { return pts.Coord(int(idx[i]), dim) }

@@ -33,6 +33,7 @@ import (
 
 	"pargeo/internal/geom"
 	"pargeo/internal/kdtree"
+	"pargeo/internal/kernel"
 	"pargeo/internal/morton"
 	"pargeo/internal/parlay"
 )
@@ -229,7 +230,7 @@ func (t *Tree) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
 				ex = exclude[i]
 			}
 			if len(t.nodes) > 0 {
-				t.knnRec(0, queries.At(i), ex, buf)
+				t.knnNode(0, queries.At(i), ex, buf)
 			}
 			out[i] = buf.Result(nil)
 		}
@@ -237,7 +238,7 @@ func (t *Tree) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
 	return out
 }
 
-func (t *Tree) knnRec(id int32, q []float64, exclude int32, buf *kdtree.KNNBuffer) {
+func (t *Tree) knnNode(id int32, q []float64, exclude int32, buf *kdtree.KNNBuffer) {
 	nd := &t.nodes[id]
 	if nd.left < 0 {
 		for i := nd.lo; i < nd.hi; i++ {
@@ -248,28 +249,15 @@ func (t *Tree) knnRec(id int32, q []float64, exclude int32, buf *kdtree.KNNBuffe
 		}
 		return
 	}
-	dl := t.boxSqDist(&t.nodes[nd.left], q)
-	dr := t.boxSqDist(&t.nodes[nd.right], q)
+	l, r := &t.nodes[nd.left], &t.nodes[nd.right]
+	dl := kernel.MinSqDistToBox(q, l.minC[:t.dim], l.maxC[:t.dim])
+	dr := kernel.MinSqDistToBox(q, r.minC[:t.dim], r.maxC[:t.dim])
 	near, far, dfar := nd.left, nd.right, dr
 	if dr < dl {
 		near, far, dfar = nd.right, nd.left, dl
 	}
-	t.knnRec(near, q, exclude, buf)
+	t.knnNode(near, q, exclude, buf)
 	if !buf.Full() || dfar < buf.Bound() {
-		t.knnRec(far, q, exclude, buf)
+		t.knnNode(far, q, exclude, buf)
 	}
-}
-
-func (t *Tree) boxSqDist(nd *znode, q []float64) float64 {
-	s := 0.0
-	for c := 0; c < t.dim; c++ {
-		if v := q[c]; v < nd.minC[c] {
-			d := nd.minC[c] - v
-			s += d * d
-		} else if v > nd.maxC[c] {
-			d := v - nd.maxC[c]
-			s += d * d
-		}
-	}
-	return s
 }

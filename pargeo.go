@@ -8,7 +8,7 @@
 //   - Static and batch-dynamic kd-trees: parallel construction with object
 //     or spatial median splits, exact k-nearest-neighbor search, range
 //     search, and the BDL-tree — a parallel batch-dynamic kd-tree built
-//     from a logarithmic set of static trees in van Emde Boas layout.
+//     from a logarithmic set of static trees (preorder-arena kd-trees).
 //   - Computational geometry: convex hull in R² and R³ (including the
 //     paper's reservation-based parallel incremental algorithms), smallest
 //     enclosing ball (parallel Welzl, orthant scan, and the sampling
