@@ -3,6 +3,7 @@ package bdltree
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"pargeo/internal/generators"
 	"pargeo/internal/geom"
@@ -132,4 +133,48 @@ func BenchmarkLadderKNN(b *testing.B) {
 			static.KNNInto(queries.At(i%queries.Len()), -1, buf)
 		}
 	})
+}
+
+// BenchmarkChurnDelete is the tree rung of the write path, reproducible
+// with `go test -bench ChurnDelete` alone: the benchmark's embed-churn
+// stream — a 200 k uniform 3-D base, each update inserting 512 fresh
+// points and deleting the 512 inserted 64 updates earlier (base slices to
+// begin with) — with the deletion's two halves timed apart: erase (locate
+// and tombstone) and rebalance (rebuild what fell below half capacity).
+// ns/op and allocs/op cover both halves; the insertions run off the clock.
+func BenchmarkChurnDelete(b *testing.B) {
+	const n, batch, lag = 200_000, 512, 64
+	base := generators.UniformCube(n, 3, 5)
+	box := geom.BoundingBoxAll(base)
+	r := rng.NewXoshiro256(9)
+	tr := New(3, Options{})
+	tr.Insert(base)
+	queue := make([]geom.Points, lag)
+	for i := range queue {
+		queue[i] = base.Slice(i*batch, (i+1)*batch)
+	}
+	var eraseNs, rebalanceNs time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ins := geom.NewPoints(batch, 3)
+		for j := range ins.Data {
+			ins.Data[j] = box.Min[j%3] + r.Float64()*(box.Max[j%3]-box.Min[j%3])
+		}
+		tr.Insert(ins)
+		del := queue[0]
+		queue = append(queue[1:], ins)
+		b.StartTimer()
+		t0 := time.Now()
+		if got := tr.erase(del); got != batch {
+			b.Fatalf("update %d erased %d of %d", i, got, batch)
+		}
+		t1 := time.Now()
+		tr.insertWithIDs(geom.Points{Dim: 3}, nil)
+		eraseNs += t1.Sub(t0)
+		rebalanceNs += time.Since(t1)
+	}
+	b.ReportMetric(float64(eraseNs)/float64(b.N), "erase-ns/op")
+	b.ReportMetric(float64(rebalanceNs)/float64(b.N), "rebalance-ns/op")
 }

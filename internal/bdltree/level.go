@@ -1,11 +1,8 @@
 package bdltree
 
 import (
-	"slices"
-
 	"pargeo/internal/geom"
 	"pargeo/internal/kdtree"
-	"pargeo/internal/parlay"
 )
 
 // levelLeafSize is the leaf capacity of a level's kd-tree. Level sizes are
@@ -52,74 +49,35 @@ func (l *level) knnInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
 	}
 }
 
-// erase returns the level without the live rows whose coordinates exactly
-// match a batch point (cand indexes the batch rows still in play). The
-// receiver is never written: a level that loses rows is replaced by a copy
-// sharing every array except a fresh tombstone bitset (one word per 64
-// rows), a level that loses none — the usual case, since only levels whose
-// boxes contain a candidate are even descended — is returned as is, and a
-// level that loses its last live row becomes nil.
-func (l *level) erase(batch geom.Points, cand []int32) *level {
-	if l == nil {
-		return nil
+// erase returns the level without the given rows, which arrive as the
+// blocks Tree.erase collected (live when collected, possibly repeated
+// across blocks — duplicate candidates find the same row — so a row counts
+// the first time its bit is set). The receiver is never written: a level
+// that loses rows is replaced by a copy sharing every array except a fresh
+// tombstone bitset (one word per 64 rows), a level that loses none is
+// returned as is, and a level that loses its last live row becomes nil.
+func (l *level) erase(blocks [][]int32) *level {
+	var nl *level
+	for _, rows := range blocks {
+		if nl == nil && len(rows) > 0 {
+			nl = &level{Tree: l.Tree, live: l.live}
+			nl.Dead = make([]uint64, (len(l.Idx)+63)/64)
+			copy(nl.Dead, l.Dead)
+		}
+		for _, r := range rows {
+			if !nl.IsDead(r) {
+				nl.Dead[r>>6] |= 1 << (uint(r) & 63)
+				nl.live--
+			}
+		}
 	}
-	rows := l.matchRows(0, batch, cand, nil)
-	if len(rows) == 0 {
+	switch {
+	case nl == nil:
 		return l
-	}
-	if len(rows) == l.live {
+	case nl.live == 0:
 		return nil
 	}
-	nl := *l
-	nl.Dead = make([]uint64, (len(l.Idx)+63)/64)
-	copy(nl.Dead, l.Dead)
-	for _, r := range rows {
-		nl.Dead[r>>6] |= 1 << (uint(r) & 63)
-	}
-	nl.live -= len(rows)
-	return &nl
-}
-
-// matchRows appends to rows the live rows under node ni that equal a
-// candidate, descending only into subtrees whose boxes contain candidates
-// (Algorithm 2's structure; removal itself is lazy, by tombstone).
-func (l *level) matchRows(ni int32, batch geom.Points, cand, rows []int32) []int32 {
-	nd := &l.Nodes[ni]
-	box := geom.Box{Min: nd.MinC[:batch.Dim], Max: nd.MaxC[:batch.Dim]}
-	kept := cand[:0:0]
-	for _, ci := range cand {
-		if box.Contains(batch.At(int(ci))) {
-			kept = append(kept, ci)
-		}
-	}
-	if len(kept) == 0 {
-		return rows
-	}
-	if nd.IsLeaf() {
-		for r := nd.Lo; r < nd.Hi; r++ {
-			if l.IsDead(r) {
-				continue
-			}
-			pc := l.Pts.At(int(r))
-			for _, ci := range kept {
-				if slices.Equal(pc, batch.At(int(ci))) {
-					rows = append(rows, r)
-					break
-				}
-			}
-		}
-		return rows
-	}
-	if len(kept) > 2048 {
-		var a, b []int32
-		parlay.Do(
-			func() { a = l.matchRows(nd.Left, batch, kept, nil) },
-			func() { b = l.matchRows(nd.Right, batch, kept, nil) },
-		)
-		return append(append(rows, a...), b...)
-	}
-	rows = l.matchRows(nd.Left, batch, kept, rows)
-	return l.matchRows(nd.Right, batch, kept, rows)
+	return nl
 }
 
 // livePoints appends the coordinates and global ids of all live rows.

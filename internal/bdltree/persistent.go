@@ -9,10 +9,12 @@ import "pargeo/internal/geom"
 // (it drains some, builds new ones, and leaves the rest untouched), and a
 // batch deletion replaces exactly the levels that lose a row by copies that
 // share every array except a fresh tombstone bitset (level.erase).
-// PersistentInsert and PersistentDelete therefore run the ordinary update
-// on a copy of the Tree header and its slot vector: the result shares every
-// untouched level — nodes, rows, f32 slabs, global ids and bitsets included
-// — with the receiver, which stays fully queryable. One update copies
+// PersistentInsert, PersistentDelete and PersistentUpdate (shard.go: a
+// commit group's erases and its insertion under one rebuild) therefore run
+// the ordinary update on a copy of the Tree header and its slot vector: the
+// result shares every untouched level — nodes, rows, f32 slabs, global ids
+// and bitsets included — with the receiver, which stays fully queryable.
+// One update copies
 // O(live points of rebuilt levels) for an insertion and, for a deletion,
 // n/64 bitmap words of each level that actually lost a row (plus any level
 // the rebalance rebuilds), never the whole structure.

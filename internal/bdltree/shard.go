@@ -31,14 +31,23 @@ func NewFromSorted(dim int, opts Options, pts geom.Points, ids []int32) *Tree {
 	return t
 }
 
-// PersistentInsertWithIDs is PersistentInsert under caller-assigned global
-// ids: it returns a new tree containing the receiver's live points plus the
-// batch, leaving the receiver untouched and queryable. See InsertWithIDs
-// for the id contract.
-func (t *Tree) PersistentInsertWithIDs(batch geom.Points, ids []int32) *Tree {
+// PersistentUpdate is one commit group's share of change to a shard tree,
+// leaving the receiver untouched and queryable: the new tree lacks every
+// live point matching a batch of dels — erased batch by batch in order, so
+// removed[i] counts what dels[i] itself removed — and holds ins under the
+// caller-assigned global ids (see InsertWithIDs for the id contract; the
+// deletions do not see the insertions). The erases do not rebalance: the
+// one insertWithIDs that follows rebuilds the below-half levels together
+// with whatever the insertion rebuilds anyway, so a commit pays for one
+// rebuild, not one per deletion plus one.
+func (t *Tree) PersistentUpdate(dels []geom.Points, ins geom.Points, ids []int32) (*Tree, []int) {
 	nt := t.shallowClone()
-	nt.InsertWithIDs(batch, ids)
-	return nt
+	removed := make([]int, len(dels))
+	for i, del := range dels {
+		removed[i] = nt.erase(del)
+	}
+	nt.InsertWithIDs(ins, ids)
+	return nt, removed
 }
 
 // ExtractRange returns the tree's live points whose Morton code under the

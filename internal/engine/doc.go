@@ -154,11 +154,13 @@
 //
 // # Storage
 //
-// Tree versions are derived with bdltree.PersistentInsertWithIDs and
-// bdltree.PersistentDelete, which exploit the logarithmic method's own
-// structure: an insertion rebuilds a prefix of the static trees and shares
-// the rest with the parent version untouched; a deletion clones only the
-// per-tree tombstone bitmaps. A commit is therefore cheap, proportional to
+// Tree versions are derived with bdltree.PersistentUpdate — a commit
+// group's deletions, member by member, then its insertions, with one
+// rebuild of levels for all of it — which exploits the logarithmic method's
+// own structure: an insertion rebuilds a prefix of the static trees and
+// shares the rest with the parent version untouched; a deletion clones only
+// the per-tree tombstone bitmaps (and rebuilds a tree it left below half
+// capacity). A commit is therefore cheap, proportional to
 // the structural change of its own shard, and a superseded version stays
 // valid for readers that loaded it before the swap.
 //

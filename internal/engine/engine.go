@@ -666,30 +666,23 @@ type shardWork struct {
 	next    *bdltree.Tree // prepared version; nil leaves the shard unchanged
 }
 
-// prepare derives the shard's next tree version from old, copy-on-write:
-// every member's deletions in arrival order, so each result reports its
-// own removal count, then all insertions as one batch. next stays nil when
-// the live set did not change — a deletion that matched nothing (e.g.
-// against a still-empty engine) publishes no no-op clone.
+// prepare derives the shard's next tree version from old, copy-on-write, in
+// one bdltree.PersistentUpdate: every member's deletions in arrival order,
+// so each result reports its own removal count, then all insertions as one
+// batch, rebuilding levels once. next stays nil when the live set did not
+// change — a deletion that matched nothing (e.g. against a still-empty
+// engine) publishes no no-op clone.
 func (w *shardWork) prepare(old *bdltree.Tree, dim int) {
-	tree, changed := old, false
-	w.deleted = make([]int, len(w.del))
 	var insData []float64
 	var insIDs []int32
 	for i, del := range w.del {
-		if del.Len() > 0 {
-			tree, w.deleted[i] = tree.PersistentDelete(del)
-			changed = changed || w.deleted[i] > 0
-		}
 		insData = append(insData, w.ins[i].Data...)
 		insIDs = append(insIDs, w.ids[i]...)
 		w.rows += w.ins[i].Len() + del.Len()
 	}
-	if len(insIDs) > 0 {
-		tree = tree.PersistentInsertWithIDs(geom.Points{Data: insData, Dim: dim}, insIDs)
-		changed = true
-	}
-	if changed {
+	tree, deleted := old.PersistentUpdate(w.del, geom.Points{Data: insData, Dim: dim}, insIDs)
+	w.deleted = deleted
+	if len(insIDs) > 0 || tree.Size() != old.Size() {
 		w.next = tree
 	}
 }

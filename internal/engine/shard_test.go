@@ -203,3 +203,51 @@ func TestShardedParallelWriters(t *testing.T) {
 		t.Fatalf("count %d != size %d", got, e.Size())
 	}
 }
+
+// TestFusedCommitGroup hands commit one group that mixes two members'
+// deletions with two members' insertions, unsharded and across four shards.
+// Every shard tree takes the whole group in one bdltree.PersistentUpdate —
+// all erases, then one rebuild — so: each member reports its own removal
+// count (the second member's overlap with the first is already gone when
+// its turn comes), the live set is the model's, and although the deletions
+// take more than half of the points no static tree of the published
+// version is left below half capacity.
+func TestFusedCommitGroup(t *testing.T) {
+	const x = 16
+	for _, shards := range []int{1, 4} {
+		e := New(2, Options{BufferSize: x, Shards: shards, ShardSampleSize: 128})
+		m := &oracle.LiveSet{Dim: 2}
+		base := generators.UniformCube(1500, 2, 3)
+		m.Insert(e.Insert(base).IDs, base)
+
+		a := e.newUpdateReq(generators.UniformCube(40, 2, 4), base.Slice(0, 700))
+		b := e.newUpdateReq(geom.Points{Dim: 2}, base.Slice(600, 900))
+		c := e.newUpdateReq(generators.UniformCube(25, 2, 5), geom.Points{Dim: 2})
+		before := e.Epoch()
+		e.commit(globalStream, []*updateReq{a, b, c})
+		for _, r := range []*updateReq{a, b, c} {
+			<-r.done
+			if r.res.Err != nil || r.res.Epoch != before+1 || len(r.res.IDs) != r.ins.Len() {
+				t.Fatalf("shards=%d: member acked %+v, want epoch %d and %d ids", shards, r.res, before+1, r.ins.Len())
+			}
+			want := m.Remove(r.del)
+			if r.res.Deleted != want {
+				t.Fatalf("shards=%d: member deleted %d, model %d", shards, r.res.Deleted, want)
+			}
+		}
+		if a.res.Deleted != 700 || b.res.Deleted != 200 {
+			t.Fatalf("shards=%d: members deleted %d and %d, want 700 and 200", shards, a.res.Deleted, b.res.Deleted)
+		}
+		m.Insert(a.res.IDs, a.ins)
+		m.Insert(c.res.IDs, c.ins)
+		checkAgainstOracle(t, e, m, 11)
+		for s, tr := range e.snap.Load().trees {
+			for i, n := range tr.TreeSizes()[1:] {
+				if n != 0 && (n < x<<i/2 || n > x<<i) {
+					t.Fatalf("shards=%d: shard %d slot %d holds %d of %d: %v", shards, s, i, n, x<<i, tr.TreeSizes())
+				}
+			}
+		}
+		e.Close()
+	}
+}

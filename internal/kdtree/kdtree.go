@@ -54,6 +54,7 @@ package kdtree
 
 import (
 	"math"
+	"slices"
 
 	"pargeo/internal/geom"
 	"pargeo/internal/kernel"
@@ -799,6 +800,68 @@ func (t *Tree) RangeSearchParallel(boxes []geom.Box) [][]int32 {
 		out[i] = t.RangeSearch(boxes[i])
 	})
 	return out
+}
+
+// --- exact-match point location ------------------------------------------
+
+// MatchRows appends to rows every live row of a row-ordered tree whose
+// float64 coordinates equal q (==, so -0 matches +0 and NaN matches
+// nothing) — the lookup a batch deletion runs once per candidate and level.
+// It is a point location, not a box search: the root box rejects q outright
+// (a NaN coordinate fails that test too, so it never reaches a split),
+// then every node costs one comparison with its split plane.
+func (t *Tree) MatchRows(q []float64, rows []int32) []int32 {
+	if len(t.Nodes) == 0 || !nodeHolds(&t.Nodes[0], q) {
+		return rows
+	}
+	return t.matchRec(0, q, rows)
+}
+
+// nodeHolds reports whether q lies in nd's closed box; false if q has a NaN.
+func nodeHolds(nd *Node, q []float64) bool {
+	for c, v := range q {
+		if !(nd.MinC[c] <= v && v <= nd.MaxC[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchRec descends from node ni to the leaves that can hold q. Both
+// builders put coordinates below the split value left and above it right;
+// equal ones land on either side, so a tie follows both children — each
+// only if its box holds q, which keeps grid data (many rows on a split
+// plane, few of them at q's other coordinates) from fanning out.
+func (t *Tree) matchRec(ni int32, q []float64, rows []int32) []int32 {
+	nd := &t.Nodes[ni]
+	for nd.Left != 0 {
+		switch v := q[nd.SplitDim]; {
+		case v < nd.SplitVal:
+			nd = &t.Nodes[nd.Left]
+		case v > nd.SplitVal:
+			nd = &t.Nodes[nd.Right]
+		default:
+			if nodeHolds(&t.Nodes[nd.Left], q) {
+				rows = t.matchRec(nd.Left, q, rows)
+			}
+			if nd = &t.Nodes[nd.Right]; !nodeHolds(nd, q) {
+				return rows
+			}
+		}
+	}
+	// The leaf's first f32 column filters, the float64 row decides. Equal
+	// float64s round to equal float32s whatever their magnitude, so unlike
+	// the distance and box filters this one needs no f32ok gate.
+	m := int(nd.Hi - nd.Lo)
+	q0 := float32(q[0])
+	for i, v := range t.CoordsF32[int(nd.Lo)*len(q):][:m] {
+		if v == q0 {
+			if r := nd.Lo + int32(i); !t.IsDead(r) && slices.Equal(t.Pts.At(int(r)), q) {
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows
 }
 
 // --- node geometry helpers used by WSPD / BCCP --------------------------

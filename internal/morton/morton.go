@@ -44,12 +44,43 @@ func quantize(v float64, box geom.Box, c int, maxCell uint64) uint64 {
 	return cell
 }
 
-// interleave spreads bit k of cell to position k*dim+c of the code.
+// interleave spreads bit k of cell to position k*dim+c of the code: by the
+// magic-mask shift sequences in 2 and 3 dimensions (the routing path of a
+// sharded engine encodes every update row), bit by bit in the others.
 func interleave(code, cell uint64, bits, dim, c int) uint64 {
+	switch dim {
+	case 2:
+		return code | spread2(cell)<<uint(c)
+	case 3:
+		return code | spread3(cell)<<uint(c)
+	}
+	return interleaveLoop(code, cell, bits, dim, c)
+}
+
+// interleaveLoop is interleave for any dimension, one bit per iteration.
+func interleaveLoop(code, cell uint64, bits, dim, c int) uint64 {
 	for k := 0; k < bits; k++ {
 		code |= ((cell >> uint(k)) & 1) << uint(k*dim+c)
 	}
 	return code
+}
+
+// spread2 moves bit k of a cell of at most 32 bits to bit 2k.
+func spread2(x uint64) uint64 {
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	return (x | x<<1) & 0x5555555555555555
+}
+
+// spread3 moves bit k of a cell of at most 21 bits to bit 3k.
+func spread3(x uint64) uint64 {
+	x = (x | x<<32) & 0x001f00000000ffff
+	x = (x | x<<16) & 0x001f0000ff0000ff
+	x = (x | x<<8) & 0x100f00f00f00f00f
+	x = (x | x<<4) & 0x10c30c30c30c30c3
+	return (x | x<<2) & 0x1249249249249249
 }
 
 // Encode computes the Morton code of coordinates p inside box (coordinates

@@ -110,8 +110,11 @@ func (d *deque) steal() (*task, bool) {
 	}
 	// Winning the CAS grants exclusive ownership of index tp; clear it so
 	// the stolen task doesn't linger in the buffer (stale readers of this
-	// slot will fail their own CAS and discard what they loaded).
-	slot.Store(nil)
+	// slot will fail their own CAS and discard what they loaded). Clear only
+	// if the slot still holds t: once top has moved past tp the owner may
+	// wrap around and push a new task into this slot before a descheduled
+	// thief gets here, and a plain store would erase that task for good.
+	slot.CompareAndSwap(t, nil)
 	return t, false
 }
 
