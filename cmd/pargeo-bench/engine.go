@@ -25,9 +25,7 @@ import (
 // the multi-writer scaling axis the sharded engine adds. The mutex
 // baseline guards one BDL-tree with a single lock for both queries and
 // updates — what a caller would write without the engine — so the table
-// shows what snapshot isolation, query grouping, and sharding buy. Every
-// row is recorded for -json output; this experiment generates the
-// committed BENCH_engine.json.
+// shows what snapshot isolation, query grouping, and sharding buy.
 func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 	fmt.Println("=== engine: mixed read/write serving throughput (3D uniform) ===")
 	const (
@@ -86,27 +84,8 @@ func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 		for _, cfg := range configs {
 			query, update := tg.setup()
 			qps, ups := runMixed(cfg.writers, cfg.readers, measure, domain, seed, updBatch, query, update)
-			secs := (time.Duration(mixedWindows) * measure).Seconds()
 			fmt.Fprintf(w, "%s\t%d\t%d\t%.3g\t%.3g\n",
 				tg.name, cfg.writers, cfg.readers, qps, ups)
-			// The mutex baseline is narrative context, not gated code: its
-			// throughput is dominated by lock-fairness luck (bimodal window
-			// to window), and a regression in it would say nothing about
-			// this repository. Keep it out of the recorded document so the
-			// CI gate only tracks the engine's own rows.
-			if tg.name == "mutex-bdl" {
-				continue
-			}
-			record(BenchRecord{
-				Experiment: "engine",
-				Name:       fmt.Sprintf("%s/w=%d/r=%d/queries", tg.name, cfg.writers, cfg.readers),
-				N:          n, Dim: dim, Seconds: secs, OpsPerSec: qps,
-			})
-			record(BenchRecord{
-				Experiment: "engine",
-				Name:       fmt.Sprintf("%s/w=%d/r=%d/updates", tg.name, cfg.writers, cfg.readers),
-				N:          n, Dim: dim, Seconds: secs, OpsPerSec: ups,
-			})
 		}
 	}
 	w.Flush()
@@ -130,9 +109,7 @@ func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 // out-of-world drift counter trips, the partition is rebuilt under a
 // widened world, and the slowly drifting per-quadrant churn stays spread
 // over all S shards (write-weighted splits track it between repartitions).
-// Both modes are recorded into the -json document (committed as
-// BENCH_engine.json), which the CI regression gate replays; the headline
-// comparison is updates/s at 8 writers.
+// The headline comparison is updates/s at 8 writers.
 func engineDriftBench(n int, seed uint64, rebalModes []bool) {
 	fmt.Println("=== engine: drifting hot-spot + cold-start mis-founding, rebalancer sweep (2D, S=4) ===")
 	const (
@@ -182,20 +159,9 @@ func engineDriftBench(n int, seed uint64, rebalModes []bool) {
 			sizes := e.Snapshot().ShardSizes()
 			migrations := e.Rebalances()
 			e.Close()
-			secs := (driftWindow * driftWindows).Seconds()
 			name := fmt.Sprintf("drift-s%d-rebal=%s", shards, mode)
 			fmt.Fprintf(w, "%s\t%d\t%d\t%.3g\t%.3g\t%d\t%v\n",
 				name, cfg.writers, cfg.readers, qps, ups, migrations, sizes)
-			record(BenchRecord{
-				Experiment: "engine",
-				Name:       fmt.Sprintf("%s/w=%d/r=%d/queries", name, cfg.writers, cfg.readers),
-				N:          n, Dim: dim, Seconds: secs, OpsPerSec: qps,
-			})
-			record(BenchRecord{
-				Experiment: "engine",
-				Name:       fmt.Sprintf("%s/w=%d/r=%d/updates", name, cfg.writers, cfg.readers),
-				N:          n, Dim: dim, Seconds: secs, OpsPerSec: ups,
-			})
 		}
 	}
 	w.Flush()
@@ -209,11 +175,11 @@ func engineDriftBench(n int, seed uint64, rebalModes []bool) {
 }
 
 // Drift measurement protocol: a fixed number of fixed-length windows with
-// the median taken per metric. Fixed (rather than -measure-scaled) windows
-// keep the committed baseline and the CI regression gate's fresh runs on
-// the same protocol — the drift workload is not perfectly stationary, so
-// records from different window lengths would not be comparable — and the
-// median discards the odd window distorted by a GC pause or a migration.
+// the median taken per metric. Windows are fixed (rather than
+// -measure-scaled) because the drift workload is not perfectly
+// stationary, so numbers from different window lengths would not be
+// comparable; the median discards the odd window distorted by a GC pause
+// or a migration.
 const (
 	driftWindows = 5
 	driftWindow  = time.Second

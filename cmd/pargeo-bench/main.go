@@ -1,50 +1,31 @@
 // Command pargeo-bench regenerates every table and figure of the ParGeo
-// paper's evaluation (§6) on the current machine:
+// paper's evaluation (§6) on the current machine, plus the three serving
+// experiments (engine, overload, mvcc) that benchmark/ does not carry
+// yet:
 //
-//	pargeo-bench -experiment table1          # Table 1: runtimes + self-relative speedups
-//	pargeo-bench -experiment fig8            # 2D convex hull across data sets
-//	pargeo-bench -experiment fig9            # 3D convex hull across data sets
-//	pargeo-bench -experiment fig10           # smallest enclosing ball across data sets
-//	pargeo-bench -experiment fig11           # BDL-tree throughput vs threads
-//	pargeo-bench -experiment fig12           # reservation overhead counters
-//	pargeo-bench -experiment fig14           # k-NN throughput vs k on incrementally built trees
-//	pargeo-bench -experiment hullstats       # §6.1 pseudohull pruning statistics
-//	pargeo-bench -experiment sebstats        # §6.2 sampling-phase statistics
-//	pargeo-bench -experiment zdcompare       # §6.3 BDL-tree vs Zd-tree
-//	pargeo-bench -experiment engine          # mixed read/write serving throughput
-//	pargeo-bench -experiment serve           # network layer: open-loop tail latency + client batching
-//	pargeo-bench -experiment overload        # admission control: goodput + tails at 0.5-2x saturation
-//	pargeo-bench -experiment wal             # WAL durability overhead + recovery time
-//	pargeo-bench -experiment mvcc            # MVCC retention: analytics-vs-writer interference + memory
-//	pargeo-bench -experiment kdtree          # kd-tree Build/k-NN/range microbenchmarks
+//	pargeo-bench -experiment table1
 //	pargeo-bench -experiment all
+//
+// The experiments table below is the one list of what -experiment
+// accepts; -h prints it.
 //
 // The paper's experiments use 10M–100M points on a 36-core machine; -n
 // scales the base data-set size (default 200000) so the suite runs
 // anywhere. Shapes (which algorithm wins, crossover behavior) reproduce;
 // absolute times depend on the host.
 //
-// -json <path> additionally writes the collected measurements as a
-// machine-readable document, which is how the repo's committed
-// BENCH_*.json perf-trajectory files are produced:
-//
-//	pargeo-bench -experiment kdtree -n 100000 -json BENCH_kdtree.json
-//	pargeo-bench -experiment engine -n 100000 -shards 1,2,4 -json BENCH_engine.json
-//	pargeo-bench -experiment wal -n 100000 -json BENCH_wal.json
-//
 // The engine experiment sweeps the Morton shard count (-shards) and the
 // per-configuration measurement window (-measure).
 //
-// Compare mode turns two such documents into a benchmark-regression gate
-// (exit 1 on a localized regression; see compare.go for the
-// median-normalization that makes cross-machine comparisons meaningful):
-//
-//	pargeo-bench -compare BENCH_kdtree.json fresh.json -tolerance 0.35
+// The kd-tree, WAL and wire layers are timed by benchmark/ (see
+// BENCHMARK.json), which is also the repository's only regression gate;
+// nothing here compares against a stored baseline.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -52,13 +33,53 @@ import (
 	"time"
 )
 
+// experiment is one entry of the -experiment list.
+type experiment struct {
+	name string
+	what string
+	run  func()
+}
+
+// experiments is every experiment, in the order -experiment all runs them.
+var experiments = []experiment{
+	{"table1", "Table 1: runtimes + self-relative speedups", func() { table1(*flagN, *flagSeed) }},
+	{"fig8", "2D convex hull across data sets", func() { fig8(*flagN, *flagSeed) }},
+	{"fig9", "3D convex hull across data sets", func() { fig9(*flagN, *flagSeed) }},
+	{"fig10", "smallest enclosing ball across data sets", func() { fig10(*flagN, *flagSeed) }},
+	{"fig11", "BDL-tree throughput vs threads", func() { fig11(*flagN, *flagSeed, parseThreads(*flagThreads)) }},
+	{"fig12", "reservation overhead counters", func() { fig12(*flagN, *flagSeed) }},
+	{"fig14", "k-NN throughput vs k on incrementally built trees", func() { fig14(*flagN, *flagSeed) }},
+	{"hullstats", "§6.1 pseudohull pruning statistics", func() { hullStats(*flagN, *flagSeed) }},
+	{"sebstats", "§6.2 sampling-phase statistics", func() { sebStats(*flagN, *flagSeed) }},
+	{"zdcompare", "§6.3 BDL-tree vs Zd-tree", func() { zdCompare(*flagN, *flagSeed) }},
+	{"engine", "mixed read/write serving throughput", func() {
+		engineBench(*flagN, *flagSeed, parseThreads(*flagShards), *flagMeasure)
+		engineDriftBench(*flagN, *flagSeed, parseRebalance(*flagRebalance))
+	}},
+	{"overload", "admission control: goodput + tails at 0.5-2x saturation", func() {
+		overloadBench(*flagN, *flagSeed, *flagMeasure, *flagOverAssert)
+	}},
+	{"mvcc", "MVCC retention: analytics-vs-writer interference + memory", func() {
+		mvccBench(*flagN, *flagSeed, *flagMVCCAssert)
+	}},
+}
+
+// experimentList renders the table for -h and for the unknown-name error.
+func experimentList(exps []experiment) string {
+	var b strings.Builder
+	for _, e := range exps {
+		fmt.Fprintf(&b, "  %-10s %s\n", e.name, e.what)
+	}
+	fmt.Fprintf(&b, "  %-10s every experiment above, in that order", "all")
+	return b.String()
+}
+
 var (
-	flagExperiment = flag.String("experiment", "all", "experiment to run: table1|fig8|fig9|fig10|fig11|fig12|fig14|hullstats|sebstats|zdcompare|engine|serve|overload|wal|mvcc|kdtree|all")
+	flagExperiment = flag.String("experiment", "all", "experiment to run, one of:\n"+experimentList(experiments))
 	flagN          = flag.Int("n", 200000, "base data-set size (paper: 10M)")
 	flagThreads    = flag.String("threads", "", "comma-separated thread counts for scaling experiments (default 1,2,4,...,NumCPU)")
 	flagSeed       = flag.Uint64("seed", 42, "data-generation seed")
 	flagVerify     = flag.Bool("verify", false, "cross-check results between implementations where cheap")
-	flagJSON       = flag.String("json", "", "write machine-readable results to this path")
 	flagShards     = flag.String("shards", "1,2,4", "comma-separated engine shard counts for the engine experiment sweep")
 	flagMeasure    = flag.Duration("measure", 1500*time.Millisecond, "measurement window per engine-experiment configuration")
 	flagOverAssert = flag.Bool("overload-assert", false, "overload experiment: exit 1 unless goodput at 2x saturation stays within 80% of the best observed and the successful-read p99 stays bounded")
@@ -67,55 +88,29 @@ var (
 )
 
 func main() {
-	// Compare mode is a subcommand with its own argument shape
-	// (`pargeo-bench -compare old.json new.json -tolerance 0.35`), handled
-	// before the experiment flags.
-	if len(os.Args) >= 2 && (os.Args[1] == "-compare" || os.Args[1] == "--compare") {
-		os.Exit(runCompare(os.Args[2:]))
-	}
 	flag.Parse()
-	threads := parseThreads(*flagThreads)
-	fmt.Printf("pargeo-bench: n=%d, host CPUs=%d, threads=%v\n\n", *flagN, runtime.NumCPU(), threads)
+	fmt.Printf("pargeo-bench: n=%d, host CPUs=%d, threads=%v\n\n", *flagN, runtime.NumCPU(), parseThreads(*flagThreads))
+	os.Exit(runExperiments(experiments, *flagExperiment, os.Stderr))
+}
+
+// runExperiments runs the experiment called name, or all of them, and
+// returns the process exit status. A typo must not silently run nothing,
+// so an unknown name is status 2 with the list on errw.
+func runExperiments(exps []experiment, name string, errw io.Writer) int {
 	matched := false
-	run := func(name string, f func()) {
-		if *flagExperiment == name || *flagExperiment == "all" {
+	for _, e := range exps {
+		if name == e.name || name == "all" {
 			matched = true
 			start := time.Now()
-			f()
-			fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+			e.run()
+			fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 		}
 	}
-	run("table1", func() { table1(*flagN, *flagSeed) })
-	run("fig8", func() { fig8(*flagN, *flagSeed) })
-	run("fig9", func() { fig9(*flagN, *flagSeed) })
-	run("fig10", func() { fig10(*flagN, *flagSeed) })
-	run("fig11", func() { fig11(*flagN, *flagSeed, threads) })
-	run("fig12", func() { fig12(*flagN, *flagSeed) })
-	run("fig14", func() { fig14(*flagN, *flagSeed) })
-	run("hullstats", func() { hullStats(*flagN, *flagSeed) })
-	run("sebstats", func() { sebStats(*flagN, *flagSeed) })
-	run("zdcompare", func() { zdCompare(*flagN, *flagSeed) })
-	run("engine", func() {
-		engineBench(*flagN, *flagSeed, parseThreads(*flagShards), *flagMeasure)
-		engineDriftBench(*flagN, *flagSeed, parseRebalance(*flagRebalance))
-	})
-	run("serve", func() { serveBench(*flagN, *flagSeed, *flagMeasure) })
-	run("overload", func() { overloadBench(*flagN, *flagSeed, *flagMeasure, *flagOverAssert) })
-	run("wal", func() { walBench(*flagN, *flagSeed, *flagMeasure) })
-	run("mvcc", func() { mvccBench(*flagN, *flagSeed, *flagMVCCAssert) })
-	run("kdtree", func() { kdBench(*flagN, *flagSeed) })
 	if !matched {
-		// A typo must not silently run nothing (and, with -json, clobber a
-		// committed BENCH_*.json with an empty document).
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (see -h for the list)\n", *flagExperiment)
-		os.Exit(2)
+		fmt.Fprintf(errw, "unknown experiment %q; want one of:\n%s\n", name, experimentList(exps))
+		return 2
 	}
-	if *flagJSON != "" {
-		if err := writeJSON(*flagJSON, *flagN, *flagSeed); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *flagJSON, err)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
 
 func parseThreads(s string) []int {

@@ -1,39 +1,56 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"flag"
+	"strings"
 	"testing"
 	"time"
 )
 
-func TestJSONRecorderRoundTrip(t *testing.T) {
-	benchMu.Lock()
-	benchResults = nil
-	benchMu.Unlock()
-	record(BenchRecord{Experiment: "kdtree", Name: "Build/d=2/object", N: 1000, Dim: 2, Seconds: 0.5, NsPerOp: 5e8})
-	record(BenchRecord{Experiment: "table1", Name: "EMST (2d)", N: 1000, Threads: 1, Seconds: 1.25})
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := writeJSON(path, 1000, 42); err != nil {
-		t.Fatal(err)
+// TestExperimentDispatch runs the real experiment list with every run
+// function stubbed: each listed name runs exactly its own entry, "all"
+// runs every entry in order, and a name that is not listed exits 2
+// without running anything.
+func TestExperimentDispatch(t *testing.T) {
+	var ran []string
+	stubs := make([]experiment, len(experiments))
+	for i, e := range experiments {
+		name := e.name
+		stubs[i] = experiment{name: name, what: e.what, run: func() { ran = append(ran, name) }}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	var errw strings.Builder
+	for _, e := range stubs {
+		ran = nil
+		if code := runExperiments(stubs, e.name, &errw); code != 0 || len(ran) != 1 || ran[0] != e.name {
+			t.Errorf("-experiment %s: exit %d, ran %v", e.name, code, ran)
+		}
+		if !strings.Contains(flag.Lookup("experiment").Usage, e.name) {
+			t.Errorf("-h does not list %q", e.name)
+		}
 	}
-	var doc BenchDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("unparseable output: %v", err)
+	ran = nil
+	if code := runExperiments(stubs, "all", &errw); code != 0 || len(ran) != len(stubs) {
+		t.Errorf("-experiment all: exit %d, ran %v", code, ran)
 	}
-	if len(doc.Results) != 2 || doc.BaseN != 1000 || doc.Seed != 42 {
-		t.Fatalf("doc = %+v", doc)
+	for i, name := range ran {
+		if name != stubs[i].name {
+			t.Errorf("all ran %v out of list order", ran)
+			break
+		}
 	}
-	if doc.Results[0].Name != "Build/d=2/object" || doc.Results[0].NsPerOp != 5e8 {
-		t.Fatalf("record 0 = %+v", doc.Results[0])
+	if errw.Len() != 0 {
+		t.Errorf("listed names wrote to stderr: %s", errw.String())
 	}
-	if doc.Results[1].Threads != 1 {
-		t.Fatalf("record 1 threads = %d", doc.Results[1].Threads)
+	// The three experiments benchmark/ replaced are gone, not aliased.
+	for _, name := range []string{"tabel1", "", "kdtree", "wal", "serve"} {
+		ran = nil
+		errw.Reset()
+		if code := runExperiments(stubs, name, &errw); code != 2 || len(ran) != 0 {
+			t.Errorf("-experiment %q: exit %d, ran %v; want exit 2 and nothing run", name, code, ran)
+		}
+		if !strings.Contains(errw.String(), "table1") {
+			t.Errorf("-experiment %q: error does not list the experiments: %q", name, errw.String())
+		}
 	}
 }
 

@@ -44,13 +44,9 @@ import (
 //     a full copy — and this table is where that claim is checked.
 //
 // Interference rows follow the drift experiment's fixed-window protocol
-// (median of 5 one-second windows) so the committed BENCH_mvcc.json and
-// CI regression runs use identical measurements; retention-overhead
-// bytes are printed but not recorded, since memory footprints do not
-// scale with machine speed and would distort the compare gate's
-// median-ratio normalizer. -mvcc-assert additionally gates the >= 70%
-// interference contract in-process, which is what the nightly stress job
-// runs.
+// (median of 5 one-second windows). -mvcc-assert additionally gates the
+// >= 70% interference contract in-process, which is what the nightly
+// stress job runs.
 func mvccBench(n int, seed uint64, assert bool) {
 	fmt.Println("=== mvcc: pinned-snapshot analytics vs writer interference (2D uniform) ===")
 	const (
@@ -167,14 +163,6 @@ func mvccBench(n int, seed uint64, assert bool) {
 	fmt.Printf("\ninterference: concurrent writer throughput is %.0f%% of the no-analytics "+
 		"baseline (analytics duty cycle %.0f%%, RetainEpochs=%d)\n", 100*ratio, 100*duty, retain)
 
-	secs := (time.Duration(mvccWindows) * mvccWindow).Seconds()
-	record(BenchRecord{Experiment: "mvcc", Name: "updates-no-analytics", N: n, Dim: dim,
-		Seconds: secs, OpsPerSec: base.ups})
-	record(BenchRecord{Experiment: "mvcc", Name: "updates-with-pinned-allknn", N: n, Dim: dim,
-		Seconds: secs, OpsPerSec: conc.ups})
-	record(BenchRecord{Experiment: "mvcc", Name: "pinned-allknn-queries", N: n, Dim: dim,
-		Seconds: secs, OpsPerSec: conc.queries})
-
 	retentionSweep(n, seed, seedPts, domain, batchB)
 
 	if assert && ratio < 0.70 {
@@ -244,6 +232,5 @@ func retentionSweep(n int, seed uint64, seedPts geom.Points, domain geom.Box, ba
 	w.Flush()
 	fmt.Println("\nRetained bytes are marginal: structure shared with the live version is")
 	fmt.Println("charged to the live trees, so each held epoch costs only what its commit")
-	fmt.Println("rebuilt. These rows are printed, not recorded — memory footprints do not")
-	fmt.Println("scale with machine speed, so they have no place in the compare gate.")
+	fmt.Println("rebuilt.")
 }

@@ -124,8 +124,6 @@ func table1(n int, seed uint64) {
 		t1 := withThreads(1, row.f)
 		tp := withThreads(runtime.NumCPU(), row.f)
 		fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.2fx\n", row.name, t1, tp, t1/tp)
-		record(BenchRecord{Experiment: "table1", Name: row.name, N: n, Threads: 1, Seconds: t1})
-		record(BenchRecord{Experiment: "table1", Name: row.name, N: n, Threads: runtime.NumCPU(), Seconds: tp})
 	}
 	w.Flush()
 	fmt.Println("\nPaper reference (36 cores, 10M points): speedups 8.1x-46.6x, avg 23.2x.")

@@ -1052,7 +1052,7 @@ func (e *Engine) runGroup(group []*queryReq) {
 		r := group[0]
 		switch r.kind {
 		case qKNN:
-			r.ids = snap.knnPooled(geom.Points{Data: r.q, Dim: e.dim}, r.k, e.knnPool(r.k))[0]
+			r.ids = snap.knnPooled(geom.Points{Data: r.q, Dim: e.dim}, r.k, e)[0]
 		case qRange:
 			r.ids = snap.RangeSearch(r.box)
 		case qCount:
@@ -1082,7 +1082,7 @@ func (e *Engine) runGroup(group []*queryReq) {
 			batch.Set(i, r.q)
 		}
 		thunks = append(thunks, func() {
-			res := snap.knnPooled(batch, k, e.knnPool(k))
+			res := snap.knnPooled(batch, k, e)
 			for i, r := range reqs {
 				r.ids = res[i]
 			}

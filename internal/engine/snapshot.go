@@ -46,18 +46,31 @@ func (s *Snapshot) ShardSizes() []int {
 }
 
 // KNN returns, for each query row, the global ids of its k nearest points
-// (sorted by increasing distance), data-parallel over the queries. Each
-// query walks the shards nearest-first through one shared k-NN buffer, so
-// the radius bound established by earlier shards prunes — usually skips —
-// the rest.
+// (sorted by increasing distance; fewer than k when the snapshot is
+// smaller), data-parallel over the queries. Each query walks the shards
+// nearest-first through one shared k-NN buffer, so the radius bound
+// established by earlier shards prunes — usually skips — the rest.
 func (s *Snapshot) KNN(queries geom.Points, k int) [][]int32 {
 	return s.knnPooled(queries, k, nil)
 }
 
-// knnPooled is KNN drawing per-worker buffers from pool (nil: allocate).
-func (s *Snapshot) knnPooled(queries geom.Points, k int, pool *kdtree.BufferPool) [][]int32 {
+// knnPooled is KNN drawing per-worker buffers from e's pool for k (nil e:
+// allocate). k arrives unchecked from the wire and a query cannot return
+// more ids than the snapshot holds, so k is clamped to the live size here,
+// before it sizes any buffer or pool.
+func (s *Snapshot) knnPooled(queries geom.Points, k int, e *Engine) [][]int32 {
 	n := queries.Len()
 	out := make([][]int32, n)
+	if s.size == 0 {
+		return out
+	}
+	if k > s.size {
+		k = s.size
+	}
+	var pool *kdtree.BufferPool
+	if e != nil {
+		pool = e.knnPool(k)
+	}
 	parlay.ForBlocked(n, 32, func(lo, hi int) {
 		var buf *kdtree.KNNBuffer
 		if pool != nil {
@@ -99,7 +112,8 @@ func (s *Snapshot) KNNInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
 // sqDists is non-nil it must have length queries.Len()*k and receives the
 // matching squared distances (+Inf padding) — exactly the row contract of
 // kdtree.Tree.AllKNN, so sharded and single-tree batch answers are
-// interchangeable.
+// interchangeable. Because rows pad to k by contract, k is not clamped to
+// the snapshot's size as KNN's is; no wire request reaches this method.
 func (s *Snapshot) AllKNN(queries geom.Points, k int, sqDists []float64) []int32 {
 	if k <= 0 {
 		panic("engine: AllKNN requires k >= 1")

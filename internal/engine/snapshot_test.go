@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"pargeo/internal/generators"
@@ -81,6 +82,86 @@ func TestSnapshotAllKNNPadding(t *testing.T) {
 	for i, id := range ids {
 		if id != -1 {
 			t.Fatalf("empty engine: ids[%d]=%d, want -1", i, id)
+		}
+	}
+}
+
+// TestKNNHugeKClamped: k arrives unchecked from the wire, and a buffer or
+// pool sized by k = MaxInt32 is a 16 GB allocation that aborts the process.
+// Every k-NN entry point that returns "fewer than k when the set is
+// smaller" must therefore clamp k to the snapshot's size before sizing
+// anything: the answer is the whole live set in the oracle's distance
+// order, an empty engine answers empty rows, and the engine keeps no
+// buffer pool for the k that was asked.
+func TestKNNHugeKClamped(t *testing.T) {
+	const dim, n = 2, 100
+	e := New(dim, Options{Shards: 4, RetainEpochs: 4})
+	defer e.Close()
+	m := &oracle.LiveSet{Dim: dim}
+	pts := generators.UniformCube(n, dim, 47)
+	res := e.Insert(pts)
+	m.Insert(res.IDs, pts)
+	pin := e.Pin()
+	defer pin.Release()
+	// A later commit, so the pinned snapshot is not the live one.
+	if r := e.Insert(generators.UniformCube(10, dim, 48)); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+
+	q := []float64{0.3, 0.7}
+	one := geom.Points{Data: q, Dim: dim}
+	wantD := oracle.KNNDists(m.Points(), q, n, -1)
+	check := func(name string, got []int32) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s: %d ids, want the whole %d-point set", name, len(got), n)
+		}
+		for j, id := range got {
+			if d := geom.SqDist(q, m.CoordsOf(id)); d != wantD[j] {
+				t.Fatalf("%s: dist[%d]=%v, oracle %v", name, j, d, wantD[j])
+			}
+		}
+	}
+	for _, k := range []int{n + 11, math.MaxInt32} {
+		check("pinned Snapshot.KNN", pin.KNN(one, k)[0])
+		if got := e.Snapshot().KNN(one, k)[0]; len(got) != n+10 {
+			t.Fatalf("live Snapshot.KNN(k=%d): %d ids, want %d", k, len(got), n+10)
+		}
+		if got := e.KNN(q, k); len(got) != n+10 {
+			t.Fatalf("Engine.KNN(k=%d): %d ids, want %d", k, len(got), n+10)
+		}
+	}
+	// The grouped pass: concurrent huge-k callers beside ordinary ones.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		k, want := math.MaxInt32, n+10
+		if g%2 == 1 {
+			k, want = 5, 5
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := e.KNN(q, k); len(got) != want {
+				t.Errorf("concurrent Engine.KNN(k=%d): %d ids, want %d", k, len(got), want)
+			}
+		}()
+	}
+	wg.Wait()
+	e.knnPools.Range(func(k, _ any) bool {
+		if k.(int) > n+10 {
+			t.Errorf("engine kept a buffer pool for k=%d, past its %d points", k, n+10)
+		}
+		return true
+	})
+
+	empty := New(dim, Options{Shards: 4})
+	defer empty.Close()
+	if got := empty.KNN(q, math.MaxInt32); len(got) != 0 {
+		t.Fatalf("empty Engine.KNN: %v, want no ids", got)
+	}
+	for i, row := range empty.Snapshot().KNN(generators.UniformCube(3, dim, 49), math.MaxInt32) {
+		if len(row) != 0 {
+			t.Fatalf("empty Snapshot.KNN row %d: %v, want no ids", i, row)
 		}
 	}
 }

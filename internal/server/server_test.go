@@ -3,6 +3,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"pargeo/client"
 	"pargeo/internal/engine"
 	"pargeo/internal/geom"
+	"pargeo/internal/oracle"
 	"pargeo/internal/server"
 	"pargeo/internal/wal"
 )
@@ -151,6 +153,61 @@ func TestLoopbackDifferential(t *testing.T) {
 	if _, err := c.KNN([]float64{1, 2}, 0); err == nil {
 		t.Fatal("k=0 KNN accepted")
 	}
+}
+
+// TestHugeKOverWire: the server rejects only k < 1, so a single OpKNN
+// frame can ask for k = MaxInt32. The engine clamps k to the snapshot it
+// answers from before sizing anything by it; unclamped, the 16 GB buffer
+// aborts the daemon. Live, batch and as-of reads must each return the
+// whole 100-point set in the oracle's distance order.
+func TestHugeKOverWire(t *testing.T) {
+	eng, srv, addr := startServer(t, 2, engine.Options{Shards: 2, RetainEpochs: 4})
+	defer func() { srv.Shutdown(); eng.Close() }()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	rng := rand.New(rand.NewSource(13))
+	pts := geom.NewPoints(100, 2)
+	for i := 0; i < pts.Len(); i++ {
+		pts.Set(i, []float64{rng.Float64() * 100, rng.Float64() * 100})
+	}
+	res := c.Insert(pts)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	row := make(map[int32]int, len(res.IDs))
+	for i, id := range res.IDs {
+		row[id] = i
+	}
+	q := []float64{40, 60}
+	wantD := oracle.KNNDists(pts, q, pts.Len(), -1)
+	check := func(name string, got []int32, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != pts.Len() {
+			t.Fatalf("%s: %d ids, want all %d", name, len(got), pts.Len())
+		}
+		for j, id := range got {
+			if d := geom.SqDist(q, pts.At(row[id])); d != wantD[j] {
+				t.Fatalf("%s: dist[%d]=%v, oracle %v", name, j, d, wantD[j])
+			}
+		}
+	}
+	got, err := c.KNN(q, math.MaxInt32)
+	check("KNN", got, err)
+	got, err = c.KNNAsOf(q, math.MaxInt32, res.Epoch)
+	check("KNNAsOf", got, err)
+	batch, err := c.KNNBatch(geom.Points{Data: []float64{q[0], q[1], q[0], q[1]}, Dim: 2}, math.MaxInt32)
+	if err != nil || len(batch) != 2 {
+		t.Fatalf("KNNBatch: %d rows, err %v; want 2 rows", len(batch), err)
+	}
+	check("KNNBatch row 0", batch[0], nil)
+	check("KNNBatch row 1", batch[1], nil)
 }
 
 // TestBatchedCallsCorrect hammers the client's combiner: concurrent solo
