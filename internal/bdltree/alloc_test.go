@@ -33,41 +33,43 @@ func TestKNNIntoZeroAllocs(t *testing.T) {
 }
 
 // TestPersistentDeleteAllocs: a 512-candidate PersistentDelete over a
-// 6-level ladder (plus buffer tree) allocates per level it touches and per
-// candidate block, never per node it visits: the header clone (2), the
-// level list and the block table (2), one row buffer per level × block
-// (7 × 4), a level copy and a bitset per level that lost a row (7 × 2),
-// and the parallel loop's three closures. Measured on one processor, where
-// the scheduler runs loops inline and adds no task allocations of its own.
-// (Box-filtering the candidate list node by node did 3 007 on the
-// benchmark's 230 k-point tree.)
+// 6-level ladder (plus buffer tree and open leaf) allocates per level it
+// touches and per candidate block, never per node it visits: the header
+// clone (2), the level list and the block table (2), one row buffer per
+// level × block (8 × 4), a level copy and a bitset per level that lost a
+// row (8 × 2), and the parallel loop's three closures. Measured on one
+// processor, where the scheduler runs loops inline and adds no task
+// allocations of its own. (Box-filtering the candidate list node by node
+// did 3 007 on the benchmark's 230 k-point tree.)
 func TestPersistentDeleteAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 0b111111*DefaultBufferSize + 500
-	pts := generators.UniformCube(n, 3, 37)
+	pts := generators.UniformCube(n+8, 3, 37)
 	tr := New(3, Options{})
-	tr.Insert(pts)
+	tr.Insert(pts.Slice(0, n))
+	tr.Insert(pts.Slice(n, n+8)) // the open leaf
 	batch := geom.NewPoints(512, 3)
-	for i := 0; i < 512; i++ {
+	for i := 0; i < 511; i++ {
 		batch.Set(i, pts.At(i*(n/512)))
 	}
-	if tr.NumTrees() != 6 || tr.buffer == nil {
-		t.Fatalf("want a 6-level ladder with a buffer tree, have %v", tr.TreeSizes())
+	batch.Set(511, pts.At(n+3))
+	if tr.NumTrees() != 6 || tr.buffer == nil || tr.tail == nil {
+		t.Fatalf("want a 6-level ladder with a buffer tree and an open leaf, have %v", tr.TreeSizes())
 	}
 	var next *Tree
 	var removed int
 	allocs := testing.AllocsPerRun(20, func() {
 		next, removed = tr.PersistentDelete(batch)
 	})
-	if removed != 512 || tr.Size() != n {
-		t.Fatalf("removed %d of 512, parent now holds %d of %d", removed, tr.Size(), n)
+	if removed != 512 || tr.Size() != n+8 {
+		t.Fatalf("removed %d of 512, parent now holds %d of %d", removed, tr.Size(), n+8)
 	}
 	for i, l := range next.levels() {
 		if l == nil || l.Dead == nil {
-			t.Fatalf("level %d lost no row; the count below assumes all seven did", i-1)
+			t.Fatalf("level %d lost no row; the count below assumes all eight did", i-2)
 		}
 	}
-	if !raceEnabled && allocs != 49 {
-		t.Errorf("PersistentDelete of 512 candidates did %.0f allocs/run, want 49", allocs)
+	if !raceEnabled && allocs != 55 {
+		t.Errorf("PersistentDelete of 512 candidates did %.0f allocs/run, want 55", allocs)
 	}
 }

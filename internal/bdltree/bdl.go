@@ -1,13 +1,13 @@
 // Package bdltree implements the BDL-tree (§5, Appendix C): a parallel
 // batch-dynamic kd-tree built with the logarithmic method. A BDL-tree is a
 // buffer tree of capacity X plus a ladder of static trees with capacities
-// X·2^i; batch insertions rebuild the smallest prefix of trees needed
-// (bitmask arithmetic, Algorithm 3), batch deletions erase in parallel from
-// every tree and reinsert the contents of any tree that falls below half
-// capacity (Algorithm 4; how the erase here differs is described below),
-// and k-NN queries run data-parallel across query
-// points, sharing one k-NN buffer per query across all the trees
-// (Appendix C.4).
+// X·2^i (here with an open leaf in front of the buffer tree, see below);
+// batch insertions rebuild the smallest prefix of trees needed (bitmask
+// arithmetic, Algorithm 3), batch deletions erase in parallel from every
+// tree and reinsert the contents of any tree that falls below half capacity
+// (Algorithm 4; how the erase here differs is described below), and k-NN
+// queries run data-parallel across query points, sharing one k-NN buffer
+// per query across all the trees (Appendix C.4).
 //
 // Where this departs from the paper: the static trees are NOT laid out in
 // the van Emde Boas order of Appendix C.1.1. Every level is a row-ordered
@@ -51,6 +51,30 @@
 //	box-filtered candidate list         4 750                   6 640
 //	point location                      1 290                      30
 //
+// Where this departs from the paper: the open leaf. Algorithm 3 rebuilds the
+// buffer tree on every batch insertion — free at the paper's batches of 10 %
+// of n, the whole cost at a serving engine's: a 16-point insert that lands
+// 4 points in each of 4 shards copied out and re-partitioned four ≈ 512-point
+// buffer trees. So in front of the buffer tree sits one more level, the
+// TAIL: at most levelLeafSize live points, built by the same newLevel and so
+// a one-leaf kdtree arena that every level method already serves. A batch
+// that fits — no static tree is thin, tail + batch ≤ levelLeafSize, loose
+// points (tail + buffer + batch) < X — rebuilds the tail alone and shares
+// the buffer tree and every static tree with the previous version; any
+// other batch treats the tail's survivors as it treats the buffer's, and
+// the tail slot empties. A loose point is thus rebuilt at most
+// levelLeafSize/b times in the tail and X/levelLeafSize = 16 times (8 on
+// average) in the buffer tree — not X/b times — before a static tree takes
+// it. k-NN visits the tail last; the capacity is the leaf size, not a
+// tunable. Measured at the commit that added it (Engine.Update of b fresh
+// points, 500 k uniform 2-D points in 4 shards, one processor;
+// BenchmarkSmallInsert, medians of five interleaved runs per side on the
+// shared 2-vCPU host; TestSmallUpdateBytes holds the bytes):
+//
+//	µs per update             b = 1      16      64     512   B/update, b = 16
+//	buffer tree every time     58.9   280.6   276.8   1 142            135 689
+//	open leaf                   4.5    94.7   132.0   1 079             31 950
+//
 // The package also provides the two baselines the paper evaluates against
 // (§6.3): B1, which rebuilds one static tree on every update, and B2, which
 // inserts into leaf buffers in place and tombstones deletions.
@@ -80,12 +104,16 @@ const (
 const DefaultBufferSize = 1024
 
 // Tree is the parallel batch-dynamic BDL-tree: a buffer tree of capacity X
-// and static trees with capacities X·2^i (Figure 7).
+// and static trees with capacities X·2^i (Figure 7), with an open leaf in
+// front of the buffer tree. Invariant, after every completed update: the
+// loose points — tail plus buffer — number fewer than X, so Figure 7's
+// configurations hold with "buffer" read as "loose" (TreeSizes()[0]).
 type Tree struct {
 	dim    int
 	x      int
 	split  SplitRule
-	buffer *level   // < X live points (slot -1 of the structure)
+	tail   *level   // the open leaf: ≤ levelLeafSize live points, one kd leaf
+	buffer *level   // tail + buffer < X live points (slot -1 of the structure)
 	trees  []*level // trees[i] holds up to X·2^i points (nil if empty)
 	nextID int32    // monotone global id generator
 	size   int      // total live points
@@ -161,10 +189,10 @@ func (t *Tree) InsertWithIDs(batch geom.Points, ids []int32) {
 	t.insertWithIDs(batch, ids)
 }
 
-// levels returns the buffer tree followed by the static trees, smallest
-// first (nil slots included).
+// levels returns the open leaf, the buffer tree and the static trees,
+// smallest first (nil slots included).
 func (t *Tree) levels() []*level {
-	return append([]*level{t.buffer}, t.trees...)
+	return append([]*level{t.tail, t.buffer}, t.trees...)
 }
 
 // insertWithIDs is the one step that rebuilds levels, shared by every
@@ -173,12 +201,20 @@ func (t *Tree) levels() []*level {
 // — a static tree below half capacity is emptied and its survivors join
 // the loose points, under the ids they have. It never writes into a level,
 // so it is safe on a shallow clone (persistent.go).
+//
+// A batch that fits the open leaf — no tree is thin, tail and batch
+// together are one kd leaf, and the loose points stay below X — rebuilds
+// the tail alone and leaves the buffer tree and every static tree as they
+// are. Otherwise the tail's survivors are loose points like the buffer's
+// and the tail slot empties.
 func (t *Tree) insertWithIDs(batch geom.Points, ids []int32) {
 	b := batch.Len()
 	t.size += b
 	// Bitmask arithmetic: F_new = F + ⌊loose/X⌋, where the loose points are
-	// the buffer's contents, the batch and the below-half trees' survivors.
-	loose := t.buffer.size() + b
+	// the tail's and the buffer's contents, the batch and the below-half
+	// trees' survivors.
+	open := t.tail.size() + b
+	loose := open + t.buffer.size()
 	f, thin := 0, 0
 	for i, tr := range t.trees {
 		switch n := tr.size(); {
@@ -193,13 +229,19 @@ func (t *Tree) insertWithIDs(batch geom.Points, ids []int32) {
 	if b == 0 && thin == 0 {
 		return
 	}
+	if thin == 0 && open <= levelLeafSize && loose < t.x {
+		coords, gids := t.tail.livePoints(make([]float64, 0, open*t.dim), make([]int32, 0, open))
+		coords, gids = append(coords, batch.Data...), append(gids, ids...)
+		t.tail = newLevel(geom.Points{Data: coords, Dim: t.dim}, gids, t.split)
+		return
+	}
 	fnew := f + loose/t.x
 	destroy, create := f&^fnew|thin, fnew&^f
-	// One pool receives every point that moves — buffer, batch, then the
-	// live points of the thin and the destroyed trees — and the new levels
-	// build over slices of it in place: a point is copied here and once more
-	// by its level's leaf-order gather, nowhere else.
-	total := t.buffer.size() + b
+	// One pool receives every point that moves — tail, buffer, batch, then
+	// the live points of the thin and the destroyed trees — and the new
+	// levels build over slices of it in place: a point is copied here and
+	// once more by its level's leaf-order gather, nowhere else.
+	total := open + t.buffer.size()
 	for i, tr := range t.trees {
 		if destroy&(1<<i) != 0 {
 			total += tr.size()
@@ -207,9 +249,11 @@ func (t *Tree) insertWithIDs(batch geom.Points, ids []int32) {
 	}
 	coords := make([]float64, 0, total*t.dim)
 	gids := make([]int32, 0, total)
+	coords, gids = t.tail.livePoints(coords, gids)
 	coords, gids = t.buffer.livePoints(coords, gids)
 	coords = append(coords, batch.Data...)
 	gids = append(gids, ids...)
+	t.tail = nil
 	for i, tr := range t.trees {
 		if destroy&(1<<i) != 0 {
 			coords, gids = tr.livePoints(coords, gids)
@@ -302,8 +346,8 @@ func (t *Tree) erase(batch geom.Points) int {
 		}
 		t.size += all[i].size()
 	}
-	t.buffer = all[0]
-	copy(t.trees, all[1:])
+	t.tail, t.buffer = all[0], all[1]
+	copy(t.trees, all[2:])
 	return before - t.size
 }
 
@@ -388,11 +432,12 @@ func (t *Tree) Points() (geom.Points, []int32) {
 	return geom.Points{Data: coords, Dim: t.dim}, gids
 }
 
-// TreeSizes returns the live sizes [buffer, tree0, tree1, ...] for
-// structural tests (Figure 7's configurations).
+// TreeSizes returns the live sizes [loose, tree0, tree1, ...] for
+// structural tests (Figure 7's configurations); the loose points are the
+// open leaf's plus the buffer tree's.
 func (t *Tree) TreeSizes() []int {
-	var out []int
-	for _, l := range t.levels() {
+	out := []int{t.tail.size() + t.buffer.size()}
+	for _, l := range t.trees {
 		out = append(out, l.size())
 	}
 	return out

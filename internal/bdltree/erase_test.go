@@ -211,7 +211,7 @@ func TestPersistentUpdateOneRebuild(t *testing.T) {
 		}
 		for i, l := range tr.levels() {
 			if l != nil && l.Dead != nil {
-				t.Fatalf("%s: parent level %d gained tombstones", label, i-1)
+				t.Fatalf("%s: parent level %d gained tombstones", label, i-2)
 			}
 		}
 		// The same pieces one call at a time reach the same live set.

@@ -39,8 +39,13 @@ func ladder(t *testing.T, dim, x, mask, rest int, pts geom.Points) (*Tree, *orac
 // distance sequence (ties at a distance may resolve to different ids).
 func checkKNN(t *testing.T, label string, buf *kdtree.KNNBuffer, m *oracle.LiveSet, q []float64, k int) {
 	t.Helper()
+	checkKNNDists(t, label, buf, m, q, oracle.KNNDists(m.Points(), q, k, -1))
+}
+
+// checkKNNDists is checkKNN against oracle distances the caller computed.
+func checkKNNDists(t *testing.T, label string, buf *kdtree.KNNBuffer, m *oracle.LiveSet, q []float64, want []float64) {
+	t.Helper()
 	got := buf.Result(nil)
-	want := oracle.KNNDists(m.Points(), q, k, -1)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d neighbours, oracle %d", label, len(got), len(want))
 	}
@@ -136,10 +141,10 @@ func TestLadderHugeCoordsAndNaNBox(t *testing.T) {
 
 // TestLadderWalkOrderDoesNotMatter: the shared buffer makes the answer a
 // function of the candidate set, not of the order levels feed it. Every one
-// of the 7! walk orders over a 6-level ladder plus buffer tree must return
-// the oracle's distances, with duplicated points straddling the k-th
-// distance (so which of several tied ids survives may differ — the
-// distances may not).
+// of the 8! walk orders over a 6-level ladder plus buffer tree plus open
+// leaf must return the oracle's distances, with duplicated points
+// straddling the k-th distance (so which of several tied ids survives may
+// differ — the distances may not).
 func TestLadderWalkOrderDoesNotMatter(t *testing.T) {
 	const k, x = 5, 8
 	n := 0b111111*x + 5
@@ -151,9 +156,20 @@ func TestLadderWalkOrderDoesNotMatter(t *testing.T) {
 	dead := pts.Slice(40, 52)
 	tr.Delete(dead)
 	m.Remove(dead)
+	open := pts.Slice(100, 102) // two more copies, in the open leaf
+	m.Insert(tr.Insert(open), open)
 	levels := tr.levels()
+	for i, l := range levels {
+		if l == nil {
+			t.Fatalf("slot %d of %v is empty; the walk below wants all eight", i, tr.TreeSizes())
+		}
+	}
 	queries := [][]float64{pts.At(0), pts.At(100), pts.At(301), {-5, -5}}
-	order := []int{0, 1, 2, 3, 4, 5, 6}
+	want := make([][]float64, len(queries))
+	for qi, q := range queries {
+		want[qi] = oracle.KNNDists(m.Points(), q, k, -1)
+	}
+	order := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	buf := kdtree.NewKNNBuffer(k)
 	perms := 0
 	var permute func(i int)
@@ -165,7 +181,7 @@ func TestLadderWalkOrderDoesNotMatter(t *testing.T) {
 				for _, li := range order {
 					levels[li].knnInto(q, -1, buf)
 				}
-				checkKNN(t, fmt.Sprintf("order %v q%d", order, qi), buf, m, q, k)
+				checkKNNDists(t, fmt.Sprintf("order %v q%d", order, qi), buf, m, q, want[qi])
 			}
 			return
 		}
@@ -176,7 +192,7 @@ func TestLadderWalkOrderDoesNotMatter(t *testing.T) {
 		}
 	}
 	permute(0)
-	if perms != 5040 {
+	if perms != 40320 {
 		t.Fatalf("walked %d orders", perms)
 	}
 }
@@ -261,7 +277,8 @@ func TestPersistentDeleteSharesUntouchedArrays(t *testing.T) {
 // TestFootprintPerPoint locks the level diet in at tier 1: a layout change
 // that re-inflates the levels fails here, not at a benchmark's RSS gate.
 // Floor: 8·dim (float64 rows) + 4·dim (f32 slabs) + 4 (id) bytes a point;
-// the rest is the node arena at 64-point leaves.
+// the rest is the node arena at 64-point leaves, the open leaf's one node
+// included.
 func TestFootprintPerPoint(t *testing.T) {
 	for _, tc := range []struct {
 		dim   int
@@ -269,7 +286,12 @@ func TestFootprintPerPoint(t *testing.T) {
 	}{{2, 36}, {5, 12*5 + 12}} {
 		const n = 200000
 		tr := New(tc.dim, Options{})
-		tr.Insert(generators.UniformCube(n, tc.dim, uint64(tc.dim)))
+		pts := generators.UniformCube(n, tc.dim, uint64(tc.dim))
+		tr.Insert(pts.Slice(0, n-40))
+		tr.Insert(pts.Slice(n-40, n))
+		if tr.tail.size() != 40 {
+			t.Fatalf("dim %d: the open leaf holds %d of the last 40 points: %v", tc.dim, tr.tail.size(), tr.TreeSizes())
+		}
 		got := float64(tr.MemoryFootprint(map[any]struct{}{})) / n
 		t.Logf("dim %d: %.1f B/point over %v", tc.dim, got, tr.TreeSizes())
 		if got > tc.limit {

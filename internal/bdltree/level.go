@@ -80,18 +80,32 @@ func (l *level) erase(blocks [][]int32) *level {
 	return nl
 }
 
-// livePoints appends the coordinates and global ids of all live rows.
-func (l *level) livePoints(coords []float64, ids []int32) ([]float64, []int32) {
+// eachLive hands yield the level's live rows in storage order, as slices of
+// the level's own arrays (read-only to the callee): both arrays whole for a
+// level without tombstones, one call per run of live rows otherwise.
+func (l *level) eachLive(yield func(coords []float64, ids []int32)) {
 	switch {
 	case l == nil:
 	case l.Dead == nil:
-		coords, ids = append(coords, l.Pts.Data...), append(ids, l.Idx...)
+		yield(l.Pts.Data, l.Idx)
 	default:
-		for r := range l.Idx {
-			if !l.IsDead(int32(r)) {
-				coords, ids = append(coords, l.Pts.At(r)...), append(ids, l.Idx[r])
+		dim := l.Pts.Dim
+		for r, n := 0, len(l.Idx); r < n; r++ {
+			lo := r
+			for r < n && !l.IsDead(int32(r)) {
+				r++
+			}
+			if r > lo {
+				yield(l.Pts.Data[lo*dim:r*dim], l.Idx[lo:r])
 			}
 		}
 	}
+}
+
+// livePoints appends the coordinates and global ids of all live rows.
+func (l *level) livePoints(coords []float64, ids []int32) ([]float64, []int32) {
+	l.eachLive(func(c []float64, i []int32) {
+		coords, ids = append(coords, c...), append(ids, i...)
+	})
 	return coords, ids
 }

@@ -50,6 +50,19 @@ func (t *Tree) PersistentUpdate(dels []geom.Points, ins geom.Points, ids []int32
 	return nt, removed
 }
 
+// EachLive hands yield every live point exactly once, as runs of rows that
+// are slices of the levels' own arrays — coords holds len(ids) rows, the
+// callee must not write to or retain either — in level order, kd leaf order
+// within a level. Nothing is copied or allocated: this is how a checkpoint
+// reads a shard (engine.Checkpoint) without materialising it.
+func (t *Tree) EachLive(yield func(coords []float64, ids []int32)) {
+	for _, l := range t.trees {
+		l.eachLive(yield)
+	}
+	t.buffer.eachLive(yield)
+	t.tail.eachLive(yield)
+}
+
 // ExtractRange returns the tree's live points whose Morton code under the
 // quantization box world lies in the inclusive code interval [lo, hi], in
 // ascending code order, along with those codes and the points' global ids.
@@ -120,11 +133,12 @@ func Merge(world geom.Box, a, b *Tree) *Tree {
 // successive tree a tighter radius — the shared shrinking-radius walk of a
 // sharded k-NN. exclude (or -1) is a global id to skip.
 //
-// The ladder is walked largest level first, buffer tree last. Every level
-// is an unbiased sample of the tree's points, so all root boxes coincide
-// and no geometric order can separate them; but the largest level holds
-// half the points or more and almost always the true neighbours, so after
-// it the bound is tight and each smaller level is a descent plus a leaf.
+// The ladder is walked largest level first, then the buffer tree, the open
+// leaf last. Every level is an unbiased sample of the tree's points, so all
+// root boxes coincide and no geometric order can separate them; but the
+// largest level holds half the points or more and almost always the true
+// neighbours, so after it the bound is tight and each smaller level is a
+// descent plus a leaf.
 // (Slot order is size order: a static tree below half capacity is
 // reinserted by Delete, so trees[i] outweighs trees[i-1].)
 func (t *Tree) KNNInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
@@ -132,4 +146,5 @@ func (t *Tree) KNNInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
 		t.trees[i].knnInto(q, exclude, buf)
 	}
 	t.buffer.knnInto(q, exclude, buf)
+	t.tail.knnInto(q, exclude, buf)
 }

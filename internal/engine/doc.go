@@ -220,11 +220,12 @@
 // migrations consume an epoch without changing the live set; they log an
 // empty "note" record the same way, keeping the epoch chain contiguous.
 //
-// Engine.Checkpoint serializes the current snapshot — each shard's tree
-// extracted in Morton order via bdltree.ExtractRange, plus the partition
-// geometry, epoch, and id watermark — into an atomically-renamed
-// checkpoint file, then truncates WAL segments (and older checkpoints)
-// it supersedes. Snapshots are immutable, so a checkpoint is a
+// Engine.Checkpoint serializes the current snapshot — every shard tree's
+// live rows streamed out of its levels' own arrays (bdltree.EachLive →
+// wal.WriteCheckpoint, one 64 KiB buffer whatever the engine holds), plus
+// the partition geometry, epoch, and id watermark — into an
+// atomically-renamed checkpoint file, then truncates WAL segments (and
+// older checkpoints) it supersedes. Snapshots are immutable, so a checkpoint is a
 // consistent cut at its epoch no matter how many commits land while it
 // is written; Durability.CheckpointEvery runs one in the background
 // every K commits.

@@ -9,6 +9,7 @@ import (
 
 	"pargeo/internal/bdltree"
 	"pargeo/internal/geom"
+	"pargeo/internal/morton"
 	"pargeo/internal/parlay"
 	"pargeo/internal/wal"
 )
@@ -112,7 +113,7 @@ func (e *Engine) recoverDurable(d Durability) error {
 	case ckpt != nil && ckpt.HasPart && len(recs) == 0 && ckpt.Shards == e.nshard:
 		// Exact restore: no replay and an unchanged shard count, so the
 		// checkpoint's own partition can be reinstated and each shard
-		// rebuilt from its (code-sorted) extract.
+		// rebuilt from the rows it routes there.
 		part = newPartitionFromBounds(e.dim, ckpt.World, ckpt.Bounds)
 		bySh, idsBy, _ := part.splitByShard(pts, ids)
 		trees := make([]*bdltree.Tree, e.nshard)
@@ -316,12 +317,13 @@ func (e *Engine) noteWALCommit() {
 	}()
 }
 
-// Checkpoint durably serializes the current snapshot — each shard's tree
-// extracted in Morton-code order — records its epoch, and truncates WAL
-// segments (and older checkpoints) the new checkpoint supersedes. The
-// snapshot is immutable, so the checkpoint is a consistent cut at its
-// epoch no matter how many commits land while it is written. Returns an
-// error on a non-durable engine.
+// Checkpoint durably serializes the current snapshot — every shard tree's
+// live rows streamed straight out of its levels' arrays, so a checkpoint
+// allocates one write buffer whatever the engine holds — records its epoch,
+// and truncates WAL segments (and older checkpoints) the new checkpoint
+// supersedes. The snapshot is immutable, so the checkpoint is a consistent
+// cut at its epoch no matter how many commits land while it is written.
+// Returns an error on a non-durable engine.
 func (e *Engine) Checkpoint() error {
 	if e.log == nil {
 		return errors.New("engine: not durable (no Options.Durability)")
@@ -345,34 +347,30 @@ func (e *Engine) Checkpoint() error {
 		NextID: e.nextID.Load(),
 		Dim:    e.dim,
 		Shards: e.nshard,
-		Pts:    geom.Points{Dim: e.dim},
 	}
 	if part := snap.part; part != nil {
-		c.HasPart = true
-		c.World = part.world
-		c.Bounds = part.bounds
-		var data []float64
-		var ids []int32
-		for s := range snap.trees {
+		// The partition is stored only if every live point encodes inside
+		// its shard's code range (a broken invariant should be impossible);
+		// without it, restore refounds the partition over the points.
+		inRange := 0
+		for s, tr := range snap.trees {
 			lo, hi := part.codeRange(s)
-			_, pts, sids := snap.trees[s].ExtractRange(part.world, lo, hi)
-			data = append(data, pts.Data...)
-			ids = append(ids, sids...)
+			tr.EachLive(func(coords []float64, ids []int32) {
+				for r := range ids {
+					if code := morton.Encode(coords[r*e.dim:(r+1)*e.dim], part.world); lo <= code && code <= hi {
+						inRange++
+					}
+				}
+			})
 		}
-		if len(ids) != snap.size {
-			// A live point encoded outside its shard's range (broken
-			// partition invariant, should be impossible): fall back to the
-			// exhaustive walk rather than checkpoint a partial state.
-			c.Pts, c.IDs = snap.Points()
-			c.HasPart = false
-		} else {
-			c.Pts = geom.Points{Data: data, Dim: e.dim}
-			c.IDs = ids
-		}
-	} else {
-		c.Pts, c.IDs = snap.Points()
+		c.HasPart, c.World, c.Bounds = inRange == snap.size, part.world, part.bounds
 	}
-	if err := wal.WriteCheckpoint(e.durFS, e.durDir, c); err != nil {
+	err := wal.WriteCheckpoint(e.durFS, e.durDir, c, snap.size, func(yield func(coords []float64, ids []int32)) {
+		for _, tr := range snap.trees {
+			tr.EachLive(yield)
+		}
+	})
+	if err != nil {
 		return err
 	}
 	if err := e.log.PrunePast(c.Epoch); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,17 +28,22 @@ import (
 //	npts×dim×[8] coords
 //	[4]  CRC32-C of everything above
 //
-// Points are stored flat (all shards concatenated, each shard's run in
-// ExtractRange's code order). Shard membership is a pure function of a
-// point's coordinates and the stored partition, so restore re-routes the
-// flat set through the partition and rebuilds each shard with
-// NewFromSorted — no per-shard framing needed.
+// Points are stored flat, in whatever order the writer's source yielded
+// them — the engine yields shard by shard, each shard's levels in turn,
+// each level in its own kd leaf order — and ids[i] belongs to row i of
+// coords. The order carries no meaning: shard membership is a pure function
+// of a point's coordinates and the stored partition, so restore re-routes
+// every row through the partition and rebuilds each shard with
+// NewFromSorted, which re-orders them again — no per-shard framing needed.
 const (
 	ckptMagic   = "PGCKPT01"
 	ckptPrefix  = "ckpt-"
 	ckptSuffix  = ".ckpt"
 	ckptTmp     = ".tmp"
 	ckptMinSize = 8 + 8 + 8 + 4 + 4 + 1 + 8 + 4
+
+	// ckptChunk is the one buffer a checkpoint is written through.
+	ckptChunk = 64 << 10
 
 	// maxCkptDim bounds the dimension read from a checkpoint header so a
 	// corrupt file cannot size allocations from garbage. Far above any
@@ -73,9 +79,9 @@ func parseCkptName(name string) (uint64, bool) {
 	return epoch, err == nil
 }
 
-// Encode serializes the checkpoint, appending to dst.
-func (c *Checkpoint) Encode(dst []byte) []byte {
-	start := len(dst)
+// appendHeader appends everything that precedes the ids of an npts-point
+// checkpoint.
+func (c *Checkpoint) appendHeader(dst []byte, npts int) []byte {
 	dst = append(dst, ckptMagic...)
 	dst = binary.LittleEndian.AppendUint64(dst, c.Epoch)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.NextID))
@@ -92,7 +98,15 @@ func (c *Checkpoint) Encode(dst []byte) []byte {
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(c.IDs)))
+	return binary.LittleEndian.AppendUint64(dst, uint64(npts))
+}
+
+// Encode serializes the checkpoint with c.Pts and c.IDs as its points, in
+// memory, appending to dst: the decoder's test oracle. Files are written by
+// WriteCheckpoint, which produces the same bytes without holding them.
+func (c *Checkpoint) Encode(dst []byte) []byte {
+	start := len(dst)
+	dst = c.appendHeader(dst, len(c.IDs))
 	for _, id := range c.IDs {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
 	}
@@ -189,12 +203,42 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return c, nil
 }
 
-// WriteCheckpoint durably writes c into dir using the write-sync-rename
-// pattern: the bytes are synced under a temporary name, then atomically
-// renamed to ckpt-<epoch>.ckpt. A crash at any point leaves either no
-// visible checkpoint for this epoch or a complete one — never a partial
-// file under the final name.
-func WriteCheckpoint(fs VFS, dir string, c *Checkpoint) error {
+// ckptWriter streams a checkpoint file through one ckptChunk-sized buffer,
+// folding every flushed chunk into the running CRC. After a failed write it
+// keeps accepting bytes and drops them.
+type ckptWriter struct {
+	f   File
+	buf []byte
+	crc uint32
+	err error
+}
+
+func (w *ckptWriter) flush() {
+	if w.err == nil {
+		w.crc = crc32.Update(w.crc, crcTable, w.buf)
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+}
+
+// room flushes unless n more bytes fit the buffer.
+func (w *ckptWriter) room(n int) {
+	if len(w.buf)+n > cap(w.buf) {
+		w.flush()
+	}
+}
+
+// WriteCheckpoint durably writes a checkpoint into dir: the header fields
+// of c (c.Pts and c.IDs are not read) and the npts points that src yields.
+// src is called twice — the file holds every id before the first coordinate
+// — and must hand yield the same runs of rows both times, coords holding
+// len(ids) rows; yield retains neither slice. Memory is one ckptChunk
+// buffer whatever npts is. A source that yields more or fewer than npts
+// rows fails the write. The file is written and synced under a temporary
+// name, then atomically renamed to ckpt-<epoch>.ckpt, so a crash or a
+// failure at any point leaves either no visible checkpoint for this epoch
+// or a complete one — never a partial file under the final name.
+func WriteCheckpoint(fs VFS, dir string, c *Checkpoint, npts int, src func(yield func(coords []float64, ids []int32))) error {
 	if err := fs.MkdirAll(dir); err != nil {
 		return err
 	}
@@ -204,15 +248,39 @@ func WriteCheckpoint(fs VFS, dir string, c *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(c.Encode(nil)); err != nil {
-		f.Close()
-		return err
+	w := &ckptWriter{f: f, buf: make([]byte, 0, ckptChunk)}
+	w.buf = c.appendHeader(w.buf, npts)
+	nids, ncoords := 0, 0
+	src(func(_ []float64, ids []int32) {
+		nids += len(ids)
+		for _, id := range ids {
+			w.room(4)
+			w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(id))
+		}
+	})
+	src(func(coords []float64, _ []int32) {
+		ncoords += len(coords)
+		for _, v := range coords {
+			w.room(8)
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+		}
+	})
+	w.flush()
+	err = w.err
+	if err == nil && (nids != npts || ncoords != npts*c.Dim) {
+		err = fmt.Errorf("wal: checkpoint source yielded %d ids and %d coordinates for %d dim-%d points", nids, ncoords, npts, c.Dim)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		_, err = f.Write(binary.LittleEndian.AppendUint32(w.buf, w.crc))
 	}
-	if err := f.Close(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fs.Remove(tmp) // best effort; PruneCheckpoints sweeps leftovers
 		return err
 	}
 	return fs.Rename(tmp, final)

@@ -42,6 +42,16 @@
 //
 // # Recovery invariants
 //
+// A checkpoint is written in constant memory: WriteCheckpoint takes the
+// point count and a source that yields runs of rows — the engine hands it
+// the tree levels' own arrays — and streams header, every id, every
+// coordinate and the trailing CRC through one 64 KiB buffer. The points
+// are therefore in the source's order (shard by shard, level by level, kd
+// leaf order within a level), which means nothing: restore routes every
+// row through the stored partition again. Checkpoint.Encode produces the
+// same bytes in memory and is what the decoder's tests and fuzz corpus are
+// built from.
+//
 // Recovery loads the newest checkpoint that decodes cleanly (checkpoint
 // files are written with write-sync-rename, so a partial checkpoint is
 // never visible under its final name), rebuilds the trees from its flat

@@ -458,7 +458,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			c.IDs[i] = int32(i)
 		}
 		fs := NewMemFS()
-		if err := WriteCheckpoint(fs, "d", c); err != nil {
+		if err := writeWhole(fs, "d", c); err != nil {
 			t.Fatal(err)
 		}
 		got, err := LoadLatestCheckpoint(fs, "d")
@@ -480,7 +480,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointCorruptFallsBack(t *testing.T) {
 	fs := NewMemFS()
 	good := &Checkpoint{Epoch: 5, NextID: 1, Dim: 2, Shards: 1, Pts: geom.Points{Dim: 2}}
-	if err := WriteCheckpoint(fs, "d", good); err != nil {
+	if err := writeWhole(fs, "d", good); err != nil {
 		t.Fatal(err)
 	}
 	// A corrupt newer checkpoint (simulating e.g. media corruption).
