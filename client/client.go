@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -89,35 +88,12 @@ func (e *NotRetainedError) Is(target error) bool { return target == ErrEpochNotR
 
 // Options configure a Client.
 type Options struct {
-	// NoBatch disables call coalescing: every call becomes its own wire
-	// request. The connection is still shared and pipelined. Exists for
-	// measurement (the serve benchmark's unbatched arm) and debugging.
-	NoBatch bool
-
-	// MaxWindow caps the adaptive in-flight batch window. 0 or 1 keeps
-	// the default single-in-flight-batch combiner, which maximizes
-	// merging: every call arriving during a round trip joins the next
-	// batch. ≥ 2 enables the CUBIC window controller: up to the current
-	// window's worth of batches pipeline concurrently, the window growing
-	// while the connection is healthy and multiplicatively backing off on
-	// StatusOverloaded sheds or RTT inflation. Pipelining trades merging
-	// depth for concurrency — worth it for open-loop load or long pipes,
-	// not for a handful of closed-loop callers.
-	MaxWindow int
-
 	// RequestTimeout bounds each call when > 0: the call fails with
 	// context.DeadlineExceeded if its response has not arrived in time,
 	// and a connection write stalled past it poisons the client. The
 	// per-call context variants (KNNContext, UpdateContext) take the
 	// tighter of the two bounds.
 	RequestTimeout time.Duration
-
-	// RetryOverloaded is the number of times an idempotent read (KNN,
-	// KNNBatch, RangeSearch, RangeCount) is retried after a shed, waiting
-	// out the server's retry hint with ±50% jitter between attempts. 0
-	// disables retries. Updates are never retried — the caller owns
-	// non-idempotent retry policy.
-	RetryOverloaded int
 }
 
 // batch classes for the combiner.
@@ -153,14 +129,11 @@ type Client struct {
 	dim    int
 	shards int
 
-	// Write side: the flat-combining batcher (doc.go). binflight counts
-	// batches written but not fully answered; the window (1 without
-	// Options.MaxWindow, adaptive with it) caps how many run at once.
+	// Write side: the flat-combining batcher (doc.go). binflight is set
+	// while a batch is written but not fully answered; at most one is.
 	bmu       sync.Mutex
 	bpending  []*call
-	binflight int
-	win       *windowController // nil unless Options.MaxWindow ≥ 2
-	wmu       sync.Mutex        // serializes conn.Write between concurrent flushes
+	binflight bool
 
 	// Read side: in-flight requests by id, completed by the reader
 	// goroutine. A handler distributes one response to its calls.
@@ -188,9 +161,6 @@ func DialWith(addr string, opts Options) (*Client, error) {
 		opts:       opts,
 		pending:    map[uint64]func(*wire.Response, error){},
 		readerDone: make(chan struct{}),
-	}
-	if opts.MaxWindow >= 2 {
-		c.win = newWindowController(opts.MaxWindow, time.Now)
 	}
 	// Handshake runs synchronously, before the reader exists: id 0 is
 	// reserved for it and the first frame back must answer it.
@@ -308,42 +278,26 @@ func (c *Client) readLoop() {
 	}
 }
 
-// window is the current in-flight batch cap: 1 without the adaptive
-// controller, its CUBIC-driven value with it.
-func (c *Client) window() int {
-	if c.win == nil {
-		return 1
-	}
-	return c.win.current()
-}
-
-// submit parks one call on the combiner and waits for its result. An
-// arrival while the window has a free slot becomes a flush leader: it
-// drains the queue, merges what merges, and writes one buffer — the same
+// submitCtx parks one call on the combiner and waits for its result. An
+// arrival while no batch is in flight becomes a flush leader: it drains
+// the queue, merges what merges, and writes one buffer — the same
 // leader/baton protocol as the engine's committers, applied to the
 // connection's write side. Unlike the engine's (whose combining window
-// is the synchronous commit), a flushed batch holds its window slot
-// until its LAST response arrives (batchDone, called from the reader):
-// the network round trip is the combining window, so calls arriving
-// while the window is full accumulate into the next batch instead of
-// racing out as singletons.
-func (c *Client) submit(ca *call) {
-	if err := c.submitCtx(context.Background(), ca); err != nil {
-		// Unreachable with a background context; belt and braces.
-		ca.err = err
-	}
-}
-
-// submitCtx is submit with a deadline. A nil return means the call
-// resolved: ca's result fields are valid. A non-nil return means the
-// caller abandoned the call at ctx's deadline and must not touch ca —
-// the call is still live inside the batcher (a deputy goroutine carries
-// any baton it is later handed, and the reader will still resolve it).
+// is the synchronous commit), a flushed batch stays in flight until its
+// LAST response arrives (batchDone, called from the reader): the network
+// round trip is the combining window, so calls arriving meanwhile
+// accumulate into the next batch instead of racing out as singletons.
+//
+// A nil return means the call resolved: ca's result fields are valid. A
+// non-nil return means the caller abandoned the call at ctx's deadline
+// and must not touch ca — the call is still live inside the batcher (a
+// deputy goroutine carries any baton it is later handed, and the reader
+// will still resolve it).
 func (c *Client) submitCtx(ctx context.Context, ca *call) error {
 	ca.done = make(chan struct{})
 	ca.lead = make(chan struct{})
 	c.bmu.Lock()
-	if c.binflight >= c.window() {
+	if c.binflight {
 		c.bpending = append(c.bpending, ca)
 		c.bmu.Unlock()
 		select {
@@ -368,7 +322,7 @@ func (c *Client) submitCtx(ctx context.Context, ca *call) error {
 			return ctx.Err()
 		}
 	} else {
-		c.binflight++
+		c.binflight = true
 		c.bmu.Unlock()
 		c.leadDrain(ca)
 	}
@@ -384,9 +338,9 @@ func (c *Client) submitCtx(ctx context.Context, ca *call) error {
 
 // leadDrain is the leader's half of the baton protocol: drain everything
 // parked, fold the leader's own call in, and flush one merged batch. The
-// leader's window slot was taken either at submit (immediate leader) or
+// leader's in-flight flag was set either at submit (immediate leader) or
 // inherited through the baton (batchDone popped it from the queue
-// without releasing the slot).
+// without clearing the flag).
 func (c *Client) leadDrain(ca *call) {
 	c.bmu.Lock()
 	group := append(c.bpending, ca)
@@ -395,16 +349,13 @@ func (c *Client) leadDrain(ca *call) {
 	c.flush(group)
 }
 
-// batchDone releases one window slot after an in-flight batch fully
-// resolves: leadership passes to a parked call (popped here, so no two
-// batons ever reach one call), or the slot frees for the next arrival.
-// When the adaptive window has shrunk below the in-flight count, the
-// slot is retired instead of handed on — that is the multiplicative
-// decrease taking effect.
+// batchDone runs once the in-flight batch fully resolves: leadership
+// passes to a parked call (popped here, so no two batons ever reach one
+// call), or the flag clears for the next arrival.
 func (c *Client) batchDone() {
 	c.bmu.Lock()
-	if len(c.bpending) == 0 || c.binflight > c.window() {
-		c.binflight--
+	if len(c.bpending) == 0 {
+		c.binflight = false
 		c.bmu.Unlock()
 		return
 	}
@@ -448,18 +399,11 @@ func (c *Client) flush(group []*call) {
 	// no handler can fire (reader or fail) until registration is
 	// complete, so the countdown to batchDone is race-free.
 	left := new(atomic.Int64)
-	start := time.Now()
 	register := func(req *wire.Request, h func(*wire.Response, error)) {
 		left.Add(1)
 		c.nextID++
 		req.ID = c.nextID
 		c.pending[req.ID] = func(r *wire.Response, err error) {
-			if c.win != nil && err == nil {
-				// Feed the window controller before the caller sees the
-				// result: a shed is the congestion signal, any other
-				// response a fresh RTT sample.
-				c.win.onAck(time.Since(start), r.Status == wire.StatusOverloaded)
-			}
 			h(r, err)
 			if left.Add(-1) == 0 {
 				c.batchDone()
@@ -468,7 +412,6 @@ func (c *Client) flush(group []*call) {
 		buf = wire.AppendRequest(buf, req)
 	}
 	for _, ca := range raws {
-		ca := ca
 		register(ca.req, func(r *wire.Response, err error) {
 			if err == nil {
 				ca.resp = *r
@@ -479,7 +422,6 @@ func (c *Client) flush(group []*call) {
 		})
 	}
 	for k, members := range byK {
-		members := members
 		q := Points{Dim: c.dim}
 		for _, ca := range members {
 			q.Data = append(q.Data, ca.q...)
@@ -534,9 +476,6 @@ func (c *Client) flush(group []*call) {
 		c.batchDone()
 		return
 	}
-	// With the adaptive window, concurrent leaders flush concurrently;
-	// wmu keeps their frame runs from interleaving mid-frame.
-	c.wmu.Lock()
 	if d := c.opts.RequestTimeout; d > 0 {
 		// A peer that stops reading while we stall in Write would
 		// otherwise hang the call past any deadline: the deadline fails
@@ -544,9 +483,7 @@ func (c *Client) flush(group []*call) {
 		// offset) is poisoned with it.
 		c.conn.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck // a failed arm surfaces in Write
 	}
-	_, err := c.conn.Write(buf)
-	c.wmu.Unlock()
-	if err != nil {
+	if _, err := c.conn.Write(buf); err != nil {
 		// fail resolves every registered handler, this group's included
 		// — their countdown reaches zero and releases the combiner.
 		c.fail(err)
@@ -560,31 +497,6 @@ func (c *Client) callCtx(ctx context.Context) (context.Context, context.CancelFu
 		return context.WithTimeout(ctx, d)
 	}
 	return ctx, func() {}
-}
-
-// retryRead runs one idempotent read, retrying up to
-// Options.RetryOverloaded times after sheds. Each wait is the server's
-// retry hint with ±50% jitter — synchronized clients retrying in
-// lockstep would just reproduce the burst that got them shed.
-func (c *Client) retryRead(ctx context.Context, f func() error) error {
-	err := f()
-	for n := 0; n < c.opts.RetryOverloaded && errors.Is(err, ErrOverloaded); n++ {
-		wait := 10 * time.Millisecond
-		var oe *OverloadedError
-		if errors.As(err, &oe) && oe.RetryAfter > 0 {
-			wait = oe.RetryAfter
-		}
-		wait = wait/2 + time.Duration(rand.Int63n(int64(wait))) //nolint:gosec // jitter, not crypto
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		}
-		err = f()
-	}
-	return err
 }
 
 // roundTrip submits one never-merged request and returns its response.
@@ -605,7 +517,7 @@ func (c *Client) roundTripCtx(ctx context.Context, req *wire.Request) (wire.Resp
 
 // KNN returns the ids of the k nearest live points to q, sorted by
 // increasing distance. Concurrent KNN calls with the same k coalesce
-// into one multi-query request (unless Options.NoBatch).
+// into one multi-query request.
 func (c *Client) KNN(q []float64, k int) ([]int32, error) {
 	return c.KNNContext(context.Background(), q, k)
 }
@@ -623,26 +535,6 @@ func (c *Client) KNNContext(ctx context.Context, q []float64, k int) ([]int32, e
 	}
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
-	var ids []int32
-	err := c.retryRead(ctx, func() error {
-		var err error
-		ids, err = c.knnOnce(ctx, q, k)
-		return err
-	})
-	return ids, err
-}
-
-func (c *Client) knnOnce(ctx context.Context, q []float64, k int) ([]int32, error) {
-	if c.opts.NoBatch {
-		resp, err := c.roundTripCtx(ctx, &wire.Request{Op: wire.OpKNN, K: int32(k), Queries: Points{Data: q, Dim: c.dim}})
-		if err != nil {
-			return nil, err
-		}
-		if len(resp.Neighbors) != 1 {
-			return nil, &RemoteError{Msg: fmt.Sprintf("KNN answered %d of 1 queries", len(resp.Neighbors))}
-		}
-		return resp.Neighbors[0], nil
-	}
 	ca := &call{class: classKNN, k: k, q: q}
 	if err := c.submitCtx(ctx, ca); err != nil {
 		return nil, err
@@ -659,8 +551,7 @@ func (c *Client) KNNBatch(queries Points, k int) ([][]int32, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("client: k = %d: want k ≥ 1", k)
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries})
 	if err != nil {
 		return nil, err
 	}
@@ -672,8 +563,7 @@ func (c *Client) RangeSearch(box Box) ([]int32, error) {
 	if err := c.checkBox(box); err != nil {
 		return nil, err
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpRange, Box: box})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRange, Box: box})
 	if err != nil {
 		return nil, err
 	}
@@ -685,8 +575,7 @@ func (c *Client) RangeCount(box Box) (int, error) {
 	if err := c.checkBox(box); err != nil {
 		return 0, err
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpRangeCount, Box: box})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRangeCount, Box: box})
 	if err != nil {
 		return 0, err
 	}
@@ -700,7 +589,7 @@ func (c *Client) RangeCount(box Box) (int, error) {
 // commits happen after it. They fail with ErrEpochNotRetained (errors.Is)
 // when the epoch has left the server's retention window — pin it first to
 // stop that. As-of calls are never coalesced with live calls (they name a
-// different version) but follow the same idempotent-read retry policy.
+// different version).
 
 // KNNAsOf is KNN answered from the snapshot at exactly the given epoch
 // (epoch ≥ 1; the live KNN is the epoch-free call).
@@ -714,8 +603,7 @@ func (c *Client) KNNAsOf(q []float64, k int, epoch uint64) ([]int32, error) {
 	if epoch == 0 {
 		return nil, fmt.Errorf("client: as-of epoch 0 (use KNN for live reads)")
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpKNN, K: int32(k), Queries: Points{Data: q, Dim: c.dim}, AsOf: epoch})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: Points{Data: q, Dim: c.dim}, AsOf: epoch})
 	if err != nil {
 		return nil, err
 	}
@@ -737,8 +625,7 @@ func (c *Client) KNNBatchAsOf(queries Points, k int, epoch uint64) ([][]int32, e
 	if epoch == 0 {
 		return nil, fmt.Errorf("client: as-of epoch 0 (use KNNBatch for live reads)")
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries, AsOf: epoch})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries, AsOf: epoch})
 	if err != nil {
 		return nil, err
 	}
@@ -754,8 +641,7 @@ func (c *Client) RangeSearchAsOf(box Box, epoch uint64) ([]int32, error) {
 	if epoch == 0 {
 		return nil, fmt.Errorf("client: as-of epoch 0 (use RangeSearch for live reads)")
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpRange, Box: box, AsOf: epoch})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRange, Box: box, AsOf: epoch})
 	if err != nil {
 		return nil, err
 	}
@@ -771,8 +657,7 @@ func (c *Client) RangeCountAsOf(box Box, epoch uint64) (int, error) {
 	if epoch == 0 {
 		return 0, fmt.Errorf("client: as-of epoch 0 (use RangeCount for live reads)")
 	}
-	var resp wire.Response
-	err := c.readRoundTrip(&resp, &wire.Request{Op: wire.OpRangeCount, Box: box, AsOf: epoch})
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRangeCount, Box: box, AsOf: epoch})
 	if err != nil {
 		return 0, err
 	}
@@ -783,8 +668,7 @@ func (c *Client) RangeCountAsOf(box Box, epoch uint64) (int, error) {
 // stays answerable through the AsOf calls — immune to the server's
 // retention GC — until a matching Unpin, or until THIS CONNECTION closes
 // (server pins are connection-scoped and do not survive a server restart;
-// see the package documentation). Pin is not auto-retried: a pin the
-// client cannot confirm must not be held server-side.
+// see the package documentation).
 func (c *Client) Pin() (uint64, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpPin})
 	if err != nil {
@@ -814,18 +698,6 @@ func (c *Client) Unpin(epoch uint64) error {
 	return err
 }
 
-// readRoundTrip is roundTrip plus the idempotent-read retry policy. The
-// request is re-submitted verbatim on each attempt (fresh wire id).
-func (c *Client) readRoundTrip(out *wire.Response, req *wire.Request) error {
-	ctx, cancel := c.callCtx(context.Background())
-	defer cancel()
-	return c.retryRead(ctx, func() error {
-		resp, err := c.roundTripCtx(ctx, req)
-		*out = resp
-		return err
-	})
-}
-
 func (c *Client) checkBox(box Box) error {
 	if len(box.Min) != c.dim || len(box.Max) != c.dim {
 		return fmt.Errorf("client: box dim %d×%d, engine dim %d", len(box.Min), len(box.Max), c.dim)
@@ -847,7 +719,7 @@ func (c *Client) Update(insert, del Points) UpdateResult {
 // carries ctx.Err() and the caller must treat the update's fate as
 // unknown — the batch may still commit server-side (an abandoned call is
 // not a cancelled one; the wire has no cancel). Options.RequestTimeout,
-// when set, bounds the call as well. Updates are never auto-retried.
+// when set, bounds the call as well.
 func (c *Client) UpdateContext(ctx context.Context, insert, del Points) UpdateResult {
 	if insert.Len() > 0 && insert.Dim != c.dim {
 		return UpdateResult{Err: fmt.Errorf("client: insert dim %d, engine dim %d", insert.Dim, c.dim)}
@@ -857,7 +729,7 @@ func (c *Client) UpdateContext(ctx context.Context, insert, del Points) UpdateRe
 	}
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
-	if del.Len() == 0 && insert.Len() > 0 && !c.opts.NoBatch {
+	if del.Len() == 0 && insert.Len() > 0 {
 		ca := &call{class: classInsert, ins: insert}
 		if err := c.submitCtx(ctx, ca); err != nil {
 			return UpdateResult{Err: err}

@@ -130,46 +130,9 @@ func TestOverloadedTyped(t *testing.T) {
 	if !errors.As(err, &oe) || oe.RetryAfter != 25*time.Millisecond {
 		t.Fatalf("shed KNN: %v, want *OverloadedError with 25ms hint", err)
 	}
-	// A shed update is typed the same way but NEVER retried.
+	// A shed update is typed the same way.
 	if res := c.Insert(client.Points{Data: []float64{1, 2}, Dim: 2}); !errors.Is(res.Err, client.ErrOverloaded) {
 		t.Fatalf("shed insert: %v, want ErrOverloaded", res.Err)
-	}
-}
-
-// TestRetryOverloaded: with the retry option, an idempotent read rides
-// out sheds and returns the eventual answer; attempts are bounded.
-func TestRetryOverloaded(t *testing.T) {
-	var reads, writes atomic.Int64
-	fs := newFakeServer(t, func(req *wire.Request, send func(*wire.Response)) {
-		if req.Op == wire.OpUpdate {
-			writes.Add(1)
-			send(&wire.Response{Op: req.Op, ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMillis: 1})
-			return
-		}
-		if reads.Add(1) <= 2 {
-			send(&wire.Response{Op: req.Op, ID: req.ID, Status: wire.StatusOverloaded, RetryAfterMillis: 1})
-			return
-		}
-		echoKNN(req, send)
-	})
-	c, err := client.DialWith(fs.addr(), client.Options{RetryOverloaded: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ids, err := c.KNN([]float64{1, 2}, 1)
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("retried KNN: ids=%v err=%v", ids, err)
-	}
-	if got := reads.Load(); got != 3 {
-		t.Fatalf("server saw %d read attempts, want 3 (2 sheds + 1 success)", got)
-	}
-	// Writes never auto-retry, even with the option set.
-	if res := c.Insert(client.Points{Data: []float64{3, 4}, Dim: 2}); !errors.Is(res.Err, client.ErrOverloaded) {
-		t.Fatalf("shed insert with retry option: %v, want ErrOverloaded", res.Err)
-	}
-	if got := writes.Load(); got != 1 {
-		t.Fatalf("server saw %d write attempts, want exactly 1", got)
 	}
 }
 
@@ -311,13 +274,14 @@ func TestBatonReleaseOnBrokenBatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWindowPipelines: with MaxWindow enabled and the server
-// holding responses, the client must put MORE than one batch in flight
-// once the window grows — the single-batch invariant is opt-out by
-// design, and this pins that the opt-in actually pipelines.
-func TestAdaptiveWindowPipelines(t *testing.T) {
-	var inflight, peak atomic.Int64
+// TestSingleBatchInFlight: however many callers share a connection, at
+// most one merged batch is in flight on it, and calls that arrive during
+// its round trip merge into the next one. The server holds every batch
+// for 2 ms, so eight closed-loop callers always find one in flight.
+func TestSingleBatchInFlight(t *testing.T) {
+	var inflight, peak, requests atomic.Int64
 	fs := newFakeServer(t, func(req *wire.Request, send func(*wire.Response)) {
+		requests.Add(1)
 		cur := inflight.Add(1)
 		for {
 			p := peak.Load()
@@ -325,33 +289,36 @@ func TestAdaptiveWindowPipelines(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(2 * time.Millisecond) // hold the slot so batches overlap
-		echoKNN(req, send)
+		time.Sleep(2 * time.Millisecond) // hold the batch so callers pile up
+		// Leave before answering: the answer releases the next batch.
 		inflight.Add(-1)
+		echoKNN(req, send)
 	})
-	c, err := client.DialWith(fs.addr(), client.Options{MaxWindow: 8})
+	c, err := client.Dial(fs.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Closed-loop callers keep the pipe busy; healthy acks grow the
-	// window past 1, letting batches overlap at the server.
+	const callers, perCaller = 8, 100
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for i := 0; i < perCaller; i++ {
 				if _, err := c.KNN([]float64{1, 2}, 1); err != nil {
-					t.Errorf("windowed KNN: %v", err)
+					t.Errorf("KNN: %v", err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if p := peak.Load(); p < 2 {
-		t.Fatalf("peak concurrent batches %d with MaxWindow 8, want ≥ 2", p)
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("peak concurrent batches %d, want 1", p)
+	}
+	if r := requests.Load(); r >= callers*perCaller {
+		t.Fatalf("server saw %d requests for %d calls: nothing merged", r, callers*perCaller)
 	}
 }

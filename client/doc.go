@@ -8,11 +8,13 @@
 // The server-side engine answers concurrent requests with flat-combining
 // committers and grouped query passes; the client mirrors the trick on
 // the connection's write side so that concurrency survives the network
-// hop. Calls park on a per-connection combiner. The first arrival while
-// no flush is running becomes the leader: it drains everything parked,
-// merges what merges, writes all resulting frames in one call, hands
-// leadership to a newly parked call, and then waits for its own response
-// like everyone else. Under load, whole groups of goroutine calls cross
+// hop. Calls park on a per-connection combiner. Exactly one merged batch
+// is in flight per connection: the first arrival while none is becomes
+// the leader, drains everything parked, merges what merges, writes all
+// resulting frames in one call, and waits for its own response like
+// everyone else. When the batch's last response arrives, leadership
+// passes to a call that parked meanwhile. The round trip is the
+// combining window, so under load whole groups of goroutine calls cross
 // the wire as single requests and reach the engine as single batches:
 //
 //   - KNN calls sharing a k merge into one multi-query request, answered
@@ -25,31 +27,17 @@
 //
 // No timers are involved: like the engine's combiners, batches form only
 // from calls that are genuinely concurrent, so an idle connection adds
-// no latency. Options.NoBatch disables merging for measurement — the
-// serve benchmark's batched-vs-unbatched comparison is exactly this
-// switch.
+// no latency, and the more load arrives during a round trip, the deeper
+// the next batch merges.
 //
-// # Adaptive window
-//
-// By default exactly one merged batch is in flight per connection — the
-// round trip is the combining window, which maximizes merging for
-// closed-loop callers. Options.MaxWindow ≥ 2 relaxes that into an
-// adaptive pipeline: up to a CUBIC-controlled number of batches overlap
-// on the wire, the window growing while responses come back healthy and
-// backing off multiplicatively when the server sheds (StatusOverloaded)
-// or round-trip times inflate over the connection's observed floor.
-// This trades merging depth for concurrency; it is the right setting
-// for open-loop load (the overload benchmark enables it) and the wrong
-// one for a handful of synchronous callers.
-//
-// # Overload, deadlines, and retries
+// # Overload and deadlines
 //
 // A server past its admission budgets sheds requests instead of queueing
 // them. A shed call fails fast with an *OverloadedError carrying the
 // server's retry-after hint; errors.Is(err, ErrOverloaded) matches it.
-// Options.RetryOverloaded lets the client absorb sheds of idempotent
-// reads by retrying after the hint plus jitter; updates are never
-// auto-retried. Options.RequestTimeout (and the KNNContext /
+// The client never retries: whether and when to resend a shed call is
+// the caller's policy, and OverloadedError.RetryAfter is the server's
+// hint for it. Options.RequestTimeout (and the KNNContext /
 // UpdateContext variants) bound each call: at the deadline the caller
 // gets context.DeadlineExceeded immediately, while the batcher's
 // internal bookkeeping — including combiner-baton handoff for a call
@@ -84,8 +72,7 @@
 // releases every pin the connection still holds — a crashed analytics
 // client cannot leak retained memory on the server. An epoch outside
 // the window fails with a *NotRetainedError matching
-// ErrEpochNotRetained. Pin is never auto-retried: a pin the client
-// cannot confirm must not be held server-side.
+// ErrEpochNotRetained.
 //
 // For where this package sits in the whole system — the layer diagram
 // and the request lifecycles through client, server, engine, and WAL —

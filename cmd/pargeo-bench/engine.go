@@ -199,7 +199,6 @@ func runDrift(e *engine.Engine, writers, readers int, domain geom.Box,
 	var q, u atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -222,7 +221,6 @@ func runDrift(e *engine.Engine, writers, readers int, domain geom.Box,
 		}()
 	}
 	for i := 0; i < readers; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -286,7 +284,6 @@ func runMixed(writers, readers int, d time.Duration, domain geom.Box, seed uint6
 	var q, u atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -312,7 +309,6 @@ func runMixed(writers, readers int, d time.Duration, domain geom.Box, seed uint6
 		}()
 	}
 	for i := 0; i < readers; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

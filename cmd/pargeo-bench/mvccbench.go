@@ -79,7 +79,6 @@ func mvccBench(n int, seed uint64, assert bool) {
 		var u atomic.Int64
 		var wg sync.WaitGroup
 		for i := 0; i < writers; i++ {
-			i := i
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -26,21 +26,25 @@ import (
 //
 // The experiment has two phases:
 //
-//  1. A saturation probe: closed-loop unbatched callers hammer the
-//     server and the sustained successful throughput is taken as the
-//     saturation rate of the per-request serving path. Sheds during the
-//     probe are expected (that is the admission controller doing its
-//     job) — callers back off by the server's retry hint and only
-//     successes count.
+//  1. A saturation probe: closed-loop callers, one per connection, hammer
+//     the server and the sustained successful throughput is taken as the
+//     saturation rate of the per-request serving path (a lone caller's
+//     calls never merge). Sheds during the probe are expected (that is
+//     the admission controller doing its job) — callers back off by the
+//     server's retry hint and only successes count.
 //
-//  2. An open-loop sweep at {0.5, 1, 1.5, 2}× that rate through an
-//     adaptive-window client (Options.MaxWindow): requests arrive on a
-//     Poisson schedule whether or not the server is keeping up, each
-//     latency is measured from the request's SCHEDULED arrival (no
-//     coordinated omission), and a shed — ErrOverloaded, never a hang —
-//     is counted against goodput instead of aborting the run. Load is
-//     mixed 3:1 KNN:insert, classed and budgeted separately by the
-//     server's admission gates.
+//  2. An open-loop sweep at {0.5, 1, 1.5, 2}× that rate through one
+//     default client, so calls merge as deep as the load allows:
+//     requests arrive on a Poisson schedule whether or not the server is
+//     keeping up, each latency is measured from the request's SCHEDULED
+//     arrival (no coordinated omission), and a shed — ErrOverloaded,
+//     never a hang — is counted against goodput instead of aborting the
+//     run. Load is mixed 3:1 KNN:insert, classed and budgeted separately
+//     by the server's admission gates.
+//
+// After each phase one line prints the cumulative shed counters of both
+// admission layers — the server's per-class gates and the engine's
+// commit queue — so a run shows which layer binds.
 //
 // Every percentile printed is the MEDIAN across a multiplier's windows:
 // a p999 from one window is decided by a handful of samples and one GC
@@ -93,21 +97,23 @@ func overloadBench(n int, seed uint64, measure time.Duration, assert bool) {
 		return p
 	}
 
-	// --- phase 1: saturation probe ---------------------------------------
-	peak := probeSaturation(addr, span, measure, insFrac, knnK, fatal)
-	fmt.Printf("saturation: %.0f ops/s sustained by %d closed-loop unbatched callers "+
-		"(limits reads=%d writes=%d, engine max-pending=32)\n\n", peak, probeCallers, lim.Reads, lim.Writes)
-
-	// --- phase 2: open-loop sweep -----------------------------------------
-	// One adaptive-window client carries the whole sweep: the window
-	// grows while responses are healthy and backs off on sheds or RTT
-	// inflation, so client-side merging depth adapts to the overload.
-	c, err := client.DialWith(addr, client.Options{MaxWindow: 32})
+	// One default client carries the whole sweep (and the shed lines):
+	// one merged batch in flight, so the more load arrives during a
+	// round trip, the deeper the next batch merges.
+	c, err := client.Dial(addr)
 	if err != nil {
 		fatal(err)
 	}
 	defer c.Close()
 
+	// --- phase 1: saturation probe ---------------------------------------
+	peak := probeSaturation(addr, span, measure, insFrac, knnK, fatal)
+	fmt.Printf("saturation: %.0f ops/s sustained by %d closed-loop single-caller connections "+
+		"(limits reads=%d writes=%d, engine max-pending=32)\n", peak, probeCallers, lim.Reads, lim.Writes)
+	printShed(c, "probe", fatal)
+	fmt.Println()
+
+	// --- phase 2: open-loop sweep -----------------------------------------
 	rows := make([]sweepRow, 0, 4)
 	for _, mult := range []float64{0.5, 1.0, 1.5, 2.0} {
 		row := sweepRow{mult: mult, knnLat: make([][]float64, sweepReps), insLat: make([][]float64, sweepReps)}
@@ -137,10 +143,23 @@ func overloadBench(n int, seed uint64, measure time.Duration, assert bool) {
 			time.Duration(medianPctile(row.insLat, 99)))
 	}
 	w.Flush()
+	printShed(c, "sweep", fatal)
 
 	if assert {
 		assertGracefulDegradation(peak, rows, fatal)
 	}
+}
+
+// printShed prints the run's cumulative shed counters per admission
+// layer, read over the wire: the server's three class gates and the
+// engine's commit queue.
+func printShed(c *client.Client, after string, fatal func(error)) {
+	st, err := c.Stats()
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("shed after %s: server reads=%d writes=%d control=%d, engine=%d\n",
+		after, st["shed_reads"], st["shed_writes"], st["shed_control"], st["shed"])
 }
 
 // sweepRow is one open-loop multiplier's aggregate over its windows.
@@ -179,16 +198,17 @@ func assertGracefulDegradation(peak float64, rows []sweepRow, fatal func(error))
 
 const probeCallers = 16
 
-// probeSaturation runs closed-loop unbatched callers against the server
-// and returns the sustained SUCCESSFUL throughput — the saturation rate
-// of the per-request serving path. Callers past the admission budgets
-// are shed; they honor the server's retry hint and only successes count,
-// so the probe measures capacity, not the shed rate.
+// probeSaturation runs closed-loop callers, each alone on its own
+// connection so that every call is its own wire request, and returns the
+// sustained SUCCESSFUL throughput — the saturation rate of the
+// per-request serving path. Callers past the admission budgets are shed;
+// they honor the server's retry hint and only successes count, so the
+// probe measures capacity, not the shed rate.
 func probeSaturation(addr string, span func(*rand.Rand) []float64, measure time.Duration,
 	insFrac float64, knnK int, fatal func(error)) float64 {
 	clients := make([]*client.Client, probeCallers)
 	for i := range clients {
-		uc, err := client.DialWith(addr, client.Options{NoBatch: true})
+		uc, err := client.Dial(addr)
 		if err != nil {
 			fatal(err)
 		}
@@ -198,34 +218,25 @@ func probeSaturation(addr string, span func(*rand.Rand) []float64, measure time.
 	var ok atomic.Int64
 	var wg sync.WaitGroup
 	stop := time.Now().Add(measure)
-	for g := 0; g < probeCallers; g++ {
-		cc := clients[g]
-		g := g
+	for g, cc := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g) + 7))
 			for time.Now().Before(stop) {
 				var err error
-				var hint time.Duration
 				if rng.Float64() < insFrac {
 					res := cc.Insert(geom.Points{Data: span(rng), Dim: 2})
 					err = res.Err
 				} else {
 					_, err = cc.KNN(span(rng), knnK)
 				}
+				var oe *client.OverloadedError
 				switch {
 				case err == nil:
 					ok.Add(1)
-				case errors.Is(err, client.ErrOverloaded):
-					var oe *client.OverloadedError
-					if errors.As(err, &oe) {
-						hint = oe.RetryAfter
-					}
-					if hint <= 0 {
-						hint = time.Millisecond
-					}
-					time.Sleep(hint)
+				case errors.As(err, &oe):
+					time.Sleep(max(oe.RetryAfter, time.Millisecond))
 				default:
 					fatal(err)
 				}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pargeo/internal/geom"
 	"pargeo/internal/oracle"
@@ -249,12 +248,12 @@ func TestCrashRecoveryStress(t *testing.T) {
 		fs := wal.NewMemFS()
 		opts := crashScriptOpts(fs)
 		opts.Rebalance = true
-		opts.RebalanceInterval = time.Millisecond
 		opts.Durability.CheckpointEvery = 8
 		e, err := Open(2, opts)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		stopRebalance := rebalanceEveryMs(e)
 		// Arm the crash somewhere inside the workload's op range.
 		fs.SetCrash(10+rng.Intn(400), rng.Intn(2) == 0)
 
@@ -283,6 +282,7 @@ func TestCrashRecoveryStress(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		stopRebalance()
 		e.Close() //nolint:errcheck // post-crash close error is expected
 
 		img := fs.CrashImage(rng.Intn(2) == 0)

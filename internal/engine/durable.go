@@ -99,16 +99,15 @@ func (e *Engine) recoverDurable(d Durability) error {
 	}
 	e.nextID.Store(nextID)
 
-	topts := bdltree.Options{Split: e.opts.Split, BufferSize: e.opts.BufferSize}
 	var snap *Snapshot
 	var part *partition
 	switch {
 	case pts.Len() == 0:
 		// Nothing live (possibly after epochs of churn): the engine is
 		// structurally pre-founding again, just at a later epoch.
-		snap = &Snapshot{trees: []*bdltree.Tree{e.newTree()}, epoch: finalEpoch}
+		snap = &Snapshot{trees: []*bdltree.Tree{e.newTree(geom.Points{}, nil)}, epoch: finalEpoch}
 	case e.nshard == 1:
-		t := bdltree.NewFromSorted(e.dim, topts, pts, ids)
+		t := e.newTree(pts, ids)
 		snap = &Snapshot{trees: []*bdltree.Tree{t}, epoch: finalEpoch, size: t.Size()}
 	case ckpt != nil && ckpt.HasPart && len(recs) == 0 && ckpt.Shards == e.nshard:
 		// Exact restore: no replay and an unchanged shard count, so the
@@ -118,7 +117,7 @@ func (e *Engine) recoverDurable(d Durability) error {
 		bySh, idsBy, _ := part.splitByShard(pts, ids)
 		trees := make([]*bdltree.Tree, e.nshard)
 		parlay.For(e.nshard, 1, func(s int) {
-			trees[s] = bdltree.NewFromSorted(e.dim, topts, bySh[s], idsBy[s])
+			trees[s] = e.newTree(bySh[s], idsBy[s])
 		})
 		snap = &Snapshot{part: part, trees: trees, epoch: finalEpoch, size: pts.Len()}
 	default:

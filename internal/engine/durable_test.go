@@ -316,11 +316,11 @@ func TestCloseWithInflightCommits(t *testing.T) {
 	fs := wal.NewMemFS()
 	opts := durOpts(fs, 4, nil)
 	opts.Rebalance = true
-	opts.RebalanceInterval = time.Millisecond
 	e, err := Open(2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stopRebalance := rebalanceEveryMs(e)
 
 	const writers = 8
 	type ack struct {
@@ -360,6 +360,7 @@ func TestCloseWithInflightCommits(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	stopRebalance()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

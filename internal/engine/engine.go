@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pargeo/internal/bdltree"
 	"pargeo/internal/geom"
@@ -21,15 +20,11 @@ import (
 // worker at engine creation.
 const AutoShards = -1
 
-// DefaultShardSampleSize bounds how many points of the partition-defining
-// commit are sampled to place shard boundaries.
-const DefaultShardSampleSize = 4096
-
 // Options configure an Engine.
 type Options struct {
-	// Split selects the kd-tree splitting rule for all tree versions.
-	Split bdltree.SplitRule
 	// BufferSize is the BDL buffer-tree capacity X (0 = bdltree default).
+	// Every tree version is an object-median BDL-tree, and X is the only
+	// engine value a tree sees.
 	BufferSize int
 	// Shards is the number of Morton-range shards S: independent BDL-trees
 	// whose disjoint updates commit in parallel. 0 or 1 runs unsharded
@@ -37,8 +32,6 @@ type Options struct {
 	// are sampled from the first committed insertion; with Rebalance set
 	// they then track the live load online.
 	Shards int
-	// ShardSampleSize caps the boundary-placement sample (0 = default).
-	ShardSampleSize int
 	// Rebalance starts the background rebalancer on a sharded engine: a
 	// goroutine that watches per-shard load (live size + committed-batch
 	// EWMA + a recent-write sample), splits a hot shard's Morton range at
@@ -46,17 +39,10 @@ type Options struct {
 	// coldest adjacent shards to keep S constant), and — when enough
 	// inserted rows land outside the partition's world box — rebuilds the
 	// whole partition under a widened world so drifting workloads stop
-	// aliasing into boundary cells. Call Close to stop it.
-	// Engine.Rebalance runs one pass synchronously whether or not the
-	// background loop is enabled.
+	// aliasing into boundary cells. A pass runs every 25 ms; call Close
+	// to stop the loop. Engine.Rebalance runs one pass synchronously
+	// whether or not the background loop is enabled.
 	Rebalance bool
-	// RebalanceInterval is the background rebalancer's pass period
-	// (0 = DefaultRebalanceInterval).
-	RebalanceInterval time.Duration
-	// RebalanceFactor is the hot-shard threshold: a shard is split when its
-	// load exceeds RebalanceFactor times the shard average
-	// (0 = DefaultRebalanceFactor).
-	RebalanceFactor float64
 	// MaxPending bounds each commit queue: when an update arrives while a
 	// combiner already has MaxPending requests parked behind its current
 	// commit, the update is shed immediately with ErrOverloaded instead of
@@ -89,12 +75,6 @@ type Options struct {
 	// engines with Open (New panics on a recovery error).
 	Durability *Durability
 }
-
-// Rebalancer defaults (Options.RebalanceInterval / RebalanceFactor).
-const (
-	DefaultRebalanceInterval = 25 * time.Millisecond
-	DefaultRebalanceFactor   = 2.0
-)
 
 // UpdateResult reports a committed update.
 type UpdateResult struct {
@@ -395,21 +375,12 @@ func newEngine(dim int, opts Options) *Engine {
 	if ns < 1 {
 		ns = 1
 	}
-	if opts.ShardSampleSize <= 0 {
-		opts.ShardSampleSize = DefaultShardSampleSize
-	}
-	if opts.RebalanceInterval <= 0 {
-		opts.RebalanceInterval = DefaultRebalanceInterval
-	}
-	if opts.RebalanceFactor <= 0 {
-		opts.RebalanceFactor = DefaultRebalanceFactor
-	}
 	e := &Engine{dim: dim, opts: opts, nshard: ns}
 	e.shards = make([]*shard, ns)
 	for i := range e.shards {
 		e.shards[i] = &shard{}
 	}
-	seed := &Snapshot{eng: e, trees: []*bdltree.Tree{e.newTree()}}
+	seed := &Snapshot{eng: e, trees: []*bdltree.Tree{e.newTree(geom.Points{}, nil)}}
 	e.snap.Store(seed)
 	e.retain(seed)
 	return e
@@ -458,8 +429,11 @@ func (e *Engine) Close() error {
 	return err
 }
 
-func (e *Engine) newTree() *bdltree.Tree {
-	return bdltree.New(e.dim, bdltree.Options{Split: e.opts.Split, BufferSize: e.opts.BufferSize})
+// newTree builds one shard tree version holding pts, row i under global
+// id ids[i] (empty pts: an empty tree). It is the one place engine options
+// become bdltree options.
+func (e *Engine) newTree(pts geom.Points, ids []int32) *bdltree.Tree {
+	return bdltree.NewFromSorted(e.dim, bdltree.Options{BufferSize: e.opts.BufferSize}, pts, ids)
 }
 
 // Snapshot returns the latest committed version. The handle stays valid —
@@ -885,7 +859,7 @@ func (e *Engine) shardedBuild(world geom.Box, pool geom.Points, ids []int32) (*p
 	parlay.For(pool.Len(), 512, func(i int) {
 		codes[i] = morton.Encode(pool.At(i), world)
 	})
-	part := newPartition(e.dim, e.nshard, world, codes, e.opts.ShardSampleSize)
+	part := newPartition(e.dim, e.nshard, world, codes)
 
 	idx := make([]int32, len(codes))
 	for i := range idx {
@@ -906,10 +880,7 @@ func (e *Engine) shardedBuild(world geom.Box, pool geom.Points, ids []int32) (*p
 	cut[e.nshard] = len(sortedCodes)
 	trees := make([]*bdltree.Tree, e.nshard)
 	parlay.For(e.nshard, 1, func(s int) {
-		trees[s] = bdltree.NewFromSorted(e.dim, bdltree.Options{
-			Split:      e.opts.Split,
-			BufferSize: e.opts.BufferSize,
-		}, sortedPts.Slice(cut[s], cut[s+1]), sortedIDs[cut[s]:cut[s+1]])
+		trees[s] = e.newTree(sortedPts.Slice(cut[s], cut[s+1]), sortedIDs[cut[s]:cut[s+1]])
 	})
 	return part, trees
 }

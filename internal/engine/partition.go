@@ -71,17 +71,21 @@ func (p *partition) minSqDist(s int, q []float64) float64 {
 	return morton.BoxesMinSqDist(p.cellBoxes[s], q)
 }
 
+// shardSampleSize bounds how many of the defining commit's codes are
+// sampled to place shard boundaries.
+const shardSampleSize = 4096
+
 // newPartition places S-1 boundaries at the quantiles of a sample of the
 // defining commit's Morton codes. Duplicate quantiles (heavily skewed or
 // tiny samples) simply leave some shards empty — routing and pruning treat
 // an empty code interval consistently, and the rebalancer can later merge
 // them away.
-func newPartition(dim, shards int, world geom.Box, codes []uint64, sampleSize int) *partition {
-	sample := make([]uint64, 0, sampleSize)
-	if len(codes) <= sampleSize {
+func newPartition(dim, shards int, world geom.Box, codes []uint64) *partition {
+	sample := make([]uint64, 0, shardSampleSize)
+	if len(codes) <= shardSampleSize {
 		sample = append(sample, codes...)
 	} else {
-		stride := len(codes) / sampleSize
+		stride := len(codes) / shardSampleSize
 		for i := 0; i < len(codes); i += stride {
 			sample = append(sample, codes[i])
 		}

@@ -56,6 +56,13 @@ const (
 
 // Rebalancer policy constants.
 const (
+	// rebalanceInterval is the background loop's pass period.
+	rebalanceInterval = 25 * time.Millisecond
+
+	// rebalanceFactor is the hot-shard threshold: a shard is split when
+	// its load exceeds rebalanceFactor times the shard average.
+	rebalanceFactor = 2.0
+
 	// driftMinRows and driftFraction gate the full repartition: it fires
 	// once at least driftMinRows inserted rows — and at least driftFraction
 	// of the live size — have routed outside the world box.
@@ -105,7 +112,7 @@ func (e *Engine) ShardLoads() []float64 {
 // rebalanceLoop is the background rebalancer started by New when
 // Options.Rebalance is set on a sharded engine; Close stops it.
 func (e *Engine) rebalanceLoop() {
-	t := time.NewTicker(e.opts.RebalanceInterval)
+	t := time.NewTicker(rebalanceInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -162,7 +169,8 @@ func (e *Engine) Rebalance() RebalanceAction {
 	act := e.rebalanceLocked(snap, part)
 	if act == RebalanceNone {
 		// Triggered but nothing actionable: exponential backoff (capped at
-		// ~1s of default-interval passes) before the next locked attempt.
+		// 63 passes, ~1.6 s of the background loop) before the next locked
+		// attempt.
 		next := e.noopStreak.Add(1)
 		if next > 6 {
 			next = 6
@@ -213,15 +221,14 @@ func (e *Engine) triggers(snap *Snapshot) decision {
 			hotE = i
 		}
 	}
-	f := e.opts.RebalanceFactor
 	// Two independent hot triggers: a shard dominating by combined score
 	// (size imbalance), or one absorbing a disproportionate share of the
 	// recent write rows even while its size stays unremarkable — the
 	// signature of a hot spot confined to a sliver of a shard.
-	if scores[hot] > f*total/float64(e.nshard) {
+	if scores[hot] > rebalanceFactor*total/float64(e.nshard) {
 		return decision{fired: true, hot: hot, scores: scores, ewmas: ewmas}
 	}
-	if ewmas[hotE] >= minHotRows && ewmas[hotE] > f*totalE/float64(e.nshard) {
+	if ewmas[hotE] >= minHotRows && ewmas[hotE] > rebalanceFactor*totalE/float64(e.nshard) {
 		return decision{fired: true, hot: hotE, writeTrig: true, scores: scores, ewmas: ewmas}
 	}
 	return decision{}
@@ -313,7 +320,6 @@ func (e *Engine) splitMergeLocked(snap *Snapshot, part *partition, scores, ewmas
 		ewma  float64
 		fresh bool // one of the split halves
 	}
-	opts := bdltree.Options{Split: e.opts.Split, BufferSize: e.opts.BufferSize}
 	spans := make([]span, 0, S+1)
 	for s := 0; s < S; s++ {
 		bound := morton.MaxCode(e.dim)
@@ -321,8 +327,8 @@ func (e *Engine) splitMergeLocked(snap *Snapshot, part *partition, scores, ewmas
 			bound = part.bounds[s]
 		}
 		if s == hot {
-			left := bdltree.NewFromSorted(e.dim, opts, pts.Slice(0, cutIdx), ids[:cutIdx])
-			right := bdltree.NewFromSorted(e.dim, opts, pts.Slice(cutIdx, pts.Len()), ids[cutIdx:])
+			left := e.newTree(pts.Slice(0, cutIdx), ids[:cutIdx])
+			right := e.newTree(pts.Slice(cutIdx, pts.Len()), ids[cutIdx:])
 			halfE := ewmas[s] / 2
 			spans = append(spans,
 				span{hi: cutCode, tree: left, score: scores[s] / 2, ewma: halfE, fresh: true},

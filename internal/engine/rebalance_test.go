@@ -21,6 +21,28 @@ func offsetPoints(pts geom.Points, dx, dy float64) geom.Points {
 	return out
 }
 
+// rebalanceEveryMs runs e.Rebalance — the background loop's body — every
+// millisecond, 25× denser than the loop, until the returned stop is
+// called. stop returns once no pass is running, so it must come before
+// Close.
+func rebalanceEveryMs(e *Engine) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				e.Rebalance()
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
 // scalePoints returns a copy of pts scaled into box [lo,hi]^2 assuming the
 // source covers its own bounding box.
 func scaleInto(pts geom.Points, lo, hi float64) geom.Points {
@@ -46,7 +68,7 @@ func scaleInto(pts geom.Points, lo, hi float64) geom.Points {
 // exactly equal to brute force.
 func TestRebalanceSplitMergeHotShard(t *testing.T) {
 	const dim = 2
-	e := New(dim, Options{BufferSize: 64, Shards: 4, ShardSampleSize: 256})
+	e := New(dim, Options{BufferSize: 64, Shards: 4})
 	m := &oracle.LiveSet{Dim: dim}
 
 	founding := generators.UniformCube(1000, dim, 1)
@@ -131,7 +153,7 @@ func TestRebalanceSplitMergeHotShard(t *testing.T) {
 // and after, and the drifted region stops aliasing.
 func TestRebalanceRepartitionOnDrift(t *testing.T) {
 	const dim = 2
-	e := New(dim, Options{BufferSize: 64, Shards: 4, ShardSampleSize: 256})
+	e := New(dim, Options{BufferSize: 64, Shards: 4})
 	m := &oracle.LiveSet{Dim: dim}
 
 	founding := generators.UniformCube(2000, dim, 5)
@@ -179,7 +201,7 @@ func TestRebalanceRepartitionOnDrift(t *testing.T) {
 // migrates without manual passes, and Close must stop it.
 func TestRebalanceBackgroundLoop(t *testing.T) {
 	const dim = 2
-	e := New(dim, Options{BufferSize: 64, Shards: 4, Rebalance: true, RebalanceInterval: time.Millisecond})
+	e := New(dim, Options{BufferSize: 64, Shards: 4, Rebalance: true})
 	defer e.Close()
 	m := &oracle.LiveSet{Dim: dim}
 

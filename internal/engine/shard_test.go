@@ -16,7 +16,7 @@ import (
 // uniform over the whole domain).
 func TestShardedLifecycleOracle(t *testing.T) {
 	for _, shards := range []int{2, 4, 7} {
-		e := New(2, Options{BufferSize: 64, Shards: shards, ShardSampleSize: 128})
+		e := New(2, Options{BufferSize: 64, Shards: shards})
 		m := &oracle.LiveSet{Dim: 2}
 		lastEpoch := uint64(0)
 		for round := 0; round < 6; round++ {
@@ -55,7 +55,7 @@ func TestShardedLifecycleOracle(t *testing.T) {
 // and shards left empty by a skewed founding sample.
 func TestShardedFanoutEdgeCases(t *testing.T) {
 	const dim = 2
-	e := New(dim, Options{BufferSize: 32, Shards: 4, ShardSampleSize: 64})
+	e := New(dim, Options{BufferSize: 32, Shards: 4})
 	m := &oracle.LiveSet{Dim: dim}
 
 	// Founding commit: uniform points establish interior boundaries.
@@ -215,7 +215,7 @@ func TestShardedParallelWriters(t *testing.T) {
 func TestFusedCommitGroup(t *testing.T) {
 	const x = 16
 	for _, shards := range []int{1, 4} {
-		e := New(2, Options{BufferSize: x, Shards: shards, ShardSampleSize: 128})
+		e := New(2, Options{BufferSize: x, Shards: shards})
 		m := &oracle.LiveSet{Dim: 2}
 		base := generators.UniformCube(1500, 2, 3)
 		m.Insert(e.Insert(base).IDs, base)
