@@ -1,10 +1,12 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,8 +113,9 @@ type call struct {
 	ins   Points    // classInsert
 	req   *wire.Request
 
-	done chan struct{}
-	lead chan struct{} // combiner baton
+	done  chan struct{}
+	lead  chan struct{} // combiner baton
+	yield bool          // set with the baton: the batch that passed it resolved a cohort
 
 	// Results, valid after done closes.
 	resp wire.Response
@@ -169,7 +172,8 @@ func DialWith(addr string, opts Options) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	buf, err := wire.ReadFrame(conn, nil)
+	br := bufio.NewReader(conn)
+	buf, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -191,7 +195,7 @@ func DialWith(addr string, opts Options) (*Client, error) {
 	}
 	c.dim = int(resp.Dim)
 	c.shards = int(resp.Shards)
-	go c.readLoop()
+	go c.readLoop(br)
 	return c, nil
 }
 
@@ -250,14 +254,14 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// readLoop is the reader goroutine: one response frame at a time,
-// dispatched to its registered handler by request id.
-func (c *Client) readLoop() {
+// readLoop is the reader goroutine: one response frame at a time, read
+// through br and dispatched to its registered handler by request id.
+func (c *Client) readLoop(br *bufio.Reader) {
 	defer close(c.readerDone)
 	var buf []byte
 	for {
 		var err error
-		buf, err = wire.ReadFrame(c.conn, buf)
+		buf, err = wire.ReadFrame(br, buf)
 		if err != nil {
 			c.fail(err)
 			return
@@ -340,8 +344,13 @@ func (c *Client) submitCtx(ctx context.Context, ca *call) error {
 // parked, fold the leader's own call in, and flush one merged batch. The
 // leader's in-flight flag was set either at submit (immediate leader) or
 // inherited through the baton (batchDone popped it from the queue
-// without clearing the flag).
+// without clearing the flag). A baton from a batch that resolved a
+// cohort comes with one yield first, so that callers that batch released
+// on other processors can park in time to ride this flush.
 func (c *Client) leadDrain(ca *call) {
+	if ca.yield {
+		runtime.Gosched()
+	}
 	c.bmu.Lock()
 	group := append(c.bpending, ca)
 	c.bpending = nil
@@ -351,8 +360,15 @@ func (c *Client) leadDrain(ca *call) {
 
 // batchDone runs once the in-flight batch fully resolves: leadership
 // passes to a parked call (popped here, so no two batons ever reach one
-// call), or the flag clears for the next arrival.
-func (c *Client) batchDone() {
+// call), or the flag clears for the next arrival. resolved is the number
+// of calls the batch answered. When it is more than one, the callers it
+// released get one yield to park before the baton passes, so the whole
+// cohort rides the next flush instead of splitting across two round
+// trips; a lone caller has nobody to wait for and pays nothing.
+func (c *Client) batchDone(resolved int) {
+	if resolved > 1 {
+		runtime.Gosched()
+	}
 	c.bmu.Lock()
 	if len(c.bpending) == 0 {
 		c.binflight = false
@@ -361,6 +377,7 @@ func (c *Client) batchDone() {
 	}
 	next := c.bpending[0]
 	c.bpending = c.bpending[1:]
+	next.yield = resolved > 1
 	c.bmu.Unlock()
 	close(next.lead)
 }
@@ -392,7 +409,7 @@ func (c *Client) flush(group []*call) {
 			ca.err = err
 			close(ca.done)
 		}
-		c.batchDone()
+		c.batchDone(0)
 		return
 	}
 	// The whole batch registers under one pmu hold, before the write:
@@ -406,7 +423,7 @@ func (c *Client) flush(group []*call) {
 		c.pending[req.ID] = func(r *wire.Response, err error) {
 			h(r, err)
 			if left.Add(-1) == 0 {
-				c.batchDone()
+				c.batchDone(len(group))
 			}
 		}
 		buf = wire.AppendRequest(buf, req)
@@ -473,7 +490,7 @@ func (c *Client) flush(group []*call) {
 	c.pmu.Unlock()
 
 	if len(buf) == 0 {
-		c.batchDone()
+		c.batchDone(0)
 		return
 	}
 	if d := c.opts.RequestTimeout; d > 0 {

@@ -322,3 +322,102 @@ func TestSingleBatchInFlight(t *testing.T) {
 		t.Fatalf("server saw %d requests for %d calls: nothing merged", r, callers*perCaller)
 	}
 }
+
+// TestCohortRidesOneFlush: every caller one response releases must ride
+// the next flush. Eight k-NN callers and one insert caller run a closed
+// loop against a server that answers each frame about 200 µs after
+// reading it, so a batch's k-NN answer reaches the client before its
+// insert answer. Handing the baton on as soon as the last answer lands
+// splits each cohort into a k-NN flush and an insert flush, two round
+// trips per cycle; the server sees that as reads carrying 8 calls and
+// reads carrying 1.
+func TestCohortRidesOneFlush(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	perRead := make(chan []int, 1) // calls carried by the frames of each server read
+	go func() {
+		var counts []int
+		defer func() { perRead <- counts }()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var pending []byte
+		chunk := make([]byte, 64<<10)
+		for {
+			n, err := conn.Read(chunk)
+			if err != nil {
+				return
+			}
+			pending = append(pending, chunk[:n]...)
+			calls := 0
+			for wire.Complete(pending) {
+				req, m, err := wire.DecodeRequest(pending, 2)
+				if err != nil {
+					t.Errorf("corrupt request: %v", err)
+					return
+				}
+				pending = pending[m:]
+				resp := &wire.Response{Op: req.Op, ID: req.ID, Dim: 2, Shards: 1}
+				switch req.Op {
+				case wire.OpKNN:
+					calls += req.Queries.Len()
+					resp.Neighbors = make([][]int32, req.Queries.Len())
+				case wire.OpUpdate:
+					calls++ // one single-row insert per flush
+					resp.IDs = make([]int32, req.Ins.Len())
+				}
+				if req.Op != wire.OpHello {
+					time.Sleep(200 * time.Microsecond)
+				}
+				if _, err := conn.Write(wire.AppendResponse(nil, resp)); err != nil {
+					return
+				}
+			}
+			if calls > 0 {
+				counts = append(counts, calls)
+			}
+		}
+	}()
+
+	c, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const knnCallers, cycles = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g <= knnCallers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				if g == knnCallers {
+					if res := c.Insert(client.Points{Data: []float64{1, 2}, Dim: 2}); res.Err != nil {
+						t.Errorf("insert: %v", res.Err)
+						return
+					}
+				} else if _, err := c.KNN([]float64{1, 2}, 1); err != nil {
+					t.Errorf("KNN: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+	counts := <-perRead
+	whole := 0
+	for _, n := range counts {
+		if n == knnCallers+1 {
+			whole++
+		}
+	}
+	if len(counts) == 0 || whole*10 < 9*len(counts) {
+		t.Fatalf("%d of %d server reads carried the whole cohort of %d calls, want at least 90 %%; calls per read from the first: %v",
+			whole, len(counts), knnCallers+1, counts[:min(len(counts), 24)])
+	}
+}

@@ -30,6 +30,24 @@
 // no latency, and the more load arrives during a round trip, the deeper
 // the next batch merges.
 //
+// # One round trip per cohort
+//
+// A batch's responses do not land together: the server answers a merged
+// k-NN frame before it commits the batch's insert, and each response
+// releases its callers as it arrives. Callers in a closed loop come
+// straight back, and the ones the last response released must park
+// before the baton passes, or the next flush leaves without them and
+// they take the round trip after it, on their own. Without help, a
+// connection with k-NN callers and one insert caller alternates a k-NN
+// flush and an insert flush, two round trips per cycle. So when the
+// batch that just completed resolved more than one call, the reader
+// yields once (runtime.Gosched) before it passes the baton, and the new
+// leader yields once before it drains: every caller that batch released
+// is back in the queue and rides the next flush. A batch that resolved a
+// single call has no cohort to wait for, so a lone caller never yields:
+// on a connection with one caller a yield would only delay its next call
+// behind whatever else is runnable.
+//
 // # Overload and deadlines
 //
 // A server past its admission budgets sheds requests instead of queueing

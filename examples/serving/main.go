@@ -8,8 +8,9 @@
 // in this district?" through a single shared batching client — their
 // concurrent calls coalesce into merged wire requests on the way out.
 // Movers working different districts commit on different shards truly in
-// parallel (the server runs every request in its own goroutine, so the
-// engine's combiners see the same concurrency they would in-process), a
+// parallel (each mover dials its own connection, and the server runs each
+// connection's requests on that connection's own goroutine, so the
+// engine's commit path sees the movers concurrently), a
 // straddling batch still publishes all-or-nothing, and every query reads
 // a fully committed snapshot. At the end the service "restarts": the
 // server drains in-flight requests, the engine closes and reopens from

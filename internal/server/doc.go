@@ -1,20 +1,26 @@
 // Package server serves an engine over the wire protocol. One Server
-// wraps one engine and one net.Listener; each accepted connection gets a
-// reader goroutine, and every decoded request runs in its own goroutine —
-// the server deliberately does NO batching of its own, because the
-// engine's flat-combining committers and query group leaders already
-// coalesce concurrent requests across all connections. A server-side
-// queue would only serialize what the engine wants to see in parallel.
+// wraps one engine and one net.Listener, and each accepted connection gets
+// one goroutine that runs its requests to completion: it reads frames
+// through a buffer, answers every complete one inline, in arrival order,
+// and collects the responses. They go out in one write whenever the
+// buffer holds no complete frame (the next read could block), and also
+// before a write-class request starts, so the k-NN answers of a client's
+// merged batch leave while the batch's insert commits. A client flush of
+// a k-NN frame and an insert frame thus costs the server one read, two
+// inline engine calls and two writes, with no goroutine spawned and no
+// lock taken on the connection. The server does no merging of its own:
+// the client has already merged concurrent callers into one frame per
+// kind before they reach it.
 //
 // # Admission control
 //
 // A server built with NewWithLimits bounds the number of concurrently
 // executing requests per class — reads (KNN, RangeSearch, RangeCount),
-// writes (Update), and control (Epoch, Checkpoint, Stats) — so that one
-// class saturating cannot starve the others of goroutines or engine
-// passes. A request arriving at a full class is answered immediately
-// with StatusOverloaded and a retry-after hint priced from the class's
-// smoothed service time; it is never queued server-side. That keeps the
+// writes (Update), and control (Epoch, Checkpoint, Stats) — across its
+// connections, so that one class saturating cannot starve the others of
+// engine passes. A request arriving at a full class is answered
+// immediately with StatusOverloaded and a retry-after hint priced from
+// the class's smoothed service time; it is never queued server-side. That keeps the
 // server's response latency flat under overload: the backlog lives in
 // the clients, which can apply deadlines and backoff the server cannot.
 // Hello is exempt (the handshake must always succeed so a client can
@@ -32,8 +38,10 @@
 //
 // Shutdown is a drain, not an abort: Shutdown stops the accept loop,
 // fails fresh requests with StatusClosed, waits for every in-flight
-// request to commit and its response to be written, then closes the
-// connections. Only after Shutdown returns does the caller close the
+// request to commit and its response to be written (including responses
+// already answered but still waiting in a connection's buffer for the
+// request behind them), then closes the connections, which releases
+// their pins. Only after Shutdown returns does the caller close the
 // engine — so an acknowledged response always corresponds to an update
 // the engine's durability contract covers.
 //

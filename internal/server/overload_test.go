@@ -165,7 +165,7 @@ func TestShedTyped(t *testing.T) {
 // TestShutdownUnderShedding pulls the plug while the server is actively
 // shedding: every in-flight and queued request must still resolve with a
 // typed status (OK, Overloaded, or Closed) — no hangs, no invented
-// statuses — Shutdown must complete, and the handler goroutines must all
+// statuses — Shutdown must complete, and the connection loops must all
 // exit.
 func TestShutdownUnderShedding(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -258,7 +258,7 @@ func TestShutdownUnderShedding(t *testing.T) {
 		t.Error("storm produced no successful requests")
 	}
 
-	// Handler and reader goroutines must all be gone: poll back down to
+	// Connection loops must all be gone: poll back down to
 	// (near) the pre-test count.
 	deadline := time.Now().Add(5 * time.Second)
 	for {

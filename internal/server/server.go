@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -23,8 +24,8 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	connWG sync.WaitGroup // connection reader goroutines
-	reqWG  sync.WaitGroup // in-flight request handlers
+	connWG sync.WaitGroup // connection loops
+	reqWG  sync.WaitGroup // admitted requests whose responses are not yet written
 
 	accepted atomic.Uint64 // connections accepted
 	requests atomic.Uint64 // requests answered (any status)
@@ -90,7 +91,7 @@ func (s *Server) Shutdown() {
 	s.closed = true
 	s.mu.Unlock()
 	s.ln.Close()
-	// In-flight handlers first: each still holds its connection open and
+	// In-flight requests first: each still holds its connection open and
 	// must get its response out before the close below cuts the stream.
 	s.reqWG.Wait()
 	s.mu.Lock()
@@ -101,22 +102,13 @@ func (s *Server) Shutdown() {
 	s.connWG.Wait()
 }
 
-// conn is one connection's shared write side: responses from concurrent
-// request handlers interleave frame-atomically under wmu. It also owns the
-// connection's pin table — snapshots pinned by OpPin and not yet released
-// by OpUnpin. Pins are connection-scoped: the teardown in serveConn
-// releases every survivor, so a crashed or careless client cannot leak
-// retained versions past its own lifetime (and, the engine's pins being
-// in-memory, no pin survives a server restart either).
-type conn struct {
-	c   net.Conn
-	wmu sync.Mutex
-	wg  sync.WaitGroup // this connection's in-flight handlers
-
-	pmu  sync.Mutex
-	pins map[uint64]*connPin
-	dead bool // teardown ran; late pins release immediately
-}
+// pinTable is one connection's pins by epoch: snapshots pinned by OpPin
+// and not yet released by OpUnpin. Pins are connection-scoped: the
+// teardown in serveConn releases every survivor, so a crashed or careless
+// client cannot leak retained versions past its own lifetime (and, the
+// engine's pins being in-memory, no pin survives a server restart
+// either). Only the connection's loop touches it.
+type pinTable map[uint64]*connPin
 
 // connPin is one connection's hold on one epoch: the pinned snapshot and
 // how many of the connection's OpPins are open against it (the engine
@@ -126,84 +118,78 @@ type connPin struct {
 	count int
 }
 
-// pin records one successful engine pin of s for this connection. A pin
-// landing after teardown (the handler raced the reader loop's exit) is
-// released on the spot rather than leaked.
-func (c *conn) pin(s *engine.Snapshot) {
-	c.pmu.Lock()
-	if c.dead {
-		c.pmu.Unlock()
-		s.Release()
-		return
-	}
-	if c.pins == nil {
-		c.pins = make(map[uint64]*connPin)
-	}
-	if p, ok := c.pins[s.Epoch()]; ok {
+// pin records one successful engine pin of s for this connection.
+func (pt pinTable) pin(s *engine.Snapshot) {
+	if p, ok := pt[s.Epoch()]; ok {
 		p.count++
 	} else {
-		c.pins[s.Epoch()] = &connPin{snap: s, count: 1}
+		pt[s.Epoch()] = &connPin{snap: s, count: 1}
 	}
-	c.pmu.Unlock()
 }
 
 // unpin releases one of this connection's pins of epoch, reporting whether
 // the connection actually held one.
-func (c *conn) unpin(epoch uint64) bool {
-	c.pmu.Lock()
-	p, ok := c.pins[epoch]
+func (pt pinTable) unpin(epoch uint64) bool {
+	p, ok := pt[epoch]
 	if ok {
 		p.count--
 		if p.count == 0 {
-			delete(c.pins, epoch)
+			delete(pt, epoch)
 		}
-	}
-	c.pmu.Unlock()
-	if ok {
 		p.snap.Release()
 	}
 	return ok
 }
 
 // releaseAll drops every pin the connection still holds (teardown).
-func (c *conn) releaseAll() {
-	c.pmu.Lock()
-	pins := c.pins
-	c.pins = nil
-	c.dead = true
-	c.pmu.Unlock()
-	for _, p := range pins {
+func (pt pinTable) releaseAll() {
+	for _, p := range pt {
 		for i := 0; i < p.count; i++ {
 			p.snap.Release()
 		}
 	}
 }
 
-func (c *conn) writeFrame(buf []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	_, err := c.c.Write(buf)
-	return err
-}
-
+// serveConn is one connection's loop, run to completion: it reads
+// frames through a buffer and answers each on this goroutine, collecting
+// the responses in out. out is written in one call before any read that
+// could block (no whole frame left in the buffer, so a pipelined batch
+// costs one write however many frames it holds) and before any write-class
+// request starts, so the reads of a client's batch are answered while its
+// update commits.
 func (s *Server) serveConn(nc net.Conn) {
-	c := &conn{c: nc}
+	var (
+		pins      = pinTable{}
+		br        = bufio.NewReaderSize(nc, 64<<10)
+		buf, out  []byte
+		unwritten int // admitted responses in out: Shutdown's drain waits on them
+	)
+	flush := func() error {
+		_, err := nc.Write(out)
+		out = out[:0]
+		s.reqWG.Add(-unwritten)
+		unwritten = 0
+		return err
+	}
 	defer s.connWG.Done()
 	defer func() {
+		if len(out) > 0 {
+			flush() //nolint:errcheck // the connection is going: nothing to tell the peer
+		}
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
 		nc.Close()
 		// Pins are connection-scoped: whatever the client left pinned is
-		// released with the connection, after its in-flight handlers have
-		// had their chance to record theirs.
-		c.wg.Wait()
-		c.releaseAll()
+		// released with the connection.
+		pins.releaseAll()
 	}()
-	var buf []byte
 	for {
+		if next, _ := br.Peek(br.Buffered()); len(out) > 0 && !wire.Complete(next) && flush() != nil {
+			return
+		}
 		var err error
-		buf, err = wire.ReadFrame(nc, buf)
+		buf, err = wire.ReadFrame(br, buf)
 		if err != nil {
 			// EOF, peer reset, Shutdown's close, or a hostile length
 			// prefix: the stream is over either way. A corrupt frame
@@ -216,57 +202,49 @@ func (s *Server) serveConn(nc net.Conn) {
 		if err != nil {
 			return // unsynchronized stream: drop the connection
 		}
-		// Admission first: a shed is answered inline on the reader
-		// goroutine — constant cost, no handler spawned, no engine touched
-		// — and the connection keeps serving. Backpressure rejects
-		// requests, never streams.
 		class := classOf(req.Op)
+		if class == classWrite && len(out) > 0 && flush() != nil {
+			return
+		}
+		// Admission: a shed costs one small response, touches no engine,
+		// and the connection keeps serving. Backpressure rejects
+		// requests, never streams.
 		if !s.adm.admit(class) {
-			resp := &wire.Response{
+			s.requests.Add(1)
+			out = wire.AppendResponse(out, &wire.Response{
 				Op: req.Op, ID: req.ID,
 				Status:           wire.StatusOverloaded,
 				RetryAfterMillis: s.adm.retryAfterMillis(class),
 				ErrMsg:           "server: overloaded (" + className[class] + ")",
-			}
-			s.requests.Add(1)
-			if c.writeFrame(wire.AppendResponse(nil, resp)) != nil {
-				return
-			}
+			})
 			continue
 		}
 		// The drain gate: a request that enters reqWG before Shutdown's
-		// reqWG.Wait() completes fully, response included; one arriving
+		// reqWG.Wait() completes fully, response written; one arriving
 		// after the gate closes is answered StatusClosed without touching
 		// the engine (which may be mid-Close by then).
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			s.adm.release(class)
-			resp := &wire.Response{Op: req.Op, ID: req.ID, Status: wire.StatusClosed, ErrMsg: engine.ErrClosed.Error()}
-			c.writeFrame(wire.AppendResponse(nil, resp)) //nolint:errcheck // connection is closing anyway
+			out = wire.AppendResponse(out, &wire.Response{Op: req.Op, ID: req.ID, Status: wire.StatusClosed, ErrMsg: engine.ErrClosed.Error()})
 			return
 		}
 		s.reqWG.Add(1)
-		c.wg.Add(1)
 		s.mu.Unlock()
-		go func(req wire.Request, class int) {
-			defer s.reqWG.Done()
-			defer c.wg.Done()
-			// The slot is held through the response write: a slow-reading
-			// client consumes its own budget, not fresh admissions.
-			defer s.adm.release(class)
-			start := time.Now()
-			resp := s.handle(c, &req)
-			s.adm.observe(class, time.Since(start))
-			s.requests.Add(1)
-			c.writeFrame(wire.AppendResponse(nil, resp)) //nolint:errcheck // peer gone: nothing to tell it
-		}(req, class)
+		unwritten++
+		start := time.Now()
+		resp := s.handle(pins, &req)
+		s.adm.observe(class, time.Since(start))
+		s.adm.release(class)
+		s.requests.Add(1)
+		out = wire.AppendResponse(out, resp)
 	}
 }
 
-// handle executes one decoded request against the engine. c is the
-// request's connection, owner of any pins the request creates.
-func (s *Server) handle(c *conn, req *wire.Request) *wire.Response {
+// handle executes one decoded request against the engine. pins is the
+// request's connection's table, owner of any pins the request creates.
+func (s *Server) handle(pins pinTable, req *wire.Request) *wire.Response {
 	resp := &wire.Response{Op: req.Op, ID: req.ID}
 	switch req.Op {
 	case wire.OpHello:
@@ -345,10 +323,10 @@ func (s *Server) handle(c *conn, req *wire.Request) *wire.Response {
 				return s.fail(resp, err)
 			}
 		}
-		c.pin(snap)
+		pins.pin(snap)
 		resp.Epoch = snap.Epoch()
 	case wire.OpUnpin:
-		if !c.unpin(req.Epoch) {
+		if !pins.unpin(req.Epoch) {
 			return s.fail(resp, fmt.Errorf("epoch %d is not pinned by this connection", req.Epoch))
 		}
 		resp.Epoch = req.Epoch

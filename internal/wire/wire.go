@@ -72,6 +72,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"pargeo/internal/geom"
 )
@@ -172,11 +173,29 @@ type Stat struct {
 	Value uint64
 }
 
-// appendFrame wraps payload in the length+CRC frame header.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// beginFrame grows dst once for a frame of at most size payload bytes and
+// reserves its header. The payload is appended after it in place, and
+// sealFrame(dst, start) stamps the header once it is complete.
+func beginFrame(dst []byte, size int) ([]byte, int) {
+	dst = slices.Grow(dst, frameHeaderSize+size)
+	start := len(dst)
+	return append(dst, make([]byte, frameHeaderSize)...), start
+}
+
+// sealFrame writes the length and CRC of the frame that starts at start
+// and runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst
+}
+
+// Complete reports whether buf opens with a whole frame: a header and
+// the payload its length prefix declares. A reader holding a complete
+// frame can read it without blocking.
+func Complete(buf []byte) bool {
+	return len(buf) >= frameHeaderSize && uint64(len(buf)-frameHeaderSize) >= uint64(binary.LittleEndian.Uint32(buf))
 }
 
 func appendCoords(dst []byte, data []float64) []byte {
@@ -195,7 +214,7 @@ func appendPoints(dst []byte, p geom.Points) []byte {
 
 // AppendRequest appends r as one complete frame to dst.
 func AppendRequest(dst []byte, r *Request) []byte {
-	p := make([]byte, 0, reqMinSize+16+8*(len(r.Queries.Data)+len(r.Ins.Data)+len(r.Del.Data)+len(r.Box.Min)+len(r.Box.Max)))
+	p, start := beginFrame(dst, reqMinSize+16+8*(len(r.Queries.Data)+len(r.Ins.Data)+len(r.Del.Data)+len(r.Box.Min)+len(r.Box.Max)))
 	p = append(p, r.Op)
 	p = binary.LittleEndian.AppendUint64(p, r.ID)
 	switch r.Op {
@@ -213,12 +232,19 @@ func AppendRequest(dst []byte, r *Request) []byte {
 	case OpPin, OpUnpin:
 		p = binary.LittleEndian.AppendUint64(p, r.Epoch)
 	}
-	return appendFrame(dst, p)
+	return sealFrame(p, start)
 }
 
 // AppendResponse appends r as one complete frame to dst.
 func AppendResponse(dst []byte, r *Response) []byte {
-	p := make([]byte, 0, respMinSize+32+4*len(r.IDs)+len(r.ErrMsg))
+	size := respMinSize + 32 + 4*len(r.IDs) + len(r.ErrMsg)
+	for _, ids := range r.Neighbors {
+		size += 4 + 4*len(ids)
+	}
+	for _, st := range r.Stats {
+		size += 10 + len(st.Name)
+	}
+	p, start := beginFrame(dst, size)
 	p = append(p, r.Op)
 	p = binary.LittleEndian.AppendUint64(p, r.ID)
 	p = append(p, r.Status)
@@ -228,7 +254,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 		}
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(r.ErrMsg)))
 		p = append(p, r.ErrMsg...)
-		return appendFrame(dst, p)
+		return sealFrame(p, start)
 	}
 	switch r.Op {
 	case OpHello:
@@ -257,7 +283,7 @@ func AppendResponse(dst []byte, r *Response) []byte {
 			p = binary.LittleEndian.AppendUint64(p, s.Value)
 		}
 	}
-	return appendFrame(dst, p)
+	return sealFrame(p, start)
 }
 
 func appendIDs(dst []byte, ids []int32) []byte {

@@ -64,6 +64,12 @@ func sampleResponses() []Response {
 	}
 }
 
+// reframe wraps payload in a freshly stamped frame header.
+func reframe(payload []byte) []byte {
+	dst, start := beginFrame(nil, len(payload))
+	return sealFrame(append(dst, payload...), start)
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	for _, want := range sampleRequests() {
 		buf := AppendRequest(nil, &want)
@@ -133,7 +139,7 @@ func TestDecodeRejects(t *testing.T) {
 	// hint must be rejected, not decoded with a garbage hint: truncate the
 	// payload right after the status byte and re-stamp the frame.
 	over := AppendResponse(nil, &Response{Op: OpKNN, ID: 1, Status: StatusOverloaded, RetryAfterMillis: 250, ErrMsg: "shed"})
-	torn := appendFrame(nil, over[frameHeaderSize:frameHeaderSize+respMinSize])
+	torn := reframe(over[frameHeaderSize : frameHeaderSize+respMinSize])
 	if _, n, err := DecodeResponse(torn, 2); !errors.Is(err, ErrCorrupt) || n != 0 {
 		t.Errorf("overloaded response without retry hint: err=%v n=%d, want ErrCorrupt, 0", err, n)
 	}
@@ -147,7 +153,7 @@ func TestDecodeRejects(t *testing.T) {
 	// can catch it.
 	payload := append([]byte{}, buf[frameHeaderSize:]...)
 	payload[21], payload[22], payload[23], payload[24] = 0xff, 0xff, 0xff, 0x7f
-	reframed := appendFrame(nil, payload)
+	reframed := reframe(payload)
 	if _, n, err := DecodeRequest(reframed, 2); !errors.Is(err, ErrCorrupt) || n != 0 {
 		t.Errorf("oversized row count: err=%v n=%d, want ErrCorrupt, 0", err, n)
 	}
@@ -193,5 +199,39 @@ func TestReadFrameStream(t *testing.T) {
 	bad := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
 	if _, err := ReadFrame(bytes.NewReader(bad), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile length: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestCodecAllocs: a k-NN request and its response, each encoded into a
+// nil buffer and decoded, allocate one buffer per encode and only what
+// the decoded values own: the query coordinates, the neighbor list and
+// its one row.
+func TestCodecAllocs(t *testing.T) {
+	req := Request{Op: OpKNN, ID: 1, K: 8, Queries: pts(2, 0.25, 0.75)}
+	resp := Response{Op: OpKNN, ID: 1, Neighbors: [][]int32{{1, 2, 3, 4, 5, 6, 7, 8}}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeRequest(AppendRequest(nil, &req), 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := DecodeResponse(AppendResponse(nil, &resp), 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !raceEnabled && allocs > 5 {
+		t.Fatalf("k-NN codec round trip: %.0f allocs, want at most 5", allocs)
+	}
+}
+
+// TestComplete: a frame is complete once its header and its declared
+// payload are all present, and not one byte earlier.
+func TestComplete(t *testing.T) {
+	frame := AppendRequest(nil, &Request{Op: OpKNN, ID: 1, K: 2, Queries: pts(2, 1, 2)})
+	for n := 0; n < len(frame); n++ {
+		if Complete(frame[:n]) {
+			t.Fatalf("%d of %d bytes reported complete", n, len(frame))
+		}
+	}
+	if !Complete(frame) || !Complete(append(frame, 0, 0, 0, 0)) {
+		t.Fatal("a whole frame, alone or followed by a torn one, reported incomplete")
 	}
 }
