@@ -5,10 +5,9 @@
 //
 // # Batching
 //
-// The server-side engine answers concurrent requests with flat-combining
-// committers and grouped query passes; the client mirrors the trick on
-// the connection's write side so that concurrency survives the network
-// hop. Calls park on a per-connection combiner. Exactly one merged batch
+// The server-side engine coalesces concurrent updates with flat-combining
+// committers; the client applies the trick to every call on the
+// connection's write side so that concurrency survives the network hop. Calls park on a per-connection combiner. Exactly one merged batch
 // is in flight per connection: the first arrival while none is becomes
 // the leader, drains everything parked, merges what merges, writes all
 // resulting frames in one call, and waits for its own response like
@@ -25,10 +24,10 @@
 //     merge (a merged deletion count could not be attributed back to
 //     callers), but they share the flush's single write.
 //
-// No timers are involved: like the engine's combiners, batches form only
-// from calls that are genuinely concurrent, so an idle connection adds
-// no latency, and the more load arrives during a round trip, the deeper
-// the next batch merges.
+// No timers are involved: like the engine's write combiners, batches
+// form only from calls that are genuinely concurrent, so an idle
+// connection adds no latency, and the more load arrives during a round
+// trip, the deeper the next batch merges.
 //
 // # One round trip per cohort
 //

@@ -25,7 +25,9 @@ import (
 // the multi-writer scaling axis the sharded engine adds. The mutex
 // baseline guards one BDL-tree with a single lock for both queries and
 // updates — what a caller would write without the engine — so the table
-// shows what snapshot isolation, query grouping, and sharding buy.
+// shows what snapshot isolation and sharding buy. The write group column
+// is the engine's Updates/Commits over the row: how many concurrent
+// updates each commit absorbed, the write combiner's whole payoff.
 func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 	fmt.Println("=== engine: mixed read/write serving throughput (3D uniform) ===")
 	const (
@@ -38,6 +40,7 @@ func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 		{2, 8},
 		{4, 8},
 		{8, 16},
+		{8, 0}, // writers alone: where commit groups form
 	}
 
 	// The seeded domain: the founding insertion fixes world box and shard
@@ -45,21 +48,24 @@ func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 	seedPts := generators.UniformCube(n, dim, seed)
 	domain := geom.BoundingBoxAll(seedPts)
 
+	// setup returns the target's read and write calls, and its engine's
+	// counters (nil for the mutex baseline, which has no commit groups).
 	type target struct {
 		name  string
-		setup func() (query func(q []float64), update func(ins, del geom.Points))
+		setup func() (query func(q []float64), update func(ins, del geom.Points), stats func() engine.Stats)
 	}
 	var targets []target
 	for _, s := range shardCounts {
 		s := s
-		targets = append(targets, target{fmt.Sprintf("engine-s%d", s), func() (func([]float64), func(ins, del geom.Points)) {
+		targets = append(targets, target{fmt.Sprintf("engine-s%d", s), func() (func([]float64), func(ins, del geom.Points), func() engine.Stats) {
 			e := engine.New(dim, engine.Options{Shards: s})
 			e.Insert(seedPts)
 			return func(q []float64) { e.KNN(q, k) },
-				func(ins, del geom.Points) { e.Update(ins, del) }
+				func(ins, del geom.Points) { e.Update(ins, del) },
+				e.Stats
 		}})
 	}
-	targets = append(targets, target{"mutex-bdl", func() (func([]float64), func(ins, del geom.Points)) {
+	targets = append(targets, target{"mutex-bdl", func() (func([]float64), func(ins, del geom.Points), func() engine.Stats) {
 		var mu sync.Mutex
 		tr := bdltree.New(dim, bdltree.Options{})
 		tr.Insert(seedPts)
@@ -75,27 +81,38 @@ func engineBench(n int, seed uint64, shardCounts []int, measure time.Duration) {
 				}
 				tr.Insert(ins)
 				mu.Unlock()
-			}
+			},
+			nil
 	}})
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "target\twriters\treaders\tqueries/s\tupdates/s")
+	fmt.Fprintln(w, "target\twriters\treaders\tqueries/s\tupdates/s\twrite group")
 	for _, tg := range targets {
 		for _, cfg := range configs {
-			query, update := tg.setup()
+			query, update, stats := tg.setup()
+			var before engine.Stats
+			if stats != nil {
+				before = stats()
+			}
 			qps, ups := runMixed(cfg.writers, cfg.readers, measure, domain, seed, updBatch, query, update)
-			fmt.Fprintf(w, "%s\t%d\t%d\t%.3g\t%.3g\n",
-				tg.name, cfg.writers, cfg.readers, qps, ups)
+			group := "-"
+			if stats != nil {
+				after := stats()
+				group = fmt.Sprintf("%.2f", float64(after.Updates-before.Updates)/float64(max(after.Commits-before.Commits, 1)))
+			}
+			fmt.Fprintf(w, "%s\t%d\t%d\t%.3g\t%.3g\t%s\n",
+				tg.name, cfg.writers, cfg.readers, qps, ups, group)
 		}
 	}
 	w.Flush()
 	fmt.Println("\nEach update inserts a fresh batch of", updBatch, "points into the writer's")
 	fmt.Println("quadrant and deletes the previous one (dataset stationary; both update")
 	fmt.Println("halves exercised). Engine readers never block on writers (snapshot")
-	fmt.Println("isolation), concurrent queries group into shared data-parallel passes,")
-	fmt.Println("and with S > 1 writers in disjoint quadrants commit on disjoint shards")
-	fmt.Println("in parallel. Update scaling with S needs real cores: on a single-core")
-	fmt.Println("host the shard commit streams time-slice one CPU.")
+	fmt.Println("isolation), and with S > 1 writers in disjoint quadrants commit on")
+	fmt.Println("disjoint shards in parallel. Write group is updates per commit: the")
+	fmt.Println("updates that parked behind a running commit and shared the next one.")
+	fmt.Println("Update scaling with S needs real cores: on a single-core host the")
+	fmt.Println("shard commit streams time-slice one CPU.")
 }
 
 // engineDriftBench measures the rebalancer's reason to exist: a cold-start

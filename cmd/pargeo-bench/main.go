@@ -15,7 +15,8 @@
 // absolute times depend on the host.
 //
 // The engine experiment sweeps the Morton shard count (-shards) and the
-// per-configuration measurement window (-measure).
+// per-configuration measurement window (-measure), and prints each row's
+// write group (updates per commit) beside its throughput.
 //
 // The kd-tree, WAL and wire layers are timed by benchmark/ (see
 // BENCHMARK.json), which is also the repository's only regression gate;

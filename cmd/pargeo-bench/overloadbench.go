@@ -42,9 +42,9 @@ import (
 //     run. Load is mixed 3:1 KNN:insert, classed and budgeted separately
 //     by the server's admission gates.
 //
-// After each phase one line prints the cumulative shed counters of both
-// admission layers — the server's per-class gates and the engine's
-// commit queue — so a run shows which layer binds.
+// After each phase one line prints the cumulative shed counters of the
+// server's per-class gates, the only admission layer, so a run shows
+// which class binds.
 //
 // Every percentile printed is the MEDIAN across a multiplier's windows:
 // a p999 from one window is decided by a handful of samples and one GC
@@ -65,16 +65,15 @@ func overloadBench(n int, seed uint64, measure time.Duration, assert bool) {
 		os.Exit(1)
 	}
 
-	// Finite budgets everywhere: per-class admission at the server,
-	// bounded commit queue at the engine. These scale with the host so
-	// the probe can actually reach saturation rather than the limits.
+	// Finite per-class budgets at the server. These scale with the host
+	// so the probe can actually reach saturation rather than the limits.
 	procs := runtime.GOMAXPROCS(0)
 	lim := server.Limits{
 		Reads:   max(4, 2*procs),
 		Writes:  max(2, procs),
 		Control: 4,
 	}
-	eng := engine.New(dim, engine.Options{Shards: 4, MaxPending: 32})
+	eng := engine.New(dim, engine.Options{Shards: 4})
 	seedPts := generators.UniformCube(n, dim, seed)
 	if res := eng.Insert(seedPts); res.Err != nil {
 		fatal(res.Err)
@@ -109,7 +108,7 @@ func overloadBench(n int, seed uint64, measure time.Duration, assert bool) {
 	// --- phase 1: saturation probe ---------------------------------------
 	peak := probeSaturation(addr, span, measure, insFrac, knnK, fatal)
 	fmt.Printf("saturation: %.0f ops/s sustained by %d closed-loop single-caller connections "+
-		"(limits reads=%d writes=%d, engine max-pending=32)\n", peak, probeCallers, lim.Reads, lim.Writes)
+		"(limits reads=%d writes=%d)\n", peak, probeCallers, lim.Reads, lim.Writes)
 	printShed(c, "probe", fatal)
 	fmt.Println()
 
@@ -150,16 +149,15 @@ func overloadBench(n int, seed uint64, measure time.Duration, assert bool) {
 	}
 }
 
-// printShed prints the run's cumulative shed counters per admission
-// layer, read over the wire: the server's three class gates and the
-// engine's commit queue.
+// printShed prints the run's cumulative shed counters of the server's
+// three class gates, read over the wire.
 func printShed(c *client.Client, after string, fatal func(error)) {
 	st, err := c.Stats()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("shed after %s: server reads=%d writes=%d control=%d, engine=%d\n",
-		after, st["shed_reads"], st["shed_writes"], st["shed_control"], st["shed"])
+	fmt.Printf("shed after %s: server reads=%d writes=%d control=%d\n",
+		after, st["shed_reads"], st["shed_writes"], st["shed_control"])
 }
 
 // sweepRow is one open-loop multiplier's aggregate over its windows.

@@ -7,10 +7,9 @@
 // covered by the durability contract across a restart.
 //
 // -max-reads/-max-writes/-max-control bound the in-flight requests per
-// admission class and -max-pending bounds each engine commit queue;
-// load past a budget is shed immediately with a typed StatusOverloaded
-// response carrying a retry-after hint (see internal/server). All
-// default to unlimited.
+// admission class, the daemon's only admission layer: load past a budget
+// is shed immediately with a typed StatusOverloaded response carrying a
+// retry-after hint (see internal/server). All default to unlimited.
 package main
 
 import (
@@ -42,19 +41,18 @@ func main() {
 		maxReads   = flag.Int("max-reads", 0, "max in-flight read requests (KNN/range) before shedding; 0 = unlimited")
 		maxWrites  = flag.Int("max-writes", 0, "max in-flight update requests before shedding; 0 = unlimited")
 		maxControl = flag.Int("max-control", 0, "max in-flight control requests (epoch/checkpoint/stats) before shedding; 0 = unlimited")
-		maxPending = flag.Int("max-pending", 0, "max updates parked on any engine commit queue before shedding; 0 = unlimited")
 	)
 	flag.Parse()
 	log.SetPrefix("pargeo-serve: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	lim := server.Limits{Reads: *maxReads, Writes: *maxWrites, Control: *maxControl}
-	if err := run(*addr, *dir, *dim, *shards, *syncEvery, *ckptEvery, *rebalance, *maxPending, *retain, lim); err != nil {
+	if err := run(*addr, *dir, *dim, *shards, *syncEvery, *ckptEvery, *rebalance, *retain, lim); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(addr, dir string, dim, shards, syncEvery, ckptEvery int, rebalance bool, maxPending, retain int, lim server.Limits) error {
-	opts := engine.Options{Shards: shards, Rebalance: rebalance, MaxPending: maxPending, RetainEpochs: retain}
+func run(addr, dir string, dim, shards, syncEvery, ckptEvery int, rebalance bool, retain int, lim server.Limits) error {
+	opts := engine.Options{Shards: shards, Rebalance: rebalance, RetainEpochs: retain}
 	if dir != "" {
 		opts.Durability = &engine.Durability{
 			Dir:             dir,

@@ -250,8 +250,8 @@ func main() {
 	fmt.Printf("%d client queries and %d update batches in %v (%.0f queries/s)\n",
 		queries.Load(), updates.Load(), elapsed.Round(time.Millisecond),
 		float64(queries.Load())/elapsed.Seconds())
-	fmt.Printf("served over %d wire requests (%d engine queries coalesced into %d passes)\n",
-		st["requests"], st["queries"], st["query_groups"])
+	fmt.Printf("served over %d wire requests (%d engine queries)\n",
+		st["requests"], st["queries"])
 	if st["size"] != couriers {
 		panic("serving: fleet size drifted")
 	}

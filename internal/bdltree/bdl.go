@@ -356,26 +356,10 @@ func (t *Tree) erase(batch geom.Points) int {
 // one k-NN buffer across the buffer tree and every static tree
 // (Appendix C.4). exclude[i] (optional) is a global id skipped for query i.
 func (t *Tree) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
-	return t.KNNPooled(queries, k, exclude, nil)
-}
-
-// KNNPooled is KNN drawing per-worker k-NN buffers from pool instead of
-// allocating one per query block, so long-lived callers (the engine's
-// grouped query combiner) reuse buffers across calls. A nil pool — or one
-// built for a different k — falls back to per-block allocation.
-func (t *Tree) KNNPooled(queries geom.Points, k int, exclude []int32, pool *kdtree.BufferPool) [][]int32 {
-	if pool != nil && pool.K() != k {
-		pool = nil
-	}
 	n := queries.Len()
 	out := make([][]int32, n)
 	parlay.ForBlocked(n, 32, func(lo, hi int) {
-		var buf *kdtree.KNNBuffer
-		if pool != nil {
-			buf = pool.Get()
-		} else {
-			buf = kdtree.NewKNNBuffer(k)
-		}
+		buf := kdtree.NewKNNBuffer(k)
 		for i := lo; i < hi; i++ {
 			buf.Reset()
 			ex := int32(-1)
@@ -384,9 +368,6 @@ func (t *Tree) KNNPooled(queries geom.Points, k int, exclude []int32, pool *kdtr
 			}
 			t.KNNInto(queries.At(i), ex, buf)
 			out[i] = buf.Result(nil)
-		}
-		if pool != nil {
-			pool.Put(buf)
 		}
 	})
 	return out

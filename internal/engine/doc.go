@@ -107,8 +107,8 @@
 // (commits, the founding commit, and migrations alike) and Engine.finish
 // the only one that produces an acknowledgement.
 //
-// Consistency guarantee: every query (and every query group) runs entirely
-// against one snapshot load. The counts, ids, and neighbors it returns are
+// Consistency guarantee: every query runs entirely against one snapshot
+// load. The counts, ids, and neighbors it returns are
 // exactly those of some epoch's point set; epochs observed by any single
 // goroutine are monotonically non-decreasing; and Update blocks until the
 // snapshot containing its whole batch is published, so a client's own
@@ -128,6 +128,17 @@
 // group, deletion batches apply in arrival order (each result reports its
 // own removal count), all before any insertion.
 //
+// The combiner pays where writers contend for a shard. On a 2-vCPU host,
+// 8 writers (no readers) each churning 512-point batches over 200 k 3-D
+// points committed more updates per second than a commit-per-request
+// copy of the engine, over four alternating 3 s runs: ×1.4–2.1 at S=1
+// (4.4–4.5 updates per commit), ×1.3–1.7 at S=2, ×1.25–1.4 at S=4. With
+// 16 readers beside the writers, groups shrink to ≈ 1.1–1.3 and the two
+// are even. `go run ./cmd/pargeo-bench -experiment engine` re-runs the
+// writers-alone row and prints each row's write group (Updates/Commits).
+// Every update is admitted; load shedding belongs to the serving layer
+// (internal/server's class budgets).
+//
 // # Query fan-out
 //
 // Queries prune and fan out over the shards using the partition's
@@ -145,12 +156,11 @@
 //     paper's k-NN buffer) is simultaneously the merge structure: feeding
 //     every visited shard through it yields the exact global k nearest.
 //
-// Reads combine like writes: the first querier becomes the group leader
-// and fans the collected group out through the work-stealing scheduler
-// against one snapshot load — k-NN requests with equal k merge into a
-// single data-parallel multi-query pass. An uncontended query skips the
-// grouping machinery. Clients that need several queries against the same
-// version use Engine.Snapshot and query the handle directly.
+// Reads do not combine: k-NN traversals are independent, so a query runs
+// on the caller's goroutine against one snapshot load, drawing its k-NN
+// buffer from a pool per k. Snapshot.KNN answers a batch of queries as
+// one data-parallel pass. Clients that need several queries against the
+// same version use Engine.Snapshot and query the handle directly.
 //
 // # Storage
 //

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"sort"
@@ -43,18 +42,6 @@ type Options struct {
 	// to stop the loop. Engine.Rebalance runs one pass synchronously
 	// whether or not the background loop is enabled.
 	Rebalance bool
-	// MaxPending bounds each commit queue: when an update arrives while a
-	// combiner already has MaxPending requests parked behind its current
-	// commit, the update is shed immediately with ErrOverloaded instead of
-	// queuing without bound. Zero (the default) leaves the queues
-	// unbounded — the embedded-use contract, where callers ARE the bound.
-	// A serving deployment should set it: under a sustained arrival rate
-	// past saturation an unbounded queue converts overload into unbounded
-	// memory growth and unbounded ack latency, while a bounded one
-	// converts it into prompt, typed shedding. The bound is per combiner
-	// (each shard's stream plus the global stream), so the engine-wide
-	// queue is at most (Shards+1)×MaxPending requests.
-	MaxPending int
 	// RetainEpochs enables MVCC retention: the engine keeps the most
 	// recent RetainEpochs published snapshots (the live one included)
 	// resolvable through AsOf and PinEpoch, forming a sliding time-travel
@@ -107,12 +94,6 @@ type updateReq struct {
 	done   chan struct{}
 	lead   chan struct{} // baton: receiver becomes the next committer
 }
-
-// ErrOverloaded is returned (via UpdateResult.Err) for updates shed at a
-// full commit queue on an engine with Options.MaxPending set. The update
-// was not applied at all; the caller may retry after backing off. The
-// server layer maps it to the wire's StatusOverloaded.
-var ErrOverloaded = errors.New("engine: overloaded: commit queue full")
 
 // combiner is one flat-combining queue: the first arrival becomes the
 // leader, later arrivals park, and a leader serves exactly one drained
@@ -250,23 +231,6 @@ func (sh *shard) scaleLoad(f float64) {
 // loadEWMA returns the shard's committed-batch EWMA.
 func (sh *shard) loadEWMA() float64 { return math.Float64frombits(sh.load.Load()) }
 
-const (
-	qKNN = iota
-	qRange
-	qCount
-)
-
-type queryReq struct {
-	kind  int
-	q     []float64 // qKNN
-	k     int       // qKNN
-	box   geom.Box  // qRange, qCount
-	ids   []int32   // result: qKNN, qRange
-	count int       // result: qCount
-	done  chan struct{}
-	lead  chan struct{} // baton: receiver becomes the next group leader
-}
-
 // Engine is a concurrent spatial query service over Morton-sharded
 // BDL-trees. See the package documentation for the snapshot/epoch protocol
 // and the two-phase shard publish. All methods are safe for concurrent use
@@ -323,24 +287,15 @@ type Engine struct {
 	shards []*shard
 	global combiner // multi-shard and pre-partition updates
 
-	// Read path: pending query requests and the group-leader baton.
-	qmu      sync.Mutex
-	qpending []*queryReq
-	qactive  bool
-
-	// knnPools holds one KNNBuffer pool per requested k, so grouped k-NN
-	// passes reuse buffers across queries and across groups instead of
-	// allocating per query-group member.
+	// knnPools holds one KNNBuffer pool per requested k, so k-NN reads
+	// reuse buffers across queries instead of allocating one per query.
 	knnPools sync.Map // int (k) -> *kdtree.BufferPool
 
-	// Serving counters, exported through Stats. The group counters sit
-	// beside the request counters so an observer can read the coalescing
-	// ratio (requests per combined pass) straight off the numbers.
-	statUpdates     atomic.Uint64 // update requests acknowledged without error
-	statCommits     atomic.Uint64 // snapshot publishes (groups that changed state)
-	statQueries     atomic.Uint64 // query requests answered
-	statQueryGroups atomic.Uint64 // combined read passes run
-	statShed        atomic.Uint64 // updates shed at a full commit queue (MaxPending)
+	// Serving counters, exported through Stats. Updates/Commits is the
+	// write combiner's group size.
+	statUpdates atomic.Uint64 // update requests acknowledged without error
+	statCommits atomic.Uint64 // snapshot publishes (groups that changed state)
+	statQueries atomic.Uint64 // k-NN query rows, range searches and range counts answered
 }
 
 // knnPool returns the engine's shared buffer pool for k-neighbor queries.
@@ -486,13 +441,7 @@ func (e *Engine) Update(insert, del geom.Points) UpdateResult {
 			stream = s
 		}
 	}
-	if !e.submitUpdate(stream, req) {
-		// Shed at a full commit queue: nothing was routed, logged, or
-		// applied. The reserved id block is discarded — ids are never
-		// reused, so a gap is harmless.
-		e.statShed.Add(1)
-		return UpdateResult{Err: ErrOverloaded}
-	}
+	e.submitUpdate(stream, req)
 	if req.res.Err == nil {
 		e.statUpdates.Add(1)
 	}
@@ -560,30 +509,18 @@ const globalStream = -1
 // or — as the leader — drain one group, commit it, and pass the baton to a
 // still-pending waiter. One group per leader bounds every caller's latency
 // to one commit beyond its own, however sustained the write load.
-//
-// With Options.MaxPending set, the enqueue is an admission decision: a
-// request that would be the (MaxPending+1)-th parked behind the running
-// commit is refused (returns false) without blocking — the commit queue
-// is bounded, so a sustained arrival rate past saturation turns into
-// prompt shedding instead of unbounded queue growth. An arrival that
-// would become the leader is always admitted: it starts a commit rather
-// than lengthening a queue.
-func (e *Engine) submitUpdate(stream int, req *updateReq) bool {
+func (e *Engine) submitUpdate(stream int, req *updateReq) {
 	c := &e.global
 	if stream != globalStream {
 		c = &e.shards[stream].comb
 	}
 	c.mu.Lock()
-	if max := e.opts.MaxPending; max > 0 && c.active && len(c.pending) >= max {
-		c.mu.Unlock()
-		return false
-	}
 	c.pending = append(c.pending, req)
 	if c.active {
 		c.mu.Unlock()
 		select {
 		case <-req.done:
-			return true
+			return
 		case <-req.lead:
 		}
 	} else {
@@ -602,7 +539,6 @@ func (e *Engine) submitUpdate(stream int, req *updateReq) bool {
 		close(c.pending[0].lead)
 	}
 	c.mu.Unlock()
-	return true
 }
 
 // noteDrift counts a group's inserted rows that fall outside part's world
@@ -945,122 +881,32 @@ func (e *Engine) publish(group []*updateReq, part *partition, trees []*bdltree.T
 }
 
 // --- read path ----------------------------------------------------------
+//
+// Reads run on the caller's goroutine against one snapshot load: k-NN
+// traversals are independent, so there is nothing to batch.
 
 // KNN returns the global ids of the k nearest points to q (sorted by
-// increasing distance; fewer than k when the set is smaller). Concurrent
-// calls are grouped and answered as one data-parallel pass against a
-// single snapshot.
+// increasing distance; fewer than k when the set is smaller). It panics
+// when k < 1.
 func (e *Engine) KNN(q []float64, k int) []int32 {
 	if len(q) != e.dim {
 		panic("engine: query dimension mismatch")
 	}
-	req := &queryReq{kind: qKNN, q: q, k: k, done: make(chan struct{}), lead: make(chan struct{})}
-	e.submitQuery(req)
-	e.statQueries.Add(1)
-	return req.ids
+	s := e.snap.Load()
+	pool := s.knnPool(k)
+	s.countQueries(1)
+	if pool == nil {
+		return nil
+	}
+	buf := pool.Get()
+	s.KNNInto(q, -1, buf)
+	ids := buf.Result(nil)
+	pool.Put(buf)
+	return ids
 }
 
 // RangeSearch returns the global ids of all points inside the closed box.
-func (e *Engine) RangeSearch(box geom.Box) []int32 {
-	req := &queryReq{kind: qRange, box: box, done: make(chan struct{}), lead: make(chan struct{})}
-	e.submitQuery(req)
-	e.statQueries.Add(1)
-	return req.ids
-}
+func (e *Engine) RangeSearch(box geom.Box) []int32 { return e.snap.Load().RangeSearch(box) }
 
 // RangeCount returns the number of points inside the closed box.
-func (e *Engine) RangeCount(box geom.Box) int {
-	req := &queryReq{kind: qCount, box: box, done: make(chan struct{}), lead: make(chan struct{})}
-	e.submitQuery(req)
-	e.statQueries.Add(1)
-	return req.count
-}
-
-// submitQuery enqueues the request and either waits for a group leader to
-// answer it or becomes the leader for one group. A leader that finds more
-// queries pending after its group hands the baton to one of them instead
-// of draining the queue itself, bounding every caller's latency to one
-// group beyond its own under sustained load.
-func (e *Engine) submitQuery(req *queryReq) {
-	e.qmu.Lock()
-	e.qpending = append(e.qpending, req)
-	if e.qactive {
-		e.qmu.Unlock()
-		select {
-		case <-req.done:
-			return
-		case <-req.lead:
-		}
-	} else {
-		e.qactive = true
-		e.qmu.Unlock()
-	}
-	e.qmu.Lock()
-	group := e.qpending
-	e.qpending = nil
-	e.qmu.Unlock()
-	e.runGroup(group)
-	e.qmu.Lock()
-	if len(e.qpending) == 0 {
-		e.qactive = false
-	} else {
-		close(e.qpending[0].lead)
-	}
-	e.qmu.Unlock()
-}
-
-// runGroup answers one query group against a single snapshot load. k-NN
-// requests sharing a k merge into one multi-query pass over the sharded
-// snapshot; every pass and every range query of the group fans out through
-// one parlay batch submission, and each fanned-out range query prunes and
-// fans out again over the shards it overlaps.
-func (e *Engine) runGroup(group []*queryReq) {
-	e.statQueryGroups.Add(1)
-	snap := e.snap.Load()
-	// Solo fast path: an uncontended query (the common case at low
-	// concurrency) skips the grouping machinery and answers directly.
-	if len(group) == 1 {
-		r := group[0]
-		switch r.kind {
-		case qKNN:
-			r.ids = snap.knnPooled(geom.Points{Data: r.q, Dim: e.dim}, r.k, e)[0]
-		case qRange:
-			r.ids = snap.RangeSearch(r.box)
-		case qCount:
-			r.count = snap.RangeCount(r.box)
-		}
-		close(r.done)
-		return
-	}
-	var thunks []func()
-	byK := make(map[int][]*queryReq)
-	for _, r := range group {
-		switch r.kind {
-		case qKNN:
-			byK[r.k] = append(byK[r.k], r)
-		case qRange:
-			r := r
-			thunks = append(thunks, func() { r.ids = snap.RangeSearch(r.box) })
-		case qCount:
-			r := r
-			thunks = append(thunks, func() { r.count = snap.RangeCount(r.box) })
-		}
-	}
-	for k, reqs := range byK {
-		k, reqs := k, reqs
-		batch := geom.NewPoints(len(reqs), e.dim)
-		for i, r := range reqs {
-			batch.Set(i, r.q)
-		}
-		thunks = append(thunks, func() {
-			res := snap.knnPooled(batch, k, e)
-			for i, r := range reqs {
-				r.ids = res[i]
-			}
-		})
-	}
-	parlay.Submit(thunks).Wait()
-	for _, r := range group {
-		close(r.done)
-	}
-}
+func (e *Engine) RangeCount(box geom.Box) int { return e.snap.Load().RangeCount(box) }

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"pargeo/internal/generators"
 	"pargeo/internal/geom"
@@ -121,8 +122,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueryGrouping: a burst of concurrent queries must all be
-// answered correctly (the combiner path), matching brute force.
+// TestConcurrentQueryGrouping: a burst of concurrent queries with mixed k
+// must all be answered correctly, matching brute force.
 func TestConcurrentQueryGrouping(t *testing.T) {
 	e := New(2, Options{})
 	pts := generators.UniformCube(2000, 2, 5)
@@ -211,5 +212,50 @@ func TestWriteCoalescing(t *testing.T) {
 	universe := geom.Box{Min: []float64{-1e9, -1e9}, Max: []float64{1e9, 1e9}}
 	if got := e.RangeCount(universe); got != writers*150 {
 		t.Fatalf("count %d", got)
+	}
+}
+
+// TestKNNBadKPanicsAndReadsGoOn: a k < 1 k-NN panics with the documented
+// message on both a snapshot and the engine, and a recovered panic leaves
+// the engine answering reads — no caller-visible state outlives a
+// panicking read.
+func TestKNNBadKPanicsAndReadsGoOn(t *testing.T) {
+	e := New(2, Options{Shards: 2})
+	defer e.Close()
+	if res := e.Insert(generators.UniformCube(256, 2, 11)); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	q := []float64{0.5, 0.5}
+	universe := geom.Box{Min: []float64{-1e9, -1e9}, Max: []float64{1e9, 1e9}}
+	calls := []struct {
+		name string
+		call func(k int)
+	}{
+		{"Snapshot.KNN", func(k int) { e.Snapshot().KNN(geom.Points{Data: q, Dim: 2}, k) }},
+		{"Engine.KNN", func(k int) { e.KNN(q, k) }},
+	}
+	done := make(chan int, 1)
+	go func() {
+		for _, c := range calls {
+			for _, k := range []int{0, -1} {
+				func() {
+					defer func() {
+						if r := recover(); r != "engine: KNN requires k >= 1" {
+							t.Errorf("%s(k=%d) panicked with %v", c.name, k, r)
+						}
+					}()
+					c.call(k)
+				}()
+			}
+		}
+		done <- len(e.KNN(q, 3)) + e.RangeCount(universe)
+	}()
+	select {
+	case got := <-done:
+		if got != 3+256 {
+			t.Fatalf("after the panics: KNN + RangeCount = %d, want %d", got, 3+256)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("reads blocked after a recovered k-NN panic")
 	}
 }

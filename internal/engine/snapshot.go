@@ -17,7 +17,7 @@ import (
 // partition-defining first insertion) carries a single tree and no
 // partition.
 type Snapshot struct {
-	eng   *Engine    // owner, for Release (nil only in tests that build Snapshots by hand)
+	eng   *Engine    // owner: Release, k-NN buffer pools, query counter (nil in tests that build Snapshots by hand)
 	part  *partition // nil until sharded mode is established
 	trees []*bdltree.Tree
 	epoch uint64
@@ -49,46 +49,53 @@ func (s *Snapshot) ShardSizes() []int {
 // (sorted by increasing distance; fewer than k when the snapshot is
 // smaller), data-parallel over the queries. Each query walks the shards
 // nearest-first through one shared k-NN buffer, so the radius bound
-// established by earlier shards prunes — usually skips — the rest.
+// established by earlier shards prunes — usually skips — the rest. It
+// panics when k < 1.
 func (s *Snapshot) KNN(queries geom.Points, k int) [][]int32 {
-	return s.knnPooled(queries, k, nil)
-}
-
-// knnPooled is KNN drawing per-worker buffers from e's pool for k (nil e:
-// allocate). k arrives unchecked from the wire and a query cannot return
-// more ids than the snapshot holds, so k is clamped to the live size here,
-// before it sizes any buffer or pool.
-func (s *Snapshot) knnPooled(queries geom.Points, k int, e *Engine) [][]int32 {
+	pool := s.knnPool(k)
 	n := queries.Len()
+	s.countQueries(n)
 	out := make([][]int32, n)
-	if s.size == 0 {
+	if pool == nil {
 		return out
 	}
-	if k > s.size {
-		k = s.size
-	}
-	var pool *kdtree.BufferPool
-	if e != nil {
-		pool = e.knnPool(k)
-	}
 	parlay.ForBlocked(n, 32, func(lo, hi int) {
-		var buf *kdtree.KNNBuffer
-		if pool != nil {
-			buf = pool.Get()
-		} else {
-			buf = kdtree.NewKNNBuffer(k)
-		}
-		var order []shardDist
+		buf := pool.Get()
+		var scratch [16]shardDist // the shard order, on this frame as in KNNInto
+		order := scratch[:0]
 		for i := lo; i < hi; i++ {
 			buf.Reset()
 			order = s.knnOne(queries.At(i), -1, buf, order)
 			out[i] = buf.Result(nil)
 		}
-		if pool != nil {
-			pool.Put(buf)
-		}
+		pool.Put(buf)
 	})
 	return out
+}
+
+// knnPool returns the buffer pool a k-neighbour read of the snapshot draws
+// from, or nil when the snapshot is empty. k arrives unchecked from the
+// wire and a query cannot return more ids than the snapshot holds, so k is
+// clamped to the live size here, before it sizes any buffer or pool.
+func (s *Snapshot) knnPool(k int) *kdtree.BufferPool {
+	if k < 1 {
+		panic("engine: KNN requires k >= 1")
+	}
+	if s.size == 0 {
+		return nil
+	}
+	k = min(k, s.size)
+	if s.eng == nil {
+		return kdtree.NewBufferPool(k)
+	}
+	return s.eng.knnPool(k)
+}
+
+// countQueries adds n answered queries to the owning engine's Stats.
+func (s *Snapshot) countQueries(n int) {
+	if s.eng != nil {
+		s.eng.statQueries.Add(uint64(n))
+	}
 }
 
 // KNNInto accumulates the snapshot's candidates for query q into buf, which
@@ -204,6 +211,7 @@ func (s *Snapshot) rangeShards(box geom.Box) []int {
 // shards pruned by box-vs-Morton-range overlap, survivors searched as one
 // parallel fan-out, results concatenated in shard order.
 func (s *Snapshot) RangeSearch(box geom.Box) []int32 {
+	s.countQueries(1)
 	shards := s.rangeShards(box)
 	if len(shards) == 0 {
 		return nil
@@ -232,6 +240,7 @@ func (s *Snapshot) RangeSearch(box geom.Box) []int32 {
 // RangeCount returns the number of points inside the closed box, with the
 // same shard pruning and fan-out as RangeSearch.
 func (s *Snapshot) RangeCount(box geom.Box) int {
+	s.countQueries(1)
 	shards := s.rangeShards(box)
 	if len(shards) == 0 {
 		return 0

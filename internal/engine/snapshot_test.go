@@ -245,3 +245,32 @@ func TestSnapshotKNNIntoZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestKNNAllocs bounds the allocations of one k-NN read once the buffer
+// pool is warm: Engine.KNN allocates only the returned ids, and a one-row
+// Snapshot.KNN adds only the result vector and the fan-out closure — the
+// k-NN buffer comes from the owning engine's pool and the shard order
+// lives on the stack.
+func TestKNNAllocs(t *testing.T) {
+	const dim, k = 2, 8
+	e := New(dim, Options{Shards: 4})
+	defer e.Close()
+	pts := generators.UniformCube(20000, dim, 53)
+	if res := e.Insert(pts); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	q := []float64{pts.Coord(7, 0) + 0.25, pts.Coord(7, 1)}
+	engineAllocs := testing.AllocsPerRun(200, func() { e.KNN(q, k) })
+	snap := e.Snapshot()
+	row := geom.Points{Data: q, Dim: dim}
+	snapAllocs := testing.AllocsPerRun(200, func() { snap.KNN(row, k) })
+	if raceEnabled {
+		return
+	}
+	if engineAllocs > 1 {
+		t.Errorf("Engine.KNN did %.2f allocs/run, want <= 1", engineAllocs)
+	}
+	if snapAllocs > 3 {
+		t.Errorf("one-row Snapshot.KNN did %.2f allocs/run, want <= 3", snapAllocs)
+	}
+}

@@ -1,9 +1,8 @@
 package engine
 
 // Stats is a point-in-time snapshot of the engine's serving counters.
-// The request/group pairs expose the flat-combining coalescing ratio:
-// Updates/Commits and Queries/QueryGroups say how many concurrent
-// requests each combined pass absorbed on average.
+// Updates/Commits is the write combiner's coalescing ratio: how many
+// concurrent update requests each commit absorbed on average.
 type Stats struct {
 	// Epoch is the current snapshot's epoch.
 	Epoch uint64
@@ -22,19 +21,20 @@ type Stats struct {
 	// Commits counts snapshot publishes: commit groups that changed
 	// state. No-op groups acknowledge without publishing.
 	Commits uint64
-	// Queries counts KNN/RangeSearch/RangeCount requests answered.
+	// Queries counts reads answered: one per Engine.KNN, RangeSearch and
+	// RangeCount call, and one per query row of a Snapshot.KNN, whether
+	// the snapshot is live, retained or pinned.
 	Queries uint64
-	// QueryGroups counts combined read passes run.
+	// QueryGroups equals Queries: reads run on the caller's goroutine, so
+	// every query is its own pass. It stays only because the benchmark's
+	// engine.read_group_size row reads it, and goes with that row
+	// (ROADMAP, referee defect (e)).
 	QueryGroups uint64
-	// Shed counts updates rejected with ErrOverloaded at a full commit
-	// queue (Options.MaxPending). Always zero with MaxPending unset.
+	// Shed is always 0: the server's class budgets are the only admission
+	// layer, and the engine refuses no update for load. It stays only
+	// because the benchmark's engine.shed row reads it, and goes with that
+	// row (ROADMAP, referee defect (e)).
 	Shed uint64
-	// CommitQueue is the number of updates currently parked on the commit
-	// queues (every shard's stream plus the global stream), sampled at the
-	// Stats call. With MaxPending set it is bounded by
-	// (Shards+1)×MaxPending; the ratio against that bound is the
-	// backpressure gauge a serving layer watches.
-	CommitQueue uint64
 	// RetainedEpochs is the current length of the MVCC retention ring:
 	// how many recent epochs (the live one included) resolve through
 	// AsOf. At most Options.RetainEpochs; at least 1.
@@ -64,30 +64,11 @@ func (e *Engine) Stats() Stats {
 		Updates:      e.statUpdates.Load(),
 		Commits:      e.statCommits.Load(),
 		Queries:      e.statQueries.Load(),
-		QueryGroups:  e.statQueryGroups.Load(),
-		Shed:         e.statShed.Load(),
-		CommitQueue:  e.queueDepth(),
 	}
+	s.QueryGroups = s.Queries
 	if e.log != nil {
 		s.DurableEpoch = e.log.DurableEpoch()
 	}
 	s.RetainedEpochs, s.PinnedEpochs, s.RetainedBytes = e.retainStats()
 	return s
-}
-
-// queueDepth sums the pending counts of every commit queue. Each queue is
-// read under its own lock, so the sum is a consistent-enough sample for a
-// gauge, not an atomic snapshot of all queues at one instant.
-func (e *Engine) queueDepth() uint64 {
-	depth := func(c *combiner) uint64 {
-		c.mu.Lock()
-		n := len(c.pending)
-		c.mu.Unlock()
-		return uint64(n)
-	}
-	total := depth(&e.global)
-	for _, sh := range e.shards {
-		total += depth(&sh.comb)
-	}
-	return total
 }

@@ -3,9 +3,9 @@ package kdtree
 import "sync"
 
 // BufferPool is a sync.Pool of KNNBuffers with a fixed neighbor count,
-// letting hot query paths (the engine's grouped combiner, batched all-k-NN
+// letting hot query paths (the engine's k-NN reads, batched all-k-NN
 // passes) reuse buffers across queries and across calls instead of
-// allocating one per query-group member.
+// allocating one per query.
 type BufferPool struct {
 	k int
 	p sync.Pool

@@ -7,13 +7,12 @@ package parlay
 // first, in LIFO order) instead of idling — the same waiter-helps protocol
 // Do and For use.
 //
-// The hook exists for callers that aggregate work from many goroutines and
-// release it as one batch — internal/engine's query combiner groups
-// concurrent client queries and fans the group out through Submit, so a
-// burst of single-point queries costs one scheduler entry rather than N
-// goroutine round-trips. Unlike Do, the submitting goroutine does not run
-// any thunk inline before returning, so it can keep collecting work between
-// Submit and Wait.
+// The hook exists for callers that release a collected batch of
+// independent thunks at once — internal/engine's multi-shard commit
+// prepares and range-query shard fan-outs go through Submit, one scheduler
+// entry rather than N goroutine round-trips. Unlike Do, the submitting
+// goroutine does not run any thunk inline before returning, so it can keep
+// collecting work between Submit and Wait.
 
 // Handle tracks one submitted batch of tasks.
 type Handle struct {

@@ -10,7 +10,9 @@
 // inline engine calls and two writes, with no goroutine spawned and no
 // lock taken on the connection. The server does no merging of its own:
 // the client has already merged concurrent callers into one frame per
-// kind before they reach it.
+// kind before they reach it. Every read answers from one snapshot, the
+// live one or the retained epoch its as-of names, on the connection's
+// goroutine.
 //
 // # Admission control
 //
@@ -25,14 +27,12 @@
 // the clients, which can apply deadlines and backoff the server cannot.
 // Hello is exempt (the handshake must always succeed so a client can
 // learn enough to back off), and shutdown still wins — a request racing
-// Shutdown gets StatusClosed, not StatusOverloaded. The engine's own
-// commit-queue bound (engine.Options.MaxPending) surfaces through the
-// same status, so clients see one backpressure signal regardless of
-// which layer shed.
+// Shutdown gets StatusClosed, not StatusOverloaded. These budgets are
+// the only admission layer: the engine admits every request the server
+// passes it.
 //
 // Per-class shed counters and in-flight gauges join the engine counters
-// in the Stats op ("shed_reads", "inflight_writes", ...), alongside the
-// engine's "shed" and "commit_queue".
+// in the Stats op ("shed_reads", "inflight_writes", ...).
 //
 // # Shutdown
 //

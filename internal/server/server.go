@@ -246,6 +246,18 @@ func (s *Server) serveConn(nc net.Conn) {
 // request's connection's table, owner of any pins the request creates.
 func (s *Server) handle(pins pinTable, req *wire.Request) *wire.Response {
 	resp := &wire.Response{Op: req.Op, ID: req.ID}
+	// A read answers from one version: the live snapshot, or the retained
+	// epoch req.AsOf names.
+	var snap *engine.Snapshot
+	if classOf(req.Op) == classRead {
+		snap = s.eng.Snapshot()
+		if req.AsOf != 0 {
+			var err error
+			if snap, err = s.eng.AsOf(req.AsOf); err != nil {
+				return s.fail(resp, err)
+			}
+		}
+	}
 	switch req.Op {
 	case wire.OpHello:
 		resp.Dim = int32(s.dim)
@@ -254,48 +266,13 @@ func (s *Server) handle(pins pinTable, req *wire.Request) *wire.Response {
 		if req.K < 1 {
 			return s.fail(resp, fmt.Errorf("k = %d: want k ≥ 1", req.K))
 		}
-		if req.AsOf != 0 {
-			// Time-travel read: resolve the retained epoch and answer from
-			// it directly — historical reads skip the combiner (grouping
-			// only helps when everyone reads the same version).
-			snap, err := s.eng.AsOf(req.AsOf)
-			if err != nil {
-				return s.fail(resp, err)
-			}
-			if req.Queries.Len() > 0 {
-				resp.Neighbors = snap.KNN(req.Queries, int(req.K))
-			}
-			break
-		}
-		if n := req.Queries.Len(); n == 1 {
-			// Solo queries ride the engine's combiner so concurrent
-			// connections group into one pass.
-			resp.Neighbors = [][]int32{s.eng.KNN(req.Queries.At(0), int(req.K))}
-		} else if n > 1 {
-			// A multi-query request is already a batch: one parallel
-			// pass over the snapshot, no grouping detour.
-			resp.Neighbors = s.eng.Snapshot().KNN(req.Queries, int(req.K))
+		if req.Queries.Len() > 0 {
+			resp.Neighbors = snap.KNN(req.Queries, int(req.K))
 		}
 	case wire.OpRange:
-		snap, err := s.asOfSnapshot(req)
-		if err != nil {
-			return s.fail(resp, err)
-		}
-		if snap != nil {
-			resp.IDs = snap.RangeSearch(req.Box)
-		} else {
-			resp.IDs = s.eng.RangeSearch(req.Box)
-		}
+		resp.IDs = snap.RangeSearch(req.Box)
 	case wire.OpRangeCount:
-		snap, err := s.asOfSnapshot(req)
-		if err != nil {
-			return s.fail(resp, err)
-		}
-		if snap != nil {
-			resp.Count = uint64(snap.RangeCount(req.Box))
-		} else {
-			resp.Count = uint64(s.eng.RangeCount(req.Box))
-		}
+		resp.Count = uint64(snap.RangeCount(req.Box))
 	case wire.OpUpdate:
 		res := s.eng.Update(req.Ins, req.Del)
 		if res.Err != nil {
@@ -334,31 +311,16 @@ func (s *Server) handle(pins pinTable, req *wire.Request) *wire.Response {
 	return resp
 }
 
-// asOfSnapshot resolves a range request's as-of epoch (nil for a live
-// read).
-func (s *Server) asOfSnapshot(req *wire.Request) (*engine.Snapshot, error) {
-	if req.AsOf == 0 {
-		return nil, nil
-	}
-	return s.eng.AsOf(req.AsOf)
-}
-
 func (s *Server) fail(resp *wire.Response, err error) *wire.Response {
 	resp.Status = wire.StatusError
 	switch {
 	case errors.Is(err, engine.ErrClosed):
 		resp.Status = wire.StatusClosed
 	case errors.Is(err, engine.ErrEpochNotRetained):
-		// Typed, like Closed/Overloaded: the client re-materializes
+		// Typed, like Closed: the client re-materializes
 		// engine.ErrEpochNotRetained from the status so callers can
 		// errors.Is across the network boundary.
 		resp.Status = wire.StatusNotRetained
-	case errors.Is(err, engine.ErrOverloaded):
-		// The engine's own commit-queue bound tripped: surface it exactly
-		// like a server-side shed so the client's backoff treats both
-		// layers' backpressure as one signal.
-		resp.Status = wire.StatusOverloaded
-		resp.RetryAfterMillis = s.adm.retryAfterMillis(classOf(resp.Op))
 	}
 	resp.ErrMsg = err.Error()
 	return resp
@@ -378,8 +340,6 @@ func (s *Server) statList() []wire.Stat {
 		{Name: "commits", Value: st.Commits},
 		{Name: "queries", Value: st.Queries},
 		{Name: "query_groups", Value: st.QueryGroups},
-		{Name: "shed", Value: st.Shed},
-		{Name: "commit_queue", Value: st.CommitQueue},
 		{Name: "retained_epochs", Value: st.RetainedEpochs},
 		{Name: "pinned_epochs", Value: st.PinnedEpochs},
 		{Name: "retained_bytes", Value: st.RetainedBytes},

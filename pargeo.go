@@ -140,8 +140,8 @@ func NewB2(dim int, split SplitRule) DynamicTree { return bdltree.NewB2(dim, spl
 // observe a fully committed snapshot (epoch/pointer-swap protocol),
 // concurrent small updates coalesce per shard — disjoint-shard batches
 // commit truly in parallel, multi-shard batches publish all-or-nothing via
-// a two-phase swap — and bursts of concurrent queries are grouped into
-// single data-parallel passes that fan out over the shards. With
+// a two-phase swap — and each query runs on its caller's goroutine,
+// fanning out over the shards it cannot prune. With
 // EngineOptions.Rebalance the shard partition additionally tracks the
 // live load online (hot-shard splits, cold merges, drift-triggered
 // repartitions under a widened world). See internal/engine for the
