@@ -95,6 +95,7 @@ func (b *B1) Delete(batch geom.Points) int {
 
 // KNN answers queries data-parallel on the single balanced tree.
 func (b *B1) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
+	kdtree.CheckK(k)
 	n := queries.Len()
 	out := make([][]int32, n)
 	parlay.ForBlocked(n, 32, func(lo, hi int) {
@@ -313,6 +314,7 @@ func (b *B2) deleteOne(nd *b2node, p []float64) int {
 
 // KNN answers queries data-parallel on the in-place structure.
 func (b *B2) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
+	kdtree.CheckK(k)
 	n := queries.Len()
 	out := make([][]int32, n)
 	parlay.ForBlocked(n, 32, func(lo, hi int) {

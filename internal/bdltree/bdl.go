@@ -355,7 +355,9 @@ func (t *Tree) erase(batch geom.Points) int {
 // nearest live points. Data-parallel over the queries; each query reuses
 // one k-NN buffer across the buffer tree and every static tree
 // (Appendix C.4). exclude[i] (optional) is a global id skipped for query i.
+// It panics when k < 1.
 func (t *Tree) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
+	kdtree.CheckK(k)
 	n := queries.Len()
 	out := make([][]int32, n)
 	parlay.ForBlocked(n, 32, func(lo, hi int) {

@@ -98,11 +98,30 @@ func InCircle(a, b, c, d []float64) int {
 // This is the raw determinant used for hull visibility tests, where the
 // magnitude (distance proxy) matters, not only the sign.
 func PlaneSide3(a, b, c, p []float64) float64 {
+	pl := NewPlane3(a, b, c)
+	return pl.Side(p)
+}
+
+// Plane3 is the oriented plane (a, b, c) with its normal ab × ac computed
+// once, for testing many points against one plane: Side(p) is
+// PlaneSide3(a, b, c, p).
+type Plane3 struct {
+	a, n [3]float64
+}
+
+// NewPlane3 returns the oriented plane through a, b and c.
+func NewPlane3(a, b, c []float64) Plane3 {
 	abx, aby, abz := b[0]-a[0], b[1]-a[1], b[2]-a[2]
 	acx, acy, acz := c[0]-a[0], c[1]-a[1], c[2]-a[2]
-	apx, apy, apz := p[0]-a[0], p[1]-a[1], p[2]-a[2]
-	// (ab x ac) . ap
-	return (aby*acz-abz*acy)*apx + (abz*acx-abx*acz)*apy + (abx*acy-aby*acx)*apz
+	return Plane3{
+		a: [3]float64{a[0], a[1], a[2]},
+		n: [3]float64{aby*acz - abz*acy, abz*acx - abx*acz, abx*acy - aby*acx},
+	}
+}
+
+// Side is the signed volume of the tetrahedron (a, b, c, p): (ab × ac) · ap.
+func (pl *Plane3) Side(p []float64) float64 {
+	return pl.n[0]*(p[0]-pl.a[0]) + pl.n[1]*(p[1]-pl.a[1]) + pl.n[2]*(p[2]-pl.a[2])
 }
 
 // Circumball computes the center and squared radius of the smallest ball

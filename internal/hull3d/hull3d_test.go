@@ -2,6 +2,8 @@ package hull3d
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -124,17 +126,34 @@ func TestHull3DLarger(t *testing.T) {
 	}
 }
 
+// TestHull3DVertexSetsAgree: every algorithm finds SequentialQuickhull's
+// vertex set, with the scheduler off, engaged and oversubscribed: the batch
+// size, the round fork decisions and the pseudohull's forks all depend on
+// the worker count. At 32 workers a batch's searches pay for a fork, so
+// the rounds' reserve and check phases run as parallel tasks too.
 func TestHull3DVertexSetsAgree(t *testing.T) {
-	pts := generators.InSphere(3000, 3, 99)
-	ref := Vertices(SequentialQuickhull(pts))
-	for _, alg := range algos3[1:] {
-		got := Vertices(alg.f(pts))
-		if len(got) != len(ref) {
-			t.Fatalf("%s: %d hull vertices, want %d", alg.name, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: vertex sets differ at %d: %d vs %d", alg.name, i, got[i], ref[i])
+	n := 30000
+	if testing.Short() {
+		n = 3000
+	}
+	sets := []struct {
+		name string
+		pts  geom.Points
+	}{
+		{"insphere", generators.InSphere(n, 3, 99)},
+		{"uniform", generators.UniformCube(n, 3, 98)},
+		{"statue", generators.Statue(n, 97)},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, s := range sets {
+		ref := Vertices(SequentialQuickhull(s.pts))
+		for _, p := range []int{1, 2, 4, 32} {
+			runtime.GOMAXPROCS(p)
+			for _, alg := range algos3[1:] {
+				if got := Vertices(alg.f(s.pts)); !slices.Equal(got, ref) {
+					t.Fatalf("%s/P=%d/%s: %d hull vertices differ from SequentialQuickhull's %d",
+						s.name, p, alg.name, len(got), len(ref))
+				}
 			}
 		}
 	}
@@ -211,6 +230,31 @@ func TestHull3DStatsReservationOverhead(t *testing.T) {
 	}
 	if par.Successes == 0 || par.Failures < 0 {
 		t.Fatalf("odd reservation stats: %+v", par)
+	}
+	// Every visible-set search either inserts its point or loses a slot.
+	if par.Successes+par.Failures != par.PointsTouched {
+		t.Fatalf("successes %d + failures %d != points searched %d",
+			par.Successes, par.Failures, par.PointsTouched)
+	}
+}
+
+// TestPseudoSuccessRatioFloor pins the reservation quickhull's success
+// ratio on the paper-batch workload's hull3d input at two workers: the
+// share of visible-set searches that insert their point, which a batch of
+// neighboring facets drives down. The counts are deterministic: the
+// smallest priority wins every slot it reserves, whatever the schedule.
+func TestPseudoSuccessRatioFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 k points")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var st core.Stats
+	pseudo(paperInput(), CullThreshold, &st)
+	const successes, searches = 1389, 1456 // measured at this floor's commit
+	if st.Successes*searches < successes*st.PointsTouched {
+		t.Fatalf("%d of %d searches inserted their point (%.3f), below the floor %d of %d (%.3f)",
+			st.Successes, st.PointsTouched, float64(st.Successes)/float64(st.PointsTouched),
+			successes, searches, float64(successes)/searches)
 	}
 }
 

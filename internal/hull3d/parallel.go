@@ -10,7 +10,9 @@ import (
 // convex hull in R³ (§3, Fig. 5). Per round:
 //
 //  1. select a batch of visible points (a prefix of the random permutation
-//     for RandInc; per-facet furthest points for the quickhull flavor);
+//     for RandInc; for the quickhull flavor, the furthest points of the
+//     fullest facets whose neighborhoods do not touch — see batchQueue —
+//     each memoized when its facet's list was built);
 //  2. each batch point BFSes its visible facet set from its one stored
 //     facet and reserves — via WriteMin of its priority — every visible
 //     facet *and* every horizon-adjacent boundary facet (boundary facets
@@ -18,120 +20,166 @@ import (
 //     with touching horizons must not commit in the same round; this also
 //     rules out the reflex artifacts Stein et al.'s GPU quickhull suffers
 //     from, discussed in Appendix A);
-//  3. points that hold all their reservations win;
+//  3. points that hold all their reservations win, and trace their horizon;
 //  4. winners delete their visible facets, build the horizon cone, and
 //     redistribute the points stored on the dead facets — all in parallel,
-//     with no locks, because winners' facet neighborhoods are disjoint.
+//     with no locks, because winners' facet neighborhoods are disjoint —
+//     and every point resets the slots it reserved.
 //
 // Rounds repeat until no visible points remain. The smallest-priority
 // point in every batch always wins all of its writes, so at least one
 // point commits per round and the algorithm terminates.
 //
-// Each phase below is a grain-1 parlay loop: one scheduler task per batch
-// point, so the highly variable per-point BFS cost (a point may see one
-// facet or hundreds) load-balances by work stealing instead of pinning a
-// whole block of expensive points to one goroutine.
+// A phase that forks runs one scheduler task per batch point, so the highly
+// variable per-point cost (a point may see one facet or hundreds)
+// load-balances by work stealing. But on a 2-vCPU KVM guest (Xeon, Go
+// 1.24) a fork-join that wakes a parked worker made a loop of 16 tasks of
+// 1 µs each slower than running them inline, and paid off only from tasks
+// of about 10 µs. So a phase forks only when the work outside its largest
+// task is estimated at some 70-80 µs: 1 024 facet visits of visible-set
+// searches (a plane test, a membership scan and a reservation each, about
+// 70 ns) or 16 384 plane tests of redistributions (about 5 ns each).
+// Anything smaller runs inline on the caller.
+const (
+	forkVisits = 1024  // phases 1-2: facets the batch's searches visit
+	forkTests  = 16384 // phase 3: plane tests of the redistributions
+)
 
+// visInfo is one batch point's state in a round.
 type visInfo struct {
 	vis      []int32
 	boundary []int32
+	won      bool
+	ridges   []ridge // a winner's horizon
+	base     int32   // the first id of a winner's cone facets
+	off      int32   // where a winner's cone lists start in the arena
 }
 
 // round executes one reserve/check/commit round for the given batch.
 func (h *hullState3) round(batch []int32) {
 	h.stats.AddRound()
 	h.stats.AddPoints(int64(len(batch)))
-	infos := make([]visInfo, len(batch))
+	if len(h.infos) < len(batch) {
+		h.infos = append(h.infos, make([]visInfo, len(batch)-len(h.infos))...)
+	}
+	infos := h.infos[:len(batch)]
 	// Phase 1: BFS + reservation.
-	parlay.For(len(batch), 1, func(k int) {
-		q := batch[k]
-		vis, boundary := h.visibleSet(q)
-		infos[k] = visInfo{vis, boundary}
-		h.stats.AddFacets(int64(len(vis)))
-		h.stats.AddReservations(int64(len(vis) + len(boundary)))
+	forRound(len(batch), h.searchesPay(len(batch)), func(k int) {
+		q, info := batch[k], &infos[k]
+		info.vis, info.boundary = h.visibleSet(q, info.vis, info.boundary)
+		info.won, info.ridges = false, info.ridges[:0]
+		h.stats.AddFacets(int64(len(info.vis)))
+		h.stats.AddReservations(int64(len(info.vis) + len(info.boundary)))
 		p := h.prio[q]
-		for _, f := range vis {
+		for _, f := range info.vis {
 			h.res.Reserve(int(f), p)
 		}
-		for _, f := range boundary {
+		for _, f := range info.boundary {
 			h.res.Reserve(int(f), p)
 		}
 	})
-	// Phase 2: check.
-	success := make([]bool, len(batch))
-	parlay.For(len(batch), 1, func(k int) {
-		q := batch[k]
-		p := h.prio[q]
-		ok := true
-		for _, f := range infos[k].vis {
-			if !h.res.Holds(int(f), p) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, f := range infos[k].boundary {
+	visits, most := 0, 0
+	for k := range infos {
+		v := len(infos[k].vis) + len(infos[k].boundary)
+		visits += v
+		most = max(most, v)
+	}
+	h.visits += visits
+	h.searches += len(batch)
+	// Phase 2: check, and a winner's horizon. Nothing mutates the hull
+	// until every point has checked, so a winner reads its own facets.
+	forRound(len(batch), visits-most >= forkVisits, func(k int) {
+		p := h.prio[batch[k]]
+		info := &infos[k]
+		for _, l := range [2][]int32{info.vis, info.boundary} {
+			for _, f := range l {
 				if !h.res.Holds(int(f), p) {
-					ok = false
-					break
+					h.stats.AddFailure()
+					return
 				}
 			}
 		}
-		success[k] = ok
-		if ok {
-			h.stats.AddSuccess()
-		} else {
-			h.stats.AddFailure()
-		}
+		h.stats.AddSuccess()
+		info.won = true
+		info.ridges = h.horizonOf(info.vis, info.ridges)
 	})
-	// Phase 3: commit. Horizon sizes are data dependent, so compute each
-	// winner's ridge list first, then allocate contiguous facet storage
-	// with a scan.
-	winnerIdx := parlay.PackIndex(len(batch), func(k int) bool { return success[k] })
-	ridgesOf := make([][]ridge, len(winnerIdx))
-	parlay.For(len(winnerIdx), 1, func(w int) {
-		info := infos[winnerIdx[w]]
-		isVis := make(map[int32]bool, len(info.vis))
-		for _, f := range info.vis {
-			isVis[f] = true
+	// Horizon and list sizes are data dependent: a scan gives every winner
+	// its contiguous range of new facet ids and of list entries. A winner's
+	// redistribution tests each point it moves against at most every cone
+	// facet.
+	nextFacet, moved := int32(len(h.facets)), int32(0)
+	tests, most := 0, 0
+	for k := range infos {
+		info := &infos[k]
+		if !info.won {
+			continue
 		}
-		ridgesOf[w] = h.horizonOf(info.vis, func(f int32) bool { return isVis[f] })
-	})
-	counts := make([]int, len(winnerIdx))
-	for w := range counts {
-		counts[w] = len(ridgesOf[w])
+		m := h.moved(info.vis)
+		info.base, info.off = nextFacet, moved
+		nextFacet += int32(len(info.ridges))
+		moved += m
+		t := int(m) * len(info.ridges)
+		tests += t
+		most = max(most, t)
 	}
-	totalNew := parlay.ScanInts(counts) // counts becomes exclusive offsets
-	base := int32(len(h.facets))
-	h.facets = append(h.facets, make([]facet, totalNew)...)
-	h.res.Grow(len(h.facets))
-	h.stats.AddAlloc(int64(totalNew))
-	parlay.For(len(winnerIdx), 1, func(w int) {
-		k := int(winnerIdx[w])
-		h.addCone(batch[k], infos[k].vis, ridgesOf[w], base+int32(counts[w]))
-	})
-	// Release surviving reservations.
-	parlay.For(len(batch), 1, func(k int) {
-		for _, f := range infos[k].vis {
-			if !h.facets[f].dead {
-				h.res.Release(int(f))
-			}
+	h.stats.AddAlloc(int64(int(nextFacet) - len(h.facets)))
+	h.growFacets(int(nextFacet) - len(h.facets))
+	off := h.reserveLists(int(moved))
+	for k := range infos {
+		infos[k].off += off
+	}
+	// Phase 3: commit, and reset every slot the point reserved. Every point
+	// has checked, winners' neighborhoods are disjoint, and the slot of a
+	// facet that just died is never read again.
+	forRound(len(batch), tests-most >= forkTests, func(k int) {
+		info := &infos[k]
+		if info.won {
+			h.addCone(batch[k], info.vis, info.ridges, info.base, info.off)
 		}
-		for _, f := range infos[k].boundary {
-			if !h.facets[f].dead {
+		for _, l := range [2][]int32{info.vis, info.boundary} {
+			for _, f := range l {
 				h.res.Release(int(f))
 			}
 		}
 	})
-	// Refresh the alive list.
-	newAlive := make([]int32, totalNew)
-	parlay.For(totalNew, 0, func(i int) { newAlive[i] = base + int32(i) })
-	h.alive = append(parlay.Pack(h.alive, func(i int) bool { return !h.facets[h.alive[i]].dead }), newAlive...)
+}
+
+// batchCost is c of the paper's batch size c·P.
+const batchCost = 8
+
+// batchSize is the next round's batch: c·P points when their searches pay
+// for a fork, and c, one worker's batch, when they would run inline anyway
+// and more points would only conflict more.
+func (h *hullState3) batchSize() int {
+	if r := core.BatchSize(batchCost); h.searchesPay(r) {
+		return r
+	}
+	return batchCost
+}
+
+// searchesPay reports whether the visible-set searches of n points are
+// estimated, from the mean search of the rounds before, to visit at least
+// forkVisits facets.
+func (h *hullState3) searchesPay(n int) bool {
+	return h.searches > 0 && n*h.visits/h.searches >= forkVisits
+}
+
+// forRound runs body(k) for every k in [0, n): as grain-1 parallel tasks
+// when fork is set, inline otherwise.
+func forRound(n int, fork bool, body func(k int)) {
+	if fork {
+		parlay.For(n, 1, body)
+		return
+	}
+	for k := 0; k < n; k++ {
+		body(k)
+	}
 }
 
 // RandInc computes the hull with the reservation-based parallel randomized
-// incremental algorithm (§3 + Appendix A: per round, a prefix of
-// c·numProc visible points of the random permutation attempts insertion).
+// incremental algorithm (§3 + Appendix A: per round, a prefix of up to
+// c·numProc visible points of the random permutation attempts insertion;
+// see batchSize).
 func RandInc(pts geom.Points, seed uint64) [][3]int32 {
 	return RandIncStats(pts, seed, nil)
 }
@@ -144,12 +192,12 @@ func RandIncStats(pts geom.Points, seed uint64, stats *core.Stats) [][3]int32 {
 		return nil
 	}
 	perm := parlay.RandomPermutation(n, seed)
+	h.prio = make([]int64, n)
 	parlay.For(n, 0, func(k int) { h.prio[perm[k]] = int64(k) })
 	P := parlay.Pack(perm, func(k int) bool { return h.seed[perm[k]] >= 0 })
-	batch := core.BatchSize(8)
 	for len(P) > 0 {
 		q := P
-		if len(q) > batch {
+		if batch := h.batchSize(); len(q) > batch {
 			q = P[:batch]
 		}
 		h.round(q)
@@ -160,10 +208,11 @@ func RandIncStats(pts geom.Points, seed uint64, stats *core.Stats) [][3]int32 {
 
 // Quickhull computes the hull with the reservation-based parallel quickhull
 // (§3 + Appendix A: per round, the points furthest from up to c·numProc
-// facets attempt insertion). When the number of facets is low it processes
-// a single point per round, chosen from the facet with the most visible
-// points (Appendix B's low-facet-count optimization, which maximizes the
-// volume added per step while parallelism is unavailable anyway).
+// facets attempt insertion; see batchSize and batchQueue for which). When
+// the number of facets is low it processes a single point per round, chosen
+// from the facet with the most visible points (Appendix B's low-facet-count
+// optimization, which maximizes the volume added per step while parallelism
+// is unavailable anyway).
 func Quickhull(pts geom.Points) [][3]int32 {
 	return QuickhullStats(pts, nil)
 }
@@ -174,55 +223,142 @@ func QuickhullStats(pts geom.Points, stats *core.Stats) [][3]int32 {
 	if !ok {
 		return nil
 	}
-	n := pts.Len()
-	parlay.For(n, 0, func(i int) { h.prio[i] = int64(i) })
-	batch := core.BatchSize(8)
+	h.prio = make([]int64, pts.Len())
+	parlay.For(len(h.prio), 0, func(i int) { h.prio[i] = int64(i) })
+	var bq batchQueue
+	bq.pushNonEmpty(h, 0, len(h.facets))
+	var q []int32
 	for {
-		q := h.furthestBatch(batch)
-		if len(q) == 0 {
+		sel := bq.next(h, h.batchSize())
+		if len(sel) == 0 {
 			break
 		}
+		q = q[:0]
+		for _, fi := range sel {
+			q = append(q, h.facets[fi].far)
+		}
+		before := len(h.facets)
 		h.round(q)
+		for _, fi := range sel {
+			if !h.facets[fi].dead {
+				bq.push(h, fi)
+			}
+		}
+		bq.pushNonEmpty(h, before, len(h.facets))
 	}
 	return h.extract()
 }
 
-// furthestBatch returns, for up to r alive facets with assigned points, the
-// point furthest above that facet. Facets with the most points first.
-// With fewer than minFacetsForBatch candidate facets it returns a single
-// point from the facet with the most visible points.
+// minFacetsForBatch is the candidate-facet count below which a round
+// inserts a single point (Appendix B's low-facet-count optimization).
 const minFacetsForBatch = 4
 
-func (h *hullState3) furthestBatch(r int) []int32 {
-	nonEmpty := parlay.Pack(h.alive, func(i int) bool {
-		f := &h.facets[h.alive[i]]
-		return !f.dead && len(f.pts) > 0
-	})
-	if len(nonEmpty) == 0 {
-		return nil
+// batchQueue picks the quickhull's batches. It is a max-heap of the facets
+// that have points, fullest first and ties to the smaller id. A facet's
+// point list is fixed from its creation to its death, so its key is too; a
+// facet that dies while queued is dropped when it surfaces.
+//
+// The fullest facets of a hull tend to be neighbors, and neighbors' apexes
+// see overlapping facet sets, so most of them would lose their
+// reservations. A batch therefore takes a facet only if it does not touch
+// the 2-ring (the facet, its neighbors and theirs) of a facet already in
+// the batch; the facets it passes over stay queued for a later round.
+type batchQueue struct {
+	heap    []queuedFacet
+	claim   []int32 // per facet: the last batch whose 2-ring covered it
+	batch   int32
+	sel     []int32
+	skipped []int32
+}
+
+type queuedFacet struct{ n, id int32 }
+
+func (a queuedFacet) before(b queuedFacet) bool {
+	return a.n > b.n || (a.n == b.n && a.id < b.id)
+}
+
+func (bq *batchQueue) push(h *hullState3, fi int32) {
+	q := append(bq.heap, queuedFacet{h.facets[fi].n, fi})
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q[i].before(q[up]) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
 	}
-	if len(nonEmpty) < minFacetsForBatch {
-		best := nonEmpty[0]
-		for _, fi := range nonEmpty[1:] {
-			if len(h.facets[fi].pts) > len(h.facets[best].pts) {
-				best = fi
+	bq.heap = q
+}
+
+func (bq *batchQueue) pop() int32 {
+	q := bq.heap
+	top := q[0].id
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if c+1 < len(q) && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	bq.heap = q
+	return top
+}
+
+// pushNonEmpty queues the facets in [lo, hi) that have points.
+func (bq *batchQueue) pushNonEmpty(h *hullState3, lo, hi int) {
+	for fi := lo; fi < hi; fi++ {
+		if h.facets[fi].n > 0 {
+			bq.push(h, int32(fi))
+		}
+	}
+}
+
+// next takes the next batch of at most r facets off the queue, or only the
+// fullest facet when fewer than minFacetsForBatch facets have points. It
+// passes over at most r facets that touch the batch's 2-rings.
+func (bq *batchQueue) next(h *hullState3, r int) []int32 {
+	bq.batch++
+	for len(bq.claim) < len(h.facets) {
+		bq.claim = append(bq.claim, 0)
+	}
+	sel, skipped := bq.sel[:0], bq.skipped[:0]
+	for len(bq.heap) > 0 && len(sel) < r && len(skipped) < r {
+		fi := bq.pop()
+		f := &h.facets[fi]
+		if f.dead {
+			continue
+		}
+		if bq.claim[fi] == bq.batch || bq.claim[f.nbr[0]] == bq.batch ||
+			bq.claim[f.nbr[1]] == bq.batch || bq.claim[f.nbr[2]] == bq.batch {
+			skipped = append(skipped, fi)
+			continue
+		}
+		sel = append(sel, fi)
+		bq.claim[fi] = bq.batch
+		for _, nb := range f.nbr {
+			bq.claim[nb] = bq.batch
+			for _, nb2 := range h.facets[nb].nbr {
+				bq.claim[nb2] = bq.batch
 			}
 		}
-		return []int32{h.furthestOf(best)}
 	}
-	if len(nonEmpty) > r {
-		parlay.Sort(nonEmpty, func(x, y int32) bool {
-			lx, ly := len(h.facets[x].pts), len(h.facets[y].pts)
-			if lx != ly {
-				return lx > ly
-			}
-			return x < y
-		})
-		nonEmpty = nonEmpty[:r]
+	if len(sel)+len(skipped) < minFacetsForBatch {
+		skipped = append(skipped, sel[min(len(sel), 1):]...)
+		sel = sel[:min(len(sel), 1)]
 	}
-	out := make([]int32, len(nonEmpty))
-	parlay.For(len(nonEmpty), 4, func(k int) {
-		out[k] = h.furthestOf(nonEmpty[k])
-	})
-	return out
+	for _, fi := range skipped {
+		bq.push(h, fi)
+	}
+	bq.sel, bq.skipped = sel, skipped
+	return sel
 }

@@ -1,6 +1,9 @@
 package hull3d
 
 import (
+	"slices"
+
+	"pargeo/internal/core"
 	"pargeo/internal/geom"
 	"pargeo/internal/parlay"
 )
@@ -14,11 +17,13 @@ import (
 //
 // Differences from Tang et al.'s GPU version, mirroring the paper's: the
 // facet recursion forks through parlay's work-stealing scheduler rather
-// than running in lock-step over preallocated GPU buffers; the furthest
-// point per facet uses a parallel max-reduction; and growth stops once a
-// facet holds fewer than CullThreshold points, which bounds recursion depth
-// on skewed inputs while leaving only a negligible number of extra unpruned
-// points.
+// than running in lock-step over preallocated GPU buffers; a split
+// classifies each point into its sub-facet in one pass that also finds
+// every sub-facet's furthest point, so each level costs at most three
+// plane tests per point and no separate max-reduction; and growth stops
+// once a facet holds fewer than CullThreshold points, which bounds
+// recursion depth on skewed inputs while leaving only a negligible number
+// of extra unpruned points.
 
 // CullThreshold is the default facet point count below which the pseudohull
 // stops growing.
@@ -35,33 +40,17 @@ func Pseudo(pts geom.Points) [][3]int32 {
 // pruning (the §6.1 statistic: e.g. 83669 of 10M for 3D-IS-10M vs 2316 for
 // 3D-U-10M).
 func PseudoWithStats(pts geom.Points, threshold int) ([][3]int32, int) {
-	if threshold <= 0 {
-		threshold = CullThreshold
-	}
-	h, ok := newHullState3(pts, nil)
-	if !ok {
+	return pseudo(pts, threshold, nil)
+}
+
+// pseudo is PseudoWithStats with the final quickhull's reservation
+// counters collected into stats.
+func pseudo(pts geom.Points, threshold int, stats *core.Stats) ([][3]int32, int) {
+	cand := pseudoSurvivors(pts, threshold)
+	if cand == nil {
 		return nil, 0
 	}
-	// The initial tetra corners participate in the final hull computation.
-	var tetraVerts []int32
-	for _, fi := range h.alive {
-		for _, v := range h.facets[fi].v {
-			tetraVerts = append(tetraVerts, v)
-		}
-	}
-	survivors := make([][]int32, 4)
-	parlay.For(4, 1, func(k int) {
-		f := &h.facets[h.alive[k]]
-		survivors[k] = pseudoRec(pts, f.v, f.pts, threshold)
-	})
-	var cand []int32
-	cand = append(cand, tetraVerts...)
-	for _, s := range survivors {
-		cand = append(cand, s...)
-	}
-	cand = dedupeIDs(cand)
-	gathered := pts.Gather(cand)
-	sub := Quickhull(gathered)
+	sub := QuickhullStats(pts.Gather(cand), stats)
 	// Map facet vertex ids back to the original buffer.
 	out := make([][3]int32, len(sub))
 	for i, f := range sub {
@@ -70,21 +59,47 @@ func PseudoWithStats(pts geom.Points, threshold int) ([][3]int32, int) {
 	return out, len(cand)
 }
 
-// pseudoRec grows the pseudohull under triangle tri over its assigned
-// visible points cand, returning the ids that survive culling (leftover
-// points of small facets plus the apex vertices chosen along the way).
-func pseudoRec(pts geom.Points, tri [3]int32, cand []int32, threshold int) []int32 {
-	if len(cand) == 0 {
+// pseudoSurvivors grows the pseudohull and returns the ids of the points it
+// does not prune, the initial tetrahedron's corners first; nil for
+// degenerate input.
+func pseudoSurvivors(pts geom.Points, threshold int) []int32 {
+	if threshold <= 0 {
+		threshold = CullThreshold
+	}
+	h, ok := newHullState3(pts, nil)
+	if !ok {
 		return nil
 	}
+	// The initial tetra corners participate in the final hull computation.
+	// No facet list holds a corner, and no two lists share a point.
+	var cand []int32
+	for fi := range 4 {
+		for _, v := range h.facets[fi].v {
+			if !slices.Contains(cand, v) {
+				cand = append(cand, v)
+			}
+		}
+	}
+	survivors := make([][]int32, 4)
+	parlay.For(4, 1, func(k int) {
+		f := &h.facets[k]
+		survivors[k] = pseudoRec(pts, f.v, h.ptsOf(f), f.far, threshold)
+	})
+	for _, s := range survivors {
+		cand = append(cand, s...)
+	}
+	return cand
+}
+
+// pseudoRec grows the pseudohull under triangle tri over its assigned
+// visible points cand, whose furthest point above tri is q, returning the
+// ids that survive culling (leftover points of small facets plus the apex
+// vertices chosen along the way).
+func pseudoRec(pts geom.Points, tri [3]int32, cand []int32, q int32, threshold int) []int32 {
 	if len(cand) <= threshold {
 		return cand
 	}
 	a, b, c := pts.At(int(tri[0])), pts.At(int(tri[1])), pts.At(int(tri[2]))
-	fi := parlay.MaxIndexFloat(len(cand), 4096, func(i int) float64 {
-		return geom.PlaneSide3(a, b, c, pts.At(int(cand[i])))
-	})
-	q := cand[fi]
 	qc := pts.At(int(q))
 	// Split toward q: three descendant triangles sharing apex q.
 	tris := [3][3]int32{
@@ -92,32 +107,29 @@ func pseudoRec(pts geom.Points, tri [3]int32, cand []int32, threshold int) []int
 		{tri[1], tri[2], q},
 		{tri[2], tri[0], q},
 	}
-	planes := [3][3][]float64{
-		{a, b, qc},
-		{b, c, qc},
-		{c, a, qc},
+	planes := [3]geom.Plane3{
+		geom.NewPlane3(a, b, qc),
+		geom.NewPlane3(b, c, qc),
+		geom.NewPlane3(c, a, qc),
 	}
-	var lists [3][]int32
-	for s := 0; s < 3; s++ {
-		s := s
-		lists[s] = parlay.Pack(cand, func(i int) bool {
-			p := cand[i]
-			if p == q {
-				return false
+	// Each point goes to the first sub-facet it is strictly above, so it
+	// lands once.
+	ids, start, far := split(len(cand), func(i int) int32 { return cand[i] }, func(i int) (int, float64) {
+		p := cand[i]
+		if p == q {
+			return -1, 0
+		}
+		x := pts.At(int(p))
+		for s := range planes {
+			if d := planes[s].Side(x); d > 0 {
+				return s, d
 			}
-			// Assign to the first sub-facet the point is strictly above;
-			// earlier facets take precedence so each point lands once.
-			for t := 0; t < s; t++ {
-				if geom.PlaneSide3(planes[t][0], planes[t][1], planes[t][2], pts.At(int(p))) > 0 {
-					return false
-				}
-			}
-			return geom.PlaneSide3(planes[s][0], planes[s][1], planes[s][2], pts.At(int(p))) > 0
-		})
-	}
+		}
+		return -1, 0
+	})
 	var out [3][]int32
 	run := func(s int) func() {
-		return func() { out[s] = pseudoRec(pts, tris[s], lists[s], threshold) }
+		return func() { out[s] = pseudoRec(pts, tris[s], ids[start[s]:start[s+1]], far[s], threshold) }
 	}
 	// Fork while a subproblem is above the sequential grain; the scheduler
 	// balances the (skew-prone) facet tree, so no depth limit is needed.
@@ -133,18 +145,6 @@ func pseudoRec(pts geom.Points, tri [3]int32, cand []int32, threshold int) []int
 		res = append(res, out[s]...)
 	}
 	return res
-}
-
-func dedupeIDs(ids []int32) []int32 {
-	seen := make(map[int32]bool, len(ids))
-	out := ids[:0]
-	for _, v := range ids {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // DivideConquer computes the 3D hull with the paper's divide-and-conquer

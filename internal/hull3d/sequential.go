@@ -10,32 +10,15 @@ import (
 // visible set, extract the horizon, and replace the visible region with the
 // cone. Shared by the sequential drivers (and counts work for Fig. 12).
 func (h *hullState3) insertOne(q int32) {
-	vis, _ := h.visibleSet(q)
+	vis, _ := h.visibleSet(q, nil, nil)
 	h.stats.AddPoints(1)
 	h.stats.AddFacets(int64(len(vis)))
-	isVis := make(map[int32]bool, len(vis))
-	for _, f := range vis {
-		isVis[f] = true
-	}
-	ridges := h.horizonOf(vis, func(f int32) bool { return isVis[f] })
+	ridges := h.horizonOf(vis, nil)
 	base := int32(len(h.facets))
-	h.facets = append(h.facets, make([]facet, len(ridges))...)
-	h.res.Grow(len(h.facets))
+	h.growFacets(len(ridges))
+	off := h.reserveLists(int(h.moved(vis)))
 	h.stats.AddAlloc(int64(len(ridges)))
-	h.addCone(q, vis, ridges, base)
-}
-
-// furthestOf returns the point of facet fi's list furthest above its plane.
-func (h *hullState3) furthestOf(fi int32) int32 {
-	f := &h.facets[fi]
-	a, b, c := h.pts.At(int(f.v[0])), h.pts.At(int(f.v[1])), h.pts.At(int(f.v[2]))
-	best, bestD := f.pts[0], -1.0
-	for _, p := range f.pts {
-		if d := geom.PlaneSide3(a, b, c, h.pts.At(int(p))); d > bestD || (d == bestD && p < best) {
-			best, bestD = p, d
-		}
-	}
-	return best
+	h.addCone(q, vis, ridges, base, off)
 }
 
 // SequentialQuickhull is the optimized sequential 3D quickhull (the "Qhull"
@@ -53,20 +36,20 @@ func SequentialQuickhullStats(pts geom.Points, stats *core.Stats) [][3]int32 {
 		return nil // degenerate (planar) input: no 3D hull
 	}
 	// Work-stack of facet ids that may have points.
-	stack := append([]int32(nil), h.alive...)
+	stack := []int32{0, 1, 2, 3}
 	for len(stack) > 0 {
 		fi := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		f := &h.facets[fi]
-		if f.dead || len(f.pts) == 0 {
+		if f.dead || f.n == 0 {
 			continue
 		}
-		q := h.furthestOf(fi)
+		q := f.far
 		before := len(h.facets)
 		h.insertOne(q)
 		h.stats.AddSuccess()
 		for k := before; k < len(h.facets); k++ {
-			if len(h.facets[k].pts) > 0 {
+			if h.facets[k].n > 0 {
 				stack = append(stack, int32(k))
 			}
 		}

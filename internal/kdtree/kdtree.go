@@ -530,7 +530,9 @@ func (t *Tree) Points(nd *Node) []int32 { return t.Idx[nd.Lo:nd.Hi] }
 // neighbors among the tree's points (by index into Pts), excluding the
 // query point itself when it is part of the tree. Queries run data-parallel
 // (§5 "Data-Parallel k-NN"). Result row i occupies out[i*k : i*k+counts[i]].
+// It panics when k < 1.
 func (t *Tree) KNN(queries []int32, k int) [][]int32 {
+	CheckK(k)
 	out := make([][]int32, len(queries))
 	parlay.ForBlocked(len(queries), 64, func(lo, hi int) {
 		buf := NewKNNBuffer(k)

@@ -45,8 +45,9 @@ type KNNBuffer struct {
 // once per buffer.
 const knnScratchInit = 64
 
-// NewKNNBuffer returns a buffer for k neighbors.
+// NewKNNBuffer returns a buffer for k neighbors. It panics when k < 1.
 func NewKNNBuffer(k int) *KNNBuffer {
+	CheckK(k)
 	return &KNNBuffer{
 		k:       k,
 		ids:     make([]int32, 2*k),
@@ -54,6 +55,16 @@ func NewKNNBuffer(k int) *KNNBuffer {
 		bound:   inf,
 		scratch: make([]float32, knnScratchInit),
 		sel:     make([]float32, knnScratchInit),
+	}
+}
+
+// CheckK panics unless k >= 1: the contract of every k-NN entry point. A
+// batch entry point checks before it forks, so the panic reaches its caller
+// (a worker goroutine's would end the process) and does so even when no
+// query sizes a buffer.
+func CheckK(k int) {
+	if k < 1 {
+		panic("kdtree: KNN requires k >= 1")
 	}
 }
 

@@ -220,48 +220,67 @@ func ScanInts(in []int) int {
 }
 
 // PackIndex returns, in order, all indices i in [0, n) for which keep(i) is
-// true. This is the paper's "ParallelPack" (Fig. 5, line 17): flags -> scan
-// -> scatter.
+// true. keep is called exactly once per index, so a predicate that does
+// real work (a plane test, a map probe) is paid once. This is the paper's
+// "ParallelPack" (Fig. 5, line 17): flags -> scan -> scatter.
 func PackIndex(n int, keep func(i int) bool) []int32 {
+	return pack(n, keep, func(i int) int32 { return int32(i) })
+}
+
+// Pack returns the elements of in whose keep flag is true, preserving order.
+// keep is called exactly once per index.
+func Pack[T any](in []T, keep func(i int) bool) []T {
+	return pack(len(in), keep, func(i int) T { return in[i] })
+}
+
+// pack is Pack and PackIndex: each block stores keep's answers as byte
+// flags and counts them, a sequential scan of the (few) block counts gives
+// every block its output offset, and the scatter reads the stored flags.
+func pack[T any](n int, keep func(i int) bool, elem func(i int) T) []T {
 	if n == 0 {
 		return nil
 	}
-	flags := make([]int, n)
-	For(n, 0, func(i int) {
-		if keep(i) {
-			flags[i] = 1
+	nblocks, blockSize := blocking(n, 0)
+	flags := make([]bool, n)
+	offsets := make([]int, nblocks)
+	forBlocks(nblocks, func(b int) {
+		c := 0
+		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
+			if keep(i) {
+				flags[i] = true
+				c++
+			}
 		}
+		offsets[b] = c
 	})
-	total := ScanInts(flags)
-	out := make([]int32, total)
-	For(n, 0, func(i int) {
-		if keep(i) {
-			out[flags[i]] = int32(i)
+	total := 0
+	for b, c := range offsets {
+		offsets[b] = total
+		total += c
+	}
+	out := make([]T, total)
+	forBlocks(nblocks, func(b int) {
+		j := offsets[b]
+		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
+			if flags[i] {
+				out[j] = elem(i)
+				j++
+			}
 		}
 	})
 	return out
 }
 
-// Pack returns the elements of in whose keep flag is true, preserving order.
-func Pack[T any](in []T, keep func(i int) bool) []T {
-	n := len(in)
-	if n == 0 {
-		return nil
+// forBlocks runs body(b) for every block b in [0, nblocks), in parallel
+// unless there is one block or one processor.
+func forBlocks(nblocks int, body func(b int)) {
+	if nblocks <= 1 || seqMode() {
+		for b := 0; b < nblocks; b++ {
+			body(b)
+		}
+		return
 	}
-	flags := make([]int, n)
-	For(n, 0, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		}
-	})
-	total := ScanInts(flags)
-	out := make([]T, total)
-	For(n, 0, func(i int) {
-		if keep(i) {
-			out[flags[i]] = in[i]
-		}
-	})
-	return out
+	defaultSched().parallelFor(nblocks, body)
 }
 
 // Filter returns the elements of in satisfying pred, preserving order.

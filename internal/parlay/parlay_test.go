@@ -3,6 +3,8 @@ package parlay
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -130,6 +132,49 @@ func TestPackIndexAndPack(t *testing.T) {
 	got := Filter(in, func(v int) bool { return v < 10 })
 	if len(got) != 10 || got[9] != 9 {
 		t.Fatalf("Filter bad: %v", got)
+	}
+}
+
+// TestPackCallsKeepOnce: Pack and PackIndex ask keep about every index
+// exactly once and keep the survivors in order, at block boundaries
+// (DefaultGrain ± 1) and with the scheduler off, engaged and
+// oversubscribed.
+func TestPackCallsKeepOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(p)
+		for _, n := range []int{0, 1, DefaultGrain - 1, DefaultGrain, DefaultGrain + 1, 100000} {
+			calls := make([]int32, n)
+			keep := func(i int) bool {
+				atomic.AddInt32(&calls[i], 1)
+				return i%3 != 1
+			}
+			checkOnce := func(name string) {
+				for i, c := range calls {
+					if c != 1 {
+						t.Fatalf("P=%d n=%d %s: keep(%d) called %d times", p, n, name, i, c)
+					}
+					calls[i] = 0
+				}
+			}
+			want := make([]int32, 0, n)
+			for i := 0; i < n; i++ {
+				if i%3 != 1 {
+					want = append(want, int32(i))
+				}
+			}
+			idx := PackIndex(n, keep)
+			checkOnce("PackIndex")
+			in := make([]int32, n)
+			for i := range in {
+				in[i] = int32(i)
+			}
+			vals := Pack(in, keep)
+			checkOnce("Pack")
+			if !slices.Equal(idx, want) || !slices.Equal(vals, want) {
+				t.Fatalf("P=%d n=%d: packed out of order or wrong", p, n)
+			}
+		}
 	}
 }
 

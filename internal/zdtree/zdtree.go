@@ -219,6 +219,7 @@ func (t *Tree) leafBox(nd *znode) {
 // KNN returns the k nearest live points' ids for each query row,
 // data-parallel over queries.
 func (t *Tree) KNN(queries geom.Points, k int, exclude []int32) [][]int32 {
+	kdtree.CheckK(k)
 	n := queries.Len()
 	out := make([][]int32, n)
 	parlay.ForBlocked(n, 32, func(lo, hi int) {

@@ -105,7 +105,7 @@ func BuildKDTree(pts Points, split SplitRule) *KDTree {
 }
 
 // KNN returns the k nearest neighbors of each query point index,
-// data-parallel.
+// data-parallel. It panics when k < 1.
 func KNN(t *KDTree, queries []int32, k int) [][]int32 { return t.KNN(queries, k) }
 
 // RangeSearch returns all point indices inside the box.

@@ -3,6 +3,9 @@ package pargeo
 import (
 	"math"
 	"testing"
+
+	"pargeo/internal/geom"
+	"pargeo/internal/kdtree"
 )
 
 // The facade tests double as integration tests across modules: build data
@@ -110,5 +113,43 @@ func TestFacadeMortonAndSpanner(t *testing.T) {
 	bcp := BichromaticClosestPair(Uniform(200, 2, 8), Uniform(200, 2, 9))
 	if bcp.A < 0 || bcp.B < 0 {
 		t.Fatalf("bccp %v", bcp)
+	}
+}
+
+// TestKNNRejectsKBelowOne: every k-NN entry point below the engine panics
+// with the one contract message for k = 0 and k = -1, on an empty tree and
+// on a non-empty one, instead of dying inside the buffer (an index or
+// makeslice error) or silently answering with empty rows.
+func TestKNNRejectsKBelowOne(t *testing.T) {
+	const want = "kdtree: KNN requires k >= 1"
+	pts := Uniform(64, 2, 3)
+	queries := pts.Slice(0, 4)
+	empty := geom.NewPoints(0, 2)
+	fullKD, emptyKD := BuildKDTree(pts, ObjectMedian), BuildKDTree(empty, ObjectMedian)
+	fullBDL, emptyBDL := NewBDLTree(2, BDLOptions{}), NewBDLTree(2, BDLOptions{})
+	fullBDL.Insert(pts)
+	calls := []struct {
+		name string
+		call func(k int)
+	}{
+		{"kdtree.NewKNNBuffer", func(k int) { kdtree.NewKNNBuffer(k) }},
+		{"kdtree.Tree.KNN/empty", func(k int) { emptyKD.KNN(nil, k) }},
+		{"kdtree.Tree.KNN", func(k int) { fullKD.KNN([]int32{0, 1, 2}, k) }},
+		{"pargeo.KNN/empty", func(k int) { KNN(emptyKD, nil, k) }},
+		{"pargeo.KNN", func(k int) { KNN(fullKD, []int32{0, 1, 2}, k) }},
+		{"bdltree.Tree.KNN/empty", func(k int) { emptyBDL.KNN(queries, k, nil) }},
+		{"bdltree.Tree.KNN", func(k int) { fullBDL.KNN(queries, k, nil) }},
+	}
+	for _, c := range calls {
+		for _, k := range []int{0, -1} {
+			func() {
+				defer func() {
+					if r := recover(); r != want {
+						t.Errorf("%s(k=%d) panicked with %v, want %q", c.name, k, r, want)
+					}
+				}()
+				c.call(k)
+			}()
+		}
 	}
 }
