@@ -52,10 +52,6 @@ type hullState3 struct {
 	interior [3]float64 // a point strictly inside the hull (tetra centroid)
 	stats    *core.Stats
 	infos    []visInfo // a round's per-point scratch, kept across rounds
-
-	// Facets visited by the visible-set searches of all rounds so far, and
-	// the number of searches: a round's fork decision reads their mean.
-	visits, searches int
 }
 
 // ptsOf returns the visible points assigned to facet f.
@@ -78,29 +74,14 @@ func (h *hullState3) height(f *facet, p int32) float64 {
 // callers fall back to a planar reduction.
 func newHullState3(pts geom.Points, stats *core.Stats) (*hullState3, bool) {
 	n := pts.Len()
-	// v0, v1: extremes along x (lexicographic tiebreak, the first of equal
-	// points), per block and then across the blocks in order.
-	type extremes struct{ lo, hi int32 }
-	blocks := make([]extremes, (n+splitGrain-1)/splitGrain)
-	parlay.For(len(blocks), 1, func(b int) {
-		e := extremes{int32(b * splitGrain), int32(b * splitGrain)}
-		for i := b*splitGrain + 1; i < min((b+1)*splitGrain, n); i++ {
-			if lex3Less(pts.At(i), pts.At(int(e.lo))) {
-				e.lo = int32(i)
-			}
-			if lex3Less(pts.At(int(e.hi)), pts.At(i)) {
-				e.hi = int32(i)
-			}
+	// v0, v1: extremes along x (lexicographic tiebreak).
+	v0, v1 := int32(0), int32(0)
+	for i := 1; i < n; i++ {
+		if lex3Less(pts.At(i), pts.At(int(v0))) {
+			v0 = int32(i)
 		}
-		blocks[b] = e
-	})
-	var v0, v1 int32
-	for _, e := range blocks {
-		if lex3Less(pts.At(int(e.lo)), pts.At(int(v0))) {
-			v0 = e.lo
-		}
-		if lex3Less(pts.At(int(v1)), pts.At(int(e.hi))) {
-			v1 = e.hi
+		if lex3Less(pts.At(int(v1)), pts.At(i)) {
+			v1 = int32(i)
 		}
 	}
 	if v0 == v1 {

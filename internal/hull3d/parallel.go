@@ -32,16 +32,17 @@ import (
 //
 // A phase that forks runs one scheduler task per batch point, so the highly
 // variable per-point cost (a point may see one facet or hundreds)
-// load-balances by work stealing. But on a 2-vCPU KVM guest (Xeon, Go
-// 1.24) a fork-join that wakes a parked worker made a loop of 16 tasks of
-// 1 µs each slower than running them inline, and paid off only from tasks
-// of about 10 µs. So a phase forks only when the work outside its largest
-// task is estimated at some 70-80 µs: 1 024 facet visits of visible-set
-// searches (a plane test, a membership scan and a reservation each, about
-// 70 ns) or 16 384 plane tests of redistributions (about 5 ns each).
-// Anything smaller runs inline on the caller.
+// load-balances by work stealing. Phase 1 always forks: its work is known
+// only once its searches have run. Phases 2 and 3 fork only when the work
+// the round has measured outside their largest task reaches some 70 µs:
+// 1 024 facet visits (a plane test, a membership scan and a reservation
+// each, about 70 ns) or 16 384 plane tests of redistributions (about 5 ns
+// each). On a 2-vCPU KVM guest (Xeon, Go 1.24) forking them every round
+// made the quickhull over the paper-batch input's pseudohull survivors
+// about 11 % slower at two workers, while any cutoff from 256 visits and
+// 4 096 tests up to never forking measured alike.
 const (
-	forkVisits = 1024  // phases 1-2: facets the batch's searches visit
+	forkVisits = 1024  // phase 2: facets the batch's searches visited
 	forkTests  = 16384 // phase 3: plane tests of the redistributions
 )
 
@@ -64,7 +65,7 @@ func (h *hullState3) round(batch []int32) {
 	}
 	infos := h.infos[:len(batch)]
 	// Phase 1: BFS + reservation.
-	forRound(len(batch), h.searchesPay(len(batch)), func(k int) {
+	parlay.For(len(batch), 1, func(k int) {
 		q, info := batch[k], &infos[k]
 		info.vis, info.boundary = h.visibleSet(q, info.vis, info.boundary)
 		info.won, info.ridges = false, info.ridges[:0]
@@ -84,11 +85,14 @@ func (h *hullState3) round(batch []int32) {
 		visits += v
 		most = max(most, v)
 	}
-	h.visits += visits
-	h.searches += len(batch)
 	// Phase 2: check, and a winner's horizon. Nothing mutates the hull
 	// until every point has checked, so a winner reads its own facets.
-	forRound(len(batch), visits-most >= forkVisits, func(k int) {
+	// Grain 1 forks a task per point; grain len(batch) runs inline.
+	g := len(batch)
+	if visits-most >= forkVisits {
+		g = 1
+	}
+	parlay.For(len(batch), g, func(k int) {
 		p := h.prio[batch[k]]
 		info := &infos[k]
 		for _, l := range [2][]int32{info.vis, info.boundary} {
@@ -131,7 +135,11 @@ func (h *hullState3) round(batch []int32) {
 	// Phase 3: commit, and reset every slot the point reserved. Every point
 	// has checked, winners' neighborhoods are disjoint, and the slot of a
 	// facet that just died is never read again.
-	forRound(len(batch), tests-most >= forkTests, func(k int) {
+	g = len(batch)
+	if tests-most >= forkTests {
+		g = 1
+	}
+	parlay.For(len(batch), g, func(k int) {
 		info := &infos[k]
 		if info.won {
 			h.addCone(batch[k], info.vis, info.ridges, info.base, info.off)
@@ -144,42 +152,10 @@ func (h *hullState3) round(batch []int32) {
 	})
 }
 
-// batchCost is c of the paper's batch size c·P.
-const batchCost = 8
-
-// batchSize is the next round's batch: c·P points when their searches pay
-// for a fork, and c, one worker's batch, when they would run inline anyway
-// and more points would only conflict more.
-func (h *hullState3) batchSize() int {
-	if r := core.BatchSize(batchCost); h.searchesPay(r) {
-		return r
-	}
-	return batchCost
-}
-
-// searchesPay reports whether the visible-set searches of n points are
-// estimated, from the mean search of the rounds before, to visit at least
-// forkVisits facets.
-func (h *hullState3) searchesPay(n int) bool {
-	return h.searches > 0 && n*h.visits/h.searches >= forkVisits
-}
-
-// forRound runs body(k) for every k in [0, n): as grain-1 parallel tasks
-// when fork is set, inline otherwise.
-func forRound(n int, fork bool, body func(k int)) {
-	if fork {
-		parlay.For(n, 1, body)
-		return
-	}
-	for k := 0; k < n; k++ {
-		body(k)
-	}
-}
-
 // RandInc computes the hull with the reservation-based parallel randomized
 // incremental algorithm (§3 + Appendix A: per round, a prefix of up to
-// c·numProc visible points of the random permutation attempts insertion;
-// see batchSize).
+// c·numProc visible points of the random permutation attempts insertion,
+// c = 8).
 func RandInc(pts geom.Points, seed uint64) [][3]int32 {
 	return RandIncStats(pts, seed, nil)
 }
@@ -195,9 +171,10 @@ func RandIncStats(pts geom.Points, seed uint64, stats *core.Stats) [][3]int32 {
 	h.prio = make([]int64, n)
 	parlay.For(n, 0, func(k int) { h.prio[perm[k]] = int64(k) })
 	P := parlay.Pack(perm, func(k int) bool { return h.seed[perm[k]] >= 0 })
+	batch := core.BatchSize(8)
 	for len(P) > 0 {
 		q := P
-		if batch := h.batchSize(); len(q) > batch {
+		if len(q) > batch {
 			q = P[:batch]
 		}
 		h.round(q)
@@ -208,7 +185,7 @@ func RandIncStats(pts geom.Points, seed uint64, stats *core.Stats) [][3]int32 {
 
 // Quickhull computes the hull with the reservation-based parallel quickhull
 // (§3 + Appendix A: per round, the points furthest from up to c·numProc
-// facets attempt insertion; see batchSize and batchQueue for which). When
+// facets attempt insertion, c = 8; see batchQueue for which). When
 // the number of facets is low it processes a single point per round, chosen
 // from the facet with the most visible points (Appendix B's low-facet-count
 // optimization, which maximizes the volume added per step while parallelism
@@ -227,9 +204,10 @@ func QuickhullStats(pts geom.Points, stats *core.Stats) [][3]int32 {
 	parlay.For(len(h.prio), 0, func(i int) { h.prio[i] = int64(i) })
 	var bq batchQueue
 	bq.pushNonEmpty(h, 0, len(h.facets))
+	batch := core.BatchSize(8)
 	var q []int32
 	for {
-		sel := bq.next(h, h.batchSize())
+		sel := bq.next(h, batch)
 		if len(sel) == 0 {
 			break
 		}

@@ -236,6 +236,9 @@ func Pack[T any](in []T, keep func(i int) bool) []T {
 // pack is Pack and PackIndex: each block stores keep's answers as byte
 // flags and counts them, a sequential scan of the (few) block counts gives
 // every block its output offset, and the scatter reads the stored flags.
+// Both passes are ForBlocked loops over the blocking ForBlocked itself
+// uses, so a block is lo/blockSize (one block spans all of [0, n) when the
+// loop runs inline).
 func pack[T any](n int, keep func(i int) bool, elem func(i int) T) []T {
 	if n == 0 {
 		return nil
@@ -243,15 +246,15 @@ func pack[T any](n int, keep func(i int) bool, elem func(i int) T) []T {
 	nblocks, blockSize := blocking(n, 0)
 	flags := make([]bool, n)
 	offsets := make([]int, nblocks)
-	forBlocks(nblocks, func(b int) {
+	ForBlocked(n, 0, func(lo, hi int) {
 		c := 0
-		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
+		for i := lo; i < hi; i++ {
 			if keep(i) {
 				flags[i] = true
 				c++
 			}
 		}
-		offsets[b] = c
+		offsets[lo/blockSize] = c
 	})
 	total := 0
 	for b, c := range offsets {
@@ -259,9 +262,9 @@ func pack[T any](n int, keep func(i int) bool, elem func(i int) T) []T {
 		total += c
 	}
 	out := make([]T, total)
-	forBlocks(nblocks, func(b int) {
-		j := offsets[b]
-		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
+	ForBlocked(n, 0, func(lo, hi int) {
+		j := offsets[lo/blockSize]
+		for i := lo; i < hi; i++ {
 			if flags[i] {
 				out[j] = elem(i)
 				j++
@@ -269,18 +272,6 @@ func pack[T any](n int, keep func(i int) bool, elem func(i int) T) []T {
 		}
 	})
 	return out
-}
-
-// forBlocks runs body(b) for every block b in [0, nblocks), in parallel
-// unless there is one block or one processor.
-func forBlocks(nblocks int, body func(b int)) {
-	if nblocks <= 1 || seqMode() {
-		for b := 0; b < nblocks; b++ {
-			body(b)
-		}
-		return
-	}
-	defaultSched().parallelFor(nblocks, body)
 }
 
 // Filter returns the elements of in satisfying pred, preserving order.
