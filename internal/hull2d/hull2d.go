@@ -97,22 +97,9 @@ func canonical(h []int32, pts geom.Points) []int32 {
 	return out
 }
 
-// extremeXSerial returns the indices of the points with minimum and maximum
-// (x, y) lexicographic order.
-func extremeXSerial(pts geom.Points, idx []int32) (lo, hi int32) {
-	lo, hi = idx[0], idx[0]
-	for _, i := range idx[1:] {
-		p := pts.At(int(i))
-		pl, ph := pts.At(int(lo)), pts.At(int(hi))
-		if p[0] < pl[0] || (p[0] == pl[0] && p[1] < pl[1]) {
-			lo = i
-		}
-		if p[0] > ph[0] || (p[0] == ph[0] && p[1] > ph[1]) {
-			hi = i
-		}
-	}
-	return lo, hi
-}
+// seqCutoff is the input size up to which the parallel hulls run the
+// sequential quickhull instead.
+const seqCutoff = 4096
 
 // extremeX returns the lexicographic extremes with a parallel reduction.
 func extremeX(pts geom.Points, idx []int32) (lo, hi int32) {
@@ -143,76 +130,179 @@ func extremeX(pts geom.Points, idx []int32) (lo, hi int32) {
 
 // SequentialQuickhull computes the hull with the classic recursive
 // quickhull, processing the point furthest from each edge first: the
-// optimized sequential quickhull baseline ("Qhull" in Fig. 8).
+// optimized sequential quickhull baseline ("Qhull" in Fig. 8). It reads the
+// input twice (octagonSplit) and then recurses over the few survivors,
+// partitioning them in place.
 func SequentialQuickhull(pts geom.Points) []int32 {
 	n := pts.Len()
 	if n == 0 {
 		return nil
 	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
 	if n <= 2 {
-		return canonical(dedupe(idx, pts), pts)
+		return canonical(dedupe([]int32{0, 1}[:n], pts), pts)
 	}
-	lo, hi := extremeXSerial(pts, idx)
-	if lo == hi {
-		return []int32{lo} // all points identical
+	s := octagonSplit(pts)
+	if s.lo == s.hi {
+		return []int32{s.lo} // all points identical
 	}
-	var upper, lower []int32
-	a, b := pts.At(int(lo)), pts.At(int(hi))
-	for _, i := range idx {
-		if i == lo || i == hi {
-			continue
-		}
-		c := geom.Cross2D(a, b, pts.At(int(i)))
-		if c > 0 {
-			upper = append(upper, i)
-		} else if c < 0 {
-			lower = append(lower, i)
-		}
-	}
-	hull := []int32{lo}
-	seqHullRec(pts, lower, lo, hi, &hull) // right of lo->hi: lower chain (CCW)
-	hull = append(hull, hi)
-	seqHullRec(pts, upper, hi, lo, &hull)
+	scratch := make([]int32, max(len(s.lower), len(s.upper)))
+	hull := []int32{s.lo}
+	seqHullRec(pts, s.lower, scratch, s.lo, s.farLower, s.hi, &hull) // right of lo->hi: lower chain (CCW)
+	hull = append(hull, s.hi)
+	seqHullRec(pts, s.upper, scratch, s.hi, s.farUpper, s.lo, &hull)
 	return canonical(hull, pts)
 }
 
-// seqHullRec appends the hull vertices strictly between a and b (CCW) given
-// cand, the points strictly right of the directed line a->b... by
-// convention here cand holds the points on the outside of edge a->b, i.e.
-// with Cross2D(a, b, p) < 0 when walking the hull counterclockwise.
-func seqHullRec(pts geom.Points, cand []int32, a, b int32, hull *[]int32) {
+// split is octagonSplit's result: the lexicographic x-extremes lo and hi,
+// the surviving points below the chord lo->hi (Cross2D(lo, hi, p) < 0) and
+// above it, and the point of each side furthest from the chord (-1 when
+// the side is empty).
+type split struct {
+	lo, hi             int32
+	lower, upper       []int32
+	farLower, farUpper int32
+}
+
+// octagonSplit is the quickhull's first level with the Akl–Toussaint
+// filter. One pass finds the lexicographic x-extremes and the points
+// extreme in y, x+y and x−y; they are hull points, in counterclockwise
+// order. A second pass drops every point strictly inside their octagon
+// (those lie strictly inside the hull) and splits the rest above or below
+// the chord between the x-extremes, keeping each side's furthest point.
+func octagonSplit(pts geom.Points) split {
+	d, data := pts.Dim, pts.Data
+	n := pts.Len()
+	// ext holds the octagon's corners counterclockwise from the leftmost:
+	// the points minimizing (x, y) lexicographically, x+y, y and y−x, then
+	// those maximizing them. mn and mx are the four keys' extreme values,
+	// loY and hiY the y of the lexicographic x-extremes.
+	var ext [8]int32
+	x0, y0 := data[0], data[1]
+	mn := [4]float64{x0, x0 + y0, y0, y0 - x0}
+	mx, loY, hiY := mn, y0, y0
+	for i := 1; i < n; i++ {
+		x, y := data[i*d], data[i*d+1]
+		v := [4]float64{x, x + y, y, y - x}
+		for k := 1; k < 4; k++ {
+			if v[k] < mn[k] {
+				mn[k], ext[k] = v[k], int32(i)
+			}
+			if v[k] > mx[k] {
+				mx[k], ext[k+4] = v[k], int32(i)
+			}
+		}
+		if x < mn[0] || x == mn[0] && y < loY {
+			mn[0], loY, ext[0] = x, y, int32(i)
+		}
+		if x > mx[0] || x == mx[0] && y > hiY {
+			mx[0], hiY, ext[4] = x, y, int32(i)
+		}
+	}
+	s := split{lo: ext[0], hi: ext[4], farLower: -1, farUpper: -1}
+	if s.lo == s.hi {
+		return s
+	}
+	at := func(i int32) pt { return pt{data[int(i)*d], data[int(i)*d+1]} }
+	lower := newChain(at, [5]int32{ext[0], ext[1], ext[2], ext[3], ext[4]})
+	upper := newChain(at, [5]int32{ext[4], ext[5], ext[6], ext[7], ext[0]})
+	a, b := at(s.lo), at(s.hi)
+	chord := edge{a.x, a.y, b.x - a.x, b.y - a.y}
+	var dLower, dUpper float64
+	for i := 0; i < n; i++ {
+		x, y := data[i*d], data[i*d+1]
+		c := chord.left(x, y)
+		switch {
+		case c > 0:
+			if upper.inside(x, y) {
+				continue
+			}
+			s.upper = append(s.upper, int32(i))
+			if c > dUpper {
+				s.farUpper, dUpper = int32(i), c
+			}
+		case c < 0:
+			if lower.inside(x, y) {
+				continue
+			}
+			s.lower = append(s.lower, int32(i))
+			if c < dLower {
+				s.farLower, dLower = int32(i), c
+			}
+		}
+	}
+	return s
+}
+
+type pt struct{ x, y float64 }
+
+// edge is a directed edge from (ax, ay) along (dx, dy).
+type edge struct{ ax, ay, dx, dy float64 }
+
+// left is geom.Cross2D(a, b, (x, y)) for the edge a->b, to the last bit:
+// positive when (x, y) lies strictly left of it.
+func (e *edge) left(x, y float64) float64 { return e.dx*(y-e.ay) - e.dy*(x-e.ax) }
+
+// chain is one side of the octagon, between the x-extremes: its four
+// edges, counterclockwise.
+type chain [4]edge
+
+// newChain builds the edges through the corners ids, skipping each corner
+// equal to its predecessor (a zero-length edge would make every point look
+// outside). A chain with fewer distinct edges repeats its last one. The
+// two end corners differ unless every point is the same.
+func newChain(at func(int32) pt, ids [5]int32) chain {
+	var c chain
+	n, prev := 0, at(ids[0])
+	for _, i := range ids[1:] {
+		if p := at(i); p != prev {
+			c[n] = edge{prev.x, prev.y, p.x - prev.x, p.y - prev.y}
+			n, prev = n+1, p
+		}
+	}
+	for ; n < len(c); n++ {
+		c[n] = c[n-1]
+	}
+	return c
+}
+
+// inside reports whether (x, y) lies strictly left of every edge of c.
+func (c *chain) inside(x, y float64) bool {
+	return c[0].left(x, y) > 0 && c[1].left(x, y) > 0 && c[2].left(x, y) > 0 && c[3].left(x, y) > 0
+}
+
+// seqHullRec appends to hull the CCW hull vertices strictly between a and
+// b. cand holds the points outside edge a->b (Cross2D(a, b, p) < 0), and
+// far is the one furthest from it. The call partitions cand in place, with
+// scratch (at least len(cand) long) holding the right side while the left
+// side is compacted, and finds each side's furthest point in that pass.
+func seqHullRec(pts geom.Points, cand, scratch []int32, a, far, b int32, hull *[]int32) {
 	if len(cand) == 0 {
 		return
 	}
-	pa, pb := pts.At(int(a)), pts.At(int(b))
-	// Furthest point from line a-b (most negative cross = farthest outside).
-	far := cand[0]
-	farD := geom.Cross2D(pa, pb, pts.At(int(far)))
-	for _, i := range cand[1:] {
-		if d := geom.Cross2D(pa, pb, pts.At(int(i))); d < farD {
-			far, farD = i, d
-		}
-	}
-	pf := pts.At(int(far))
-	var left, right []int32
+	pa, pf, pb := pts.At(int(a)), pts.At(int(far)), pts.At(int(b))
+	nl, nr := 0, 0
+	farL, farR := int32(-1), int32(-1)
+	var dl, dr float64
 	for _, i := range cand {
-		if i == far {
-			continue
-		}
 		p := pts.At(int(i))
-		if geom.Cross2D(pa, pf, p) < 0 {
-			left = append(left, i)
-		} else if geom.Cross2D(pf, pb, p) < 0 {
-			right = append(right, i)
+		if c := geom.Cross2D(pa, pf, p); c < 0 {
+			cand[nl] = i
+			nl++
+			if c < dl {
+				farL, dl = i, c
+			}
+		} else if c := geom.Cross2D(pf, pb, p); c < 0 {
+			scratch[nr] = i
+			nr++
+			if c < dr {
+				farR, dr = i, c
+			}
 		}
 	}
-	seqHullRec(pts, left, a, far, hull)
+	copy(cand[nl:], scratch[:nr])
+	seqHullRec(pts, cand[:nl], scratch, a, farL, far, hull)
 	*hull = append(*hull, far)
-	seqHullRec(pts, right, far, b, hull)
+	seqHullRec(pts, cand[nl:nl+nr], scratch, far, farR, b, hull)
 }
 
 func dedupe(idx []int32, pts geom.Points) []int32 {
@@ -245,7 +335,7 @@ func Quickhull(pts geom.Points) []int32 {
 	if n == 0 {
 		return nil
 	}
-	if n <= 4096 {
+	if n <= seqCutoff {
 		return SequentialQuickhull(pts)
 	}
 	idx := make([]int32, n)
@@ -284,16 +374,16 @@ func parHullRec(pts geom.Points, cand []int32, a, b int32) []int32 {
 	if len(cand) == 0 {
 		return nil
 	}
-	if len(cand) <= parHullSeqThreshold {
-		var out []int32
-		seqHullRec(pts, cand, a, b, &out)
-		return out
-	}
 	pa, pb := pts.At(int(a)), pts.At(int(b))
 	fi := parlay.MinIndexFloat(len(cand), 0, func(i int) float64 {
 		return geom.Cross2D(pa, pb, pts.At(int(cand[i])))
 	})
 	far := cand[fi]
+	if len(cand) <= parHullSeqThreshold {
+		var out []int32
+		seqHullRec(pts, cand, make([]int32, len(cand)), a, far, b, &out)
+		return out
+	}
 	pf := pts.At(int(far))
 	var left, right []int32
 	parlay.Do(
@@ -329,12 +419,10 @@ func parHullRec(pts geom.Points, cand []int32, a, b int32) []int32 {
 // block-hull vertices with the parallel algorithm.
 func DivideConquer(pts geom.Points) []int32 {
 	n := pts.Len()
-	const c = 4
-	numBlocks := c * parlay.NumWorkers()
-	if n < 4096 || numBlocks < 2 {
+	numBlocks, blockSize := dcBlocks(n)
+	if n <= seqCutoff || numBlocks < 2 {
 		return SequentialQuickhull(pts)
 	}
-	blockSize := (n + numBlocks - 1) / numBlocks
 	subHulls := make([][]int32, numBlocks)
 	parlay.For(numBlocks, 1, func(b int) {
 		lo := b * blockSize
@@ -357,11 +445,27 @@ func DivideConquer(pts geom.Points) []int32 {
 	}
 	gathered := pts.Gather(union)
 	// The paper computes the final hull of the block-hull vertices with the
-	// reservation-based parallel algorithm.
-	final := ReservationQuickhull(gathered, nil)
+	// reservation-based parallel algorithm. A union of at most seqCutoff
+	// vertices is too small for its rounds to pay (on 1 M in-sphere points
+	// it holds about a thousand), so it gets the sequential quickhull, as
+	// Quickhull's small inputs do.
+	var final []int32
+	if len(union) > seqCutoff {
+		final = ReservationQuickhull(gathered, nil)
+	} else {
+		final = SequentialQuickhull(gathered)
+	}
 	out := make([]int32, len(final))
 	for i, k := range final {
 		out[i] = union[k]
 	}
 	return out
+}
+
+// dcBlocks is DivideConquer's partition of n points into c·numProc blocks
+// (c = 4) of blockSize points each.
+func dcBlocks(n int) (numBlocks, blockSize int) {
+	const c = 4
+	numBlocks = c * parlay.NumWorkers()
+	return numBlocks, (n + numBlocks - 1) / numBlocks
 }

@@ -325,9 +325,10 @@ func WriteMinFloat64(addr *uint64, val float64) bool {
 	}
 }
 
-// Shuffle randomly permutes s in place, deterministically from seed
-// (Fisher–Yates; sequential — permutation generation is never a measured
-// bottleneck in the reproduced experiments).
+// Shuffle randomly permutes s in place, deterministically from seed. It is
+// a sequential Fisher–Yates pass: one random access per element, on one
+// worker, so it costs O(n) span. A caller that needs only a random sample
+// should draw the sample instead (seb.Sampling does).
 func Shuffle[T any](s []T, seed uint64) {
 	r := rng.NewXoshiro256(seed)
 	for i := len(s) - 1; i > 0; i-- {
@@ -337,7 +338,8 @@ func Shuffle[T any](s []T, seed uint64) {
 }
 
 // RandomPermutation returns a random permutation of [0, n), deterministic
-// from seed.
+// from seed. Only the identity fill is parallel; the shuffle is Shuffle's
+// sequential pass, so its span is O(n).
 func RandomPermutation(n int, seed uint64) []int32 {
 	p := make([]int32, n)
 	For(n, 0, func(i int) { p[i] = int32(i) })

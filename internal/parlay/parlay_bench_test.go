@@ -1,10 +1,12 @@
 package parlay
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // oldForBlocked is the seed's pre-scheduler implementation — a flat, bounded
@@ -183,6 +185,39 @@ func BenchmarkNestedDoSkewedTreeSched(b *testing.B) {
 
 func BenchmarkNestedDoSkewedTreeOldFanout(b *testing.B) {
 	benchSkewTree(b, oldDo, 7, 1<<20) // the old scheme's hand-tuned budget
+}
+
+// BenchmarkHostSpeedup is the control for any parallel speed-up measured
+// on the same host: it runs NumCPU independent CPU-bound goroutines (no
+// scheduler, no shared data) at GOMAXPROCS 1 and then at NumCPU, and
+// reports host_speedup, the first time over the second. A host whose vCPUs
+// each get a full core reads close to NumCPU. A lower reading bounds what
+// any algorithm can gain there, so a stage that is "slower at -cpu 2 than
+// at -cpu 1" is a finding about the stage only where this reads near 2.
+func BenchmarkHostSpeedup(b *testing.B) {
+	procs := runtime.NumCPU()
+	run := func(p int) time.Duration {
+		old := runtime.GOMAXPROCS(p)
+		defer runtime.GOMAXPROCS(old)
+		var wg sync.WaitGroup
+		var sink atomic.Int64
+		start := time.Now()
+		for w := 0; w < procs; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sink.Add(spinWork(1 << 24))
+			}()
+		}
+		wg.Wait()
+		return time.Since(start)
+	}
+	var t1, tp time.Duration
+	for b.Loop() {
+		t1 += run(1)
+		tp += run(procs)
+	}
+	b.ReportMetric(float64(t1)/float64(tp), "host_speedup")
 }
 
 // BenchmarkDoForkJoinOverhead measures one fork-join of two empty thunks.

@@ -11,8 +11,16 @@
 //   - OrthantScan — Larsson et al.'s iterative orthant scan, parallelized
 //     over input blocks;
 //   - Sampling — the paper's new sampling-based algorithm (Fig. 6), which
-//     bootstraps the orthant scan with constant-size random samples so the
-//     full input is scanned only a small number of times.
+//     bootstraps the orthant scan with constant-size random samples, drawn
+//     on the fly, so the full input is scanned only a small number of
+//     times.
+//
+// Both scan-based algorithms read the input in place. Each full scan
+// collects every point outside the current ball (up to a bound) beside the
+// per-orthant extrema, and the next ball is the exact ball of the support
+// set plus those violators. After Sampling's sampling phase that ball is
+// usually final, so its final phase reads the input twice: once to collect
+// the few violators and once to verify.
 //
 // The support-set algebra (smallest ball through <= d+1 boundary points) is
 // geom.Circumball.
@@ -80,9 +88,10 @@ func ballOf(pts geom.Points, support []int32) (Ball, bool) {
 }
 
 // sebOfSmall computes the exact smallest enclosing ball of a small point
-// subset (<= a few dozen points) with sequential Welzl over every
-// permutation-free deterministic order; used as constructBall for the
-// orthant-scan and sampling algorithms.
+// subset (up to a support set plus maxViolators points) with sequential
+// move-to-front Welzl over the subset in its given order, so no random
+// permutation is drawn; it is constructBall for the orthant-scan and
+// sampling algorithms.
 func sebOfSmall(pts geom.Points, idx []int32) Ball {
 	work := append([]int32(nil), idx...)
 	return welzlMtf(pts, work, nil)

@@ -5,79 +5,92 @@ import (
 
 	"pargeo/internal/geom"
 	"pargeo/internal/parlay"
+	"pargeo/internal/rng"
 )
 
 // This file implements Larsson et al.'s iterative orthant scan (§4) and the
 // paper's sampling-based bootstrap for it (Fig. 6).
 //
-// One orthant-scan pass partitions space into 2^min(d,6) orthants around
-// the current ball center and finds, per orthant, the furthest point lying
-// outside the ball. The pass is parallelized exactly as the paper
-// describes: the input is divided into blocks, each block scanned
-// sequentially, blocks in parallel, and the per-block orthant extrema
-// merged afterwards. The ball is then recomputed as the exact smallest
-// ball of the current support set plus the new extrema (constructBall).
+// One scan partitions space into 2^min(d,6) orthants around the current
+// ball center and finds, per orthant, the furthest point lying outside the
+// ball. The scan is parallelized exactly as the paper describes: the input
+// is divided into blocks, each block scanned sequentially, blocks in
+// parallel, and the per-block results merged afterwards. The same scan also
+// collects every point outside the ball, up to maxViolators of them. The
+// ball is then recomputed as the exact smallest ball of the current support
+// set plus those violators (constructBall), or plus the orthant extrema
+// when there are more violators than that.
+//
+// Sampling's final phase reads the input in place, with no index array.
+// The sampling phase leaves a ball that few points escape, so the first
+// full scan usually collects all of them, and the ball of support ∪
+// violators is final: the second full scan only verifies it. OrthantScan
+// runs the same loop from a two-point ball.
 
 // maxOrthantBits caps the orthant count at 2^6 = 64 for high dimensions.
 const maxOrthantBits = 6
 
-// scanResult carries per-orthant extrema from one scan.
+// maxViolators bounds how many points outside the ball one scan collects.
+// Past it, the step falls back to the per-orthant extrema: an exact ball of
+// a few thousand points costs more than another scan saves.
+const maxViolators = 1024
+
+// scanResult is what one scan of a point set against a ball found.
 type scanResult struct {
-	ids   []int32   // per orthant: furthest outside point (-1 none)
-	dists []float64 // per orthant: its squared distance
+	ids     []int32   // per orthant: furthest outside point (-1 none)
+	dists   []float64 // per orthant: its squared distance
+	out     []int32   // points outside the ball, in input order, at most maxViolators
+	outside int       // how many points lie outside the ball
 }
 
-func (r *scanResult) hasOutlier() bool {
+func newScanResult(numOrth int) scanResult {
+	r := scanResult{ids: make([]int32, numOrth), dists: make([]float64, numOrth)}
+	for o := range r.ids {
+		r.ids[o] = -1
+	}
+	return r
+}
+
+// candidates returns the point set whose exact ball is the next iterate:
+// support plus every violator, or plus the orthant extrema when the scan
+// found more than maxViolators.
+func (r *scanResult) candidates(support []int32) []int32 {
+	cand := append([]int32(nil), support...)
+	if r.outside <= maxViolators {
+		return append(cand, r.out...)
+	}
 	for _, id := range r.ids {
 		if id >= 0 {
-			return true
+			cand = append(cand, id)
 		}
 	}
-	return false
+	return cand
 }
 
-// orthantScanPass scans the points with ids idx against ball b.
-func orthantScanPass(pts geom.Points, idx []int32, b *Ball) scanResult {
-	bits := pts.Dim
-	if bits > maxOrthantBits {
-		bits = maxOrthantBits
-	}
+// scan tests the points of pts against ball b. ids maps a row of pts to
+// the point id it reports; nil means the row number itself.
+func scan(pts geom.Points, ids []int32, b *Ball) scanResult {
+	bits := min(pts.Dim, maxOrthantBits)
 	numOrth := 1 << bits
-	merge := func(a, c scanResult) scanResult {
-		for o := 0; o < numOrth; o++ {
-			if c.ids[o] >= 0 && (a.ids[o] < 0 || c.dists[o] > a.dists[o]) {
-				a.ids[o] = c.ids[o]
-				a.dists[o] = c.dists[o]
-			}
-		}
-		return a
-	}
-	fresh := func() scanResult {
-		r := scanResult{ids: make([]int32, numOrth), dists: make([]float64, numOrth)}
-		for o := range r.ids {
-			r.ids[o] = -1
-		}
-		return r
-	}
-	n := len(idx)
-	p := parlay.NumWorkers()
-	nblocks := 4 * p
-	if nblocks > n/1024+1 {
-		nblocks = n/1024 + 1
-	}
+	n := pts.Len()
+	nblocks := min(4*parlay.NumWorkers(), n/1024+1)
 	blockSize := (n + nblocks - 1) / nblocks
+	limit := b.SqRadius * (1 + containsEps)
 	partial := make([]scanResult, nblocks)
 	parlay.For(nblocks, 1, func(blk int) {
-		r := fresh()
-		lo, hi := blk*blockSize, (blk+1)*blockSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			p := pts.At(int(idx[i]))
+		r := newScanResult(numOrth)
+		for i := blk * blockSize; i < min((blk+1)*blockSize, n); i++ {
+			p := pts.At(i)
 			d := b.SqDistTo(p)
-			if d <= b.SqRadius*(1+containsEps) {
+			if d <= limit {
 				continue
+			}
+			id := int32(i)
+			if ids != nil {
+				id = ids[i]
+			}
+			if r.outside++; r.outside <= maxViolators {
+				r.out = append(r.out, id)
 			}
 			o := 0
 			for c := 0; c < bits; c++ {
@@ -86,16 +99,23 @@ func orthantScanPass(pts geom.Points, idx []int32, b *Ball) scanResult {
 				}
 			}
 			if r.ids[o] < 0 || d > r.dists[o] {
-				r.ids[o] = idx[i]
+				r.ids[o] = id
 				r.dists[o] = d
 			}
 		}
 		partial[blk] = r
 	})
-	acc := fresh()
+	acc := newScanResult(numOrth)
 	for _, r := range partial {
-		if r.ids != nil {
-			acc = merge(acc, r)
+		for o := range acc.ids {
+			if r.ids[o] >= 0 && (acc.ids[o] < 0 || r.dists[o] > acc.dists[o]) {
+				acc.ids[o] = r.ids[o]
+				acc.dists[o] = r.dists[o]
+			}
+		}
+		acc.outside += r.outside
+		if acc.outside <= maxViolators {
+			acc.out = append(acc.out, r.out...)
 		}
 	}
 	return acc
@@ -118,7 +138,7 @@ func boundarySupport(pts geom.Points, b *Ball, candidates []int32) []int32 {
 }
 
 // constructBall recomputes the exact smallest ball of a small candidate set
-// (support ∪ extrema), per Fig. 6's constructBall.
+// (support ∪ violators, or support ∪ extrema), per Fig. 6's constructBall.
 func constructBall(pts geom.Points, candidates []int32) Ball {
 	return sebOfSmall(pts, candidates)
 }
@@ -129,62 +149,63 @@ func constructBall(pts geom.Points, candidates []int32) Ball {
 // Welzl).
 const maxScanIterations = 200
 
-// initialBall seeds the iteration: the ball over the two points spanning
-// the widest distance from the first point (a cheap diameter estimate).
-func initialBall(pts geom.Points, idx []int32) (Ball, []int32) {
-	p0 := idx[0]
-	fi := parlay.MaxIndexFloat(len(idx), 0, func(i int) float64 {
-		return pts.SqDist(int(p0), int(idx[i]))
-	})
-	p1 := idx[fi]
+// runStats counts what one Sampling or OrthantScan call did.
+type runStats struct {
+	sampled    int // points drawn by the sampling phase
+	fullPasses int // scans of the whole input
+	overflows  int // scans that found more than maxViolators points outside
+}
+
+// initialBall seeds the iteration with the ball through p0 and p1, where p1
+// is the point of some set furthest from p0 (a cheap diameter estimate).
+func initialBall(pts geom.Points, p0, p1 int32) (Ball, []int32) {
 	support := []int32{p0, p1}
 	b, ok := ballOf(pts, support)
 	if !ok { // identical points
-		b, _ = ballOf(pts, support[:1])
 		support = support[:1]
+		b, _ = ballOf(pts, support)
 	}
 	return b, support
 }
 
-// scanLoop runs orthant-scan iterations over idx until no outliers remain,
+// scanLoop scans the whole input until no point lies outside the ball,
 // returning the exact ball (falling back to Welzl if progress stalls).
-func scanLoop(pts geom.Points, idx []int32, b Ball, support []int32) Ball {
+func scanLoop(pts geom.Points, b Ball, support []int32, st *runStats) Ball {
 	for iter := 0; iter < maxScanIterations; iter++ {
-		res := orthantScanPass(pts, idx, &b)
-		if !res.hasOutlier() {
+		res := scan(pts, nil, &b)
+		st.fullPasses++
+		if res.outside == 0 {
 			return b // enclosing and equal to SEB of its support: optimal
 		}
-		cand := append([]int32(nil), support...)
-		for _, id := range res.ids {
-			if id >= 0 {
-				cand = append(cand, id)
-			}
+		if res.outside > maxViolators {
+			st.overflows++
 		}
+		cand := res.candidates(support)
 		nb := constructBall(pts, cand)
 		if nb.SqRadius <= b.SqRadius*(1+1e-14) && iter > 0 {
 			// No radius progress: floating-point stall. Fall back to the
 			// exact parallel Welzl for a guaranteed answer.
-			sub := pts.Gather(idx)
-			return Welzl(sub, 0xfa11bac, Heuristics{MTF: true})
+			return Welzl(pts, 0xfa11bac, Heuristics{MTF: true})
 		}
 		b = nb
 		support = boundarySupport(pts, &b, cand)
 	}
-	sub := pts.Gather(idx)
-	return Welzl(sub, 0xfa11bac, Heuristics{MTF: true})
+	return Welzl(pts, 0xfa11bac, Heuristics{MTF: true})
 }
 
 // OrthantScan computes the smallest enclosing ball with Larsson et al.'s
 // parallel iterative orthant scan ("Scan" in Fig. 10).
 func OrthantScan(pts geom.Points) Ball {
-	n := pts.Len()
-	if n == 0 {
+	return orthantScan(pts, &runStats{})
+}
+
+func orthantScan(pts geom.Points, st *runStats) Ball {
+	if pts.Len() == 0 {
 		return Ball{Dim: pts.Dim}
 	}
-	idx := make([]int32, n)
-	parlay.For(n, 0, func(i int) { idx[i] = int32(i) })
-	b, support := initialBall(pts, idx)
-	return scanLoop(pts, idx, b, support)
+	far := parlay.MaxIndexFloat(pts.Len(), 0, func(i int) float64 { return pts.SqDist(0, i) })
+	b, support := initialBall(pts, 0, int32(far))
+	return scanLoop(pts, b, support, st)
 }
 
 // SampleSegment is the constant sample-segment size of the sampling phase
@@ -194,54 +215,67 @@ const SampleSegment = 4096
 // Sampling computes the smallest enclosing ball with the paper's
 // sampling-based algorithm (Fig. 6): bootstrap the support set from
 // constant-size random samples until a sample arrives with no outliers,
-// then finish with full orthant scans.
+// then finish with full scans of the input.
 func Sampling(pts geom.Points, seed uint64) Ball {
-	b, _ := SamplingStats(pts, seed)
-	return b
+	return sampling(pts, seed, &runStats{})
 }
 
 // SamplingStats additionally reports the fraction of the input scanned
 // during the sampling phase (§6.2 reports ~5% on average).
 func SamplingStats(pts geom.Points, seed uint64) (Ball, float64) {
-	n := pts.Len()
-	if n == 0 {
-		return Ball{Dim: pts.Dim}, 0
+	var st runStats
+	b := sampling(pts, seed, &st)
+	if pts.Len() == 0 {
+		return b, 0
 	}
-	perm := parlay.RandomPermutation(n, seed)
-	b, support := initialBall(pts, perm[:min(n, 64)])
-	// Sampling phase: scan one unseen constant-size segment at a time
-	// (equivalent to a random sample); stop when a sample has no outliers.
-	scanned := 0
-	for scanned < n {
-		hi := scanned + SampleSegment
-		if hi > n {
-			hi = n
-		}
-		seg := perm[scanned:hi]
-		scanned = hi
-		res := orthantScanPass(pts, seg, &b)
-		if !res.hasOutlier() {
-			break // the current ball already covers a fresh random sample
-		}
-		cand := append([]int32(nil), support...)
-		for _, id := range res.ids {
-			if id >= 0 {
-				cand = append(cand, id)
-			}
-		}
-		b = constructBall(pts, cand)
-		support = boundarySupport(pts, &b, cand)
-	}
-	frac := float64(scanned) / float64(n)
-	// Final phase: full orthant scans until exact.
-	idx := make([]int32, n)
-	parlay.For(n, 0, func(i int) { idx[i] = int32(i) })
-	return scanLoop(pts, idx, b, support), frac
+	return b, float64(st.sampled) / float64(pts.Len())
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+func sampling(pts geom.Points, seed uint64, st *runStats) Ball {
+	n := pts.Len()
+	if n == 0 {
+		return Ball{Dim: pts.Dim}
 	}
-	return b
+	// Sampling phase: draw each segment's points uniformly at random (with
+	// replacement) into one reused buffer and scan it; stop when a sample
+	// has no outliers, or once as many points as the input holds were drawn.
+	r := rng.NewXoshiro256(seed)
+	buf := geom.NewPoints(min(n, SampleSegment), pts.Dim)
+	bufIDs := make([]int32, buf.Len())
+	draw := func() (geom.Points, []int32) {
+		m := min(buf.Len(), n-st.sampled)
+		for k := 0; k < m; k++ {
+			i := r.Intn(n)
+			bufIDs[k] = int32(i)
+			copy(buf.At(k), pts.At(i))
+		}
+		st.sampled += m
+		return buf.Slice(0, m), bufIDs[:m]
+	}
+	sample, ids := draw()
+	p0, p1 := ids[0], ids[0]
+	for _, id := range ids[:min(len(ids), 64)] {
+		if pts.SqDist(int(p0), int(id)) > pts.SqDist(int(p0), int(p1)) {
+			p1 = id
+		}
+	}
+	b, support := initialBall(pts, p0, p1)
+	for {
+		res := scan(sample, ids, &b)
+		if res.outside == 0 {
+			break // the current ball already covers a fresh random sample
+		}
+		if res.outside > maxViolators {
+			st.overflows++
+		}
+		cand := res.candidates(support)
+		b = constructBall(pts, cand)
+		support = boundarySupport(pts, &b, cand)
+		if st.sampled == n {
+			break
+		}
+		sample, ids = draw()
+	}
+	// Final phase: full scans until exact.
+	return scanLoop(pts, b, support, st)
 }
