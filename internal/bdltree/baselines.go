@@ -50,8 +50,10 @@ func NewB1(dim int, split SplitRule) *B1 {
 // Size returns the number of live points.
 func (b *B1) Size() int { return len(b.gids) }
 
+// rebuild builds the tree over copies of coords and gids: a level owns
+// the rows it is built over, and B1 keeps its own across updates.
 func (b *B1) rebuild() {
-	b.tree = newLevel(geom.Points{Data: b.coords, Dim: b.dim}, b.gids, b.split)
+	b.tree = newLevel(geom.Points{Data: slices.Clone(b.coords), Dim: b.dim}, slices.Clone(b.gids), b.split)
 }
 
 // Insert appends the batch and rebuilds the tree.
@@ -224,15 +226,15 @@ func (b *B2) buildNode(pts geom.Points, gids []int32, idx []int32, par bool) *b2
 	var mid int
 	if b.split == SpatialMedian {
 		val := (nd.minC[c] + nd.maxC[c]) / 2
-		mid = kdtree.PartitionVal(pts, idx, c, val)
+		mid = partitionVal(pts, idx, c, val)
 		if mid == 0 || mid == len(idx) {
 			mid = len(idx) / 2
-			kdtree.NthElement(pts, idx, mid, c)
+			nthElement(pts, idx, mid, c)
 		}
 		nd.splitVal = val
 	} else {
 		mid = len(idx) / 2
-		kdtree.NthElement(pts, idx, mid, c)
+		nthElement(pts, idx, mid, c)
 		nd.splitVal = pts.Coord(int(idx[mid]), c)
 	}
 	nd.splitDim = int8(c)
@@ -246,6 +248,69 @@ func (b *B2) buildNode(pts geom.Points, gids []int32, idx []int32, par bool) *b2
 		nd.right = b.buildNode(pts, gids, idx[mid:], false)
 	}
 	return nd
+}
+
+// nthElement reorders idx so idx[kth] holds the element of rank kth by
+// coordinate dim (quickselect with median-of-three pivots; ties land on
+// either side).
+func nthElement(pts geom.Points, idx []int32, kth int, dim int) {
+	lo, hi := 0, len(idx)
+	key := func(i int) float64 { return pts.Coord(int(idx[i]), dim) }
+	for hi-lo > 1 {
+		mid := (lo + hi - 1) / 2
+		if key(mid) < key(lo) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if key(hi-1) < key(lo) {
+			idx[hi-1], idx[lo] = idx[lo], idx[hi-1]
+		}
+		if key(hi-1) < key(mid) {
+			idx[hi-1], idx[mid] = idx[mid], idx[hi-1]
+		}
+		pivot := key(mid)
+		i, j := lo, hi-1
+		for i <= j {
+			for key(i) < pivot {
+				i++
+			}
+			for key(j) > pivot {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		if kth <= j {
+			hi = j + 1
+		} else if kth >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+}
+
+// partitionVal reorders idx so elements with coordinate dim < val precede
+// the rest, returning the boundary position. The second scan tests the
+// complement of the first, so a NaN coordinate or val cannot stall it.
+func partitionVal(pts geom.Points, idx []int32, dim int, val float64) int {
+	i, j := 0, len(idx)-1
+	for i <= j {
+		for i <= j && pts.Coord(int(idx[i]), dim) < val {
+			i++
+		}
+		for i <= j && !(pts.Coord(int(idx[j]), dim) < val) {
+			j--
+		}
+		if i < j {
+			idx[i], idx[j] = idx[j], idx[i]
+			i++
+			j--
+		}
+	}
+	return i
 }
 
 func (b *B2) insertOne(p []float64, gid int32) {

@@ -10,9 +10,9 @@
 // per query across all the trees (Appendix C.4).
 //
 // Where this departs from the paper: the static trees are NOT laid out in
-// the van Emde Boas order of Appendix C.1.1. Every level is a row-ordered
-// kdtree arena (kdtree.BuildRows) — preorder nodes, points gathered into
-// leaf order at the end of the build, dimension-major float32 leaf slabs
+// the van Emde Boas order of Appendix C.1.1. Every level is a kdtree arena
+// built by kdtree.BuildRows — preorder nodes, the level's own rows
+// partitioned in place into leaf order, dimension-major float32 leaf slabs
 // scanned by internal/kernel as a filter with float64 re-verification, one
 // global id per row, 64-point leaves, and a tombstone bitset that does not
 // exist until the level's first erase — so the repository has one k-NN
@@ -238,9 +238,9 @@ func (t *Tree) insertWithIDs(batch geom.Points, ids []int32) {
 	fnew := f + loose/t.x
 	destroy, create := f&^fnew|thin, fnew&^f
 	// One pool receives every point that moves — tail, buffer, batch, then
-	// the live points of the thin and the destroyed trees — and the new
-	// levels build over slices of it in place: a point is copied here and
-	// once more by its level's leaf-order gather, nowhere else.
+	// the live points of the thin and the destroyed trees — and each new
+	// level takes a disjoint slice of it and partitions that slice in place
+	// into its leaf order: a point is copied here and nowhere else.
 	total := open + t.buffer.size()
 	for i, tr := range t.trees {
 		if destroy&(1<<i) != 0 {
@@ -283,8 +283,8 @@ func (t *Tree) insertWithIDs(batch geom.Points, ids []int32) {
 	}
 	parlay.For(len(jobs), 1, func(j int) {
 		jb := jobs[j]
-		pts := geom.Points{Data: coords[jb.lo*t.dim : jb.hi*t.dim], Dim: t.dim}
-		l := newLevel(pts, gids[jb.lo:jb.hi], t.split)
+		pts := geom.Points{Data: coords[jb.lo*t.dim : jb.hi*t.dim : jb.hi*t.dim], Dim: t.dim}
+		l := newLevel(pts, gids[jb.lo:jb.hi:jb.hi], t.split)
 		if jb.slot < 0 {
 			t.buffer = l
 		} else {

@@ -2,6 +2,7 @@ package bdltree
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,17 +79,23 @@ func BenchmarkKNNOverTrees(b *testing.B) {
 	})
 }
 
-// BenchmarkLevelBuild times one level's construction, leaf-order gather
-// included, from caller-owned points and ids.
+// BenchmarkLevelBuild times one level's construction over points and ids
+// it owns. A level partitions its input in place, so every iteration
+// builds over a fresh copy, made with the timer stopped.
 func BenchmarkLevelBuild(b *testing.B) {
 	pts := generators.UniformCube(100000, 3, 4)
 	ids := make([]int32, pts.Len())
 	for i := range ids {
 		ids[i] = int32(i)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newLevel(pts, ids, ObjectMedian)
+		b.StopTimer()
+		own := geom.Points{Data: slices.Clone(pts.Data), Dim: pts.Dim}
+		ownIDs := slices.Clone(ids)
+		b.StartTimer()
+		newLevel(own, ownIDs, ObjectMedian)
 	}
 }
 

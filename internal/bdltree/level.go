@@ -11,7 +11,7 @@ import (
 const levelLeafSize = 64
 
 // level is one tree of the ladder — a static tree or the buffer tree: a
-// row-ordered kdtree arena (leaf-ordered float64 rows, their f32 slabs,
+// kdtree arena (leaf-ordered float64 rows, their f32 slabs,
 // one global id per row, the preorder nodes, a tombstone bitset that is
 // nil until the level's first erase) and the count of rows still live.
 // Levels are immutable once built: an erase returns a copy that shares
@@ -22,8 +22,9 @@ type level struct {
 	live int
 }
 
-// newLevel builds a level over pts, which it only reads, labelling row i
-// with ids[i]; the kd-tree's final leaf-order gather is the only copy taken.
+// newLevel builds a level over pts, labelling row i with ids[i]. The level
+// takes ownership of both slices: the kd-tree partitions them in place into
+// its leaf-ordered rows and labels, so no copy is taken.
 func newLevel(pts geom.Points, ids []int32, split SplitRule) *level {
 	if pts.Len() == 0 {
 		return nil

@@ -101,11 +101,12 @@ func bccpNodes(ta, tb *kdtree.Tree, a, b *kdtree.Node, best *Result) {
 		return
 	}
 	if a.IsLeaf() && b.IsLeaf() {
-		for _, i := range ta.Points(a) {
+		// A leaf's points are its rows [Lo, Hi); the result names labels.
+		for i := a.Lo; i < a.Hi; i++ {
 			pi := ta.Pts.At(int(i))
-			for _, j := range tb.Points(b) {
+			for j := b.Lo; j < b.Hi; j++ {
 				if d := geom.SqDist(pi, tb.Pts.At(int(j))); d < best.SqDist {
-					*best = Result{i, j, d}
+					*best = Result{ta.Idx[i], tb.Idx[j], d}
 				}
 			}
 		}

@@ -89,6 +89,8 @@ func ComputeFromTree(t *kdtree.Tree) []Edge {
 	return out
 }
 
+// collectLeafEdges returns every pair of points that share a leaf. A leaf's
+// points are its rows [Lo, Hi), and edges carry the rows' labels.
 func collectLeafEdges(t *kdtree.Tree) []Edge {
 	// The flat preorder arena makes leaf collection a linear scan — no
 	// recursive pointer walk.
@@ -106,12 +108,12 @@ func collectLeafEdges(t *kdtree.Tree) []Edge {
 	total := parlay.ScanInts(counts)
 	out := make([]Edge, total)
 	parlay.For(len(leaves), 4, func(i int) {
-		ids := t.Points(leaves[i])
+		lo, hi := int(leaves[i].Lo), int(leaves[i].Hi)
 		k := counts[i]
-		for a := 0; a < len(ids); a++ {
-			pa := t.Pts.At(int(ids[a]))
-			for b := a + 1; b < len(ids); b++ {
-				out[k] = Edge{U: ids[a], V: ids[b], SqDist: geom.SqDist(pa, t.Pts.At(int(ids[b])))}
+		for a := lo; a < hi; a++ {
+			pa := t.Pts.At(a)
+			for b := a + 1; b < hi; b++ {
+				out[k] = Edge{U: t.Idx[a], V: t.Idx[b], SqDist: geom.SqDist(pa, t.Pts.At(b))}
 				k++
 			}
 		}

@@ -17,7 +17,7 @@ const allknnGrain = 2048
 // √prevKth + |prev−q| (prev itself plus k-th-ball(prev) minus q is k
 // points ≠ q within that radius). Inflated to a strict bound as SeedBound
 // requires; zero radius (exact duplicates) cannot be made strict and is
-// skipped. Queries run in leaf (Idx) order, so prev is spatially adjacent
+// skipped. Queries run in row (leaf) order, so prev is spatially adjacent
 // and the seed is tight — pruning and the f32 refine threshold are armed
 // from the first leaf, skipping the eager phase entirely.
 func seedFromPrev(buf *KNNBuffer, prev []float64, prevKth float64, q []float64) {
@@ -85,7 +85,7 @@ func (t *Tree) allknnWalk(ni int32, path []int32, st *allknnState, emit func(int
 	buf := st.buf
 	for i := nd.Lo; i < nd.Hi; i++ {
 		pid := t.Idx[i]
-		q := t.Pts.At(int(pid))
+		q := t.Pts.At(int(i))
 		buf.Reset()
 		if st.prev != nil {
 			seedFromPrev(buf, st.prev, st.prevKth, q)
@@ -121,14 +121,14 @@ func (t *Tree) allknnWalk(ni int32, path []int32, st *allknnState, emit func(int
 
 // AllKNN computes, for every point stored in the tree, its k nearest
 // neighbors among the tree's points (excluding the point itself), in one
-// data-parallel batch pass. Results are flat and row-major by point index:
-// the neighbors of point p occupy ids[p*k : (p+1)*k], sorted by increasing
-// distance and padded with -1 when fewer than k neighbors exist (and, for
-// trees built over an index subset, for points absent from the tree). If
+// data-parallel batch pass. Results are flat and row-major by point index —
+// the label, so the tree must label its rows 0..n−1, as Build does: the
+// neighbors of point p occupy ids[p*k : (p+1)*k], sorted by increasing
+// distance and padded with -1 when fewer than k neighbors exist. If
 // sqDists is non-nil it must have length Pts.Len()*k and receives the
 // matching squared distances (+Inf padding).
 //
-// Queries run in leaf (Idx) order as a bottom-up co-traversal: each query
+// Queries run in row (leaf) order as a bottom-up co-traversal: each query
 // starts at its own leaf, seeds its pruning bound from the previous
 // (spatially adjacent) query via the triangle inequality, and covers the
 // rest of the tree by testing ancestor siblings against that bound — see
@@ -147,16 +147,7 @@ func (t *Tree) AllKNN(k int, sqDists []float64) []int32 {
 		panic("kdtree: AllKNN sqDists length must be Pts.Len()*k")
 	}
 	ids := make([]int32, n*k)
-	if len(t.Idx) != n {
-		// Subset tree: rows of points outside the tree stay padded.
-		parlay.For(n*k, 0, func(i int) {
-			ids[i] = -1
-			if sqDists != nil {
-				sqDists[i] = inf
-			}
-		})
-	}
-	if len(t.Idx) == 0 {
+	if n == 0 {
 		return ids
 	}
 	pool := NewBufferPool(k)
@@ -186,8 +177,8 @@ func (t *Tree) AllKNN(k int, sqDists []float64) []int32 {
 // AllKthSqDist computes, for every point stored in the tree, the squared
 // distance to its k-th nearest neighbor (excluding itself) — the batch form
 // of KNNBuffer.KthDist, and the quantity DBSCAN/HDBSCAN core distances are
-// built from. Entry p is +Inf when point p has fewer than k neighbors or is
-// absent from a subset tree. Unlike AllKNN it materializes no neighbor
+// built from. Entry p is +Inf when point p (a label, as in AllKNN) has
+// fewer than k neighbors. Unlike AllKNN it materializes no neighbor
 // matrix: output is O(n) however large k is. Batched exactly like AllKNN
 // (leaf-ordered bottom-up co-traversal with seeded bounds).
 func (t *Tree) AllKthSqDist(k int) []float64 {
@@ -196,10 +187,7 @@ func (t *Tree) AllKthSqDist(k int) []float64 {
 	}
 	n := t.Pts.Len()
 	out := make([]float64, n)
-	if len(t.Idx) != n {
-		parlay.For(n, 0, func(i int) { out[i] = inf })
-	}
-	if len(t.Idx) == 0 {
+	if n == 0 {
 		return out
 	}
 	pool := NewBufferPool(k)

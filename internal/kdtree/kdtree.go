@@ -12,8 +12,14 @@
 // box extent); recursion on the two sides forks through parlay's
 // work-stealing scheduler (nested fork-join, no depth limit) until subtrees
 // fall below the sequential grain, so skewed splits rebalance dynamically.
-// Points are never copied out of the caller's buffer: the tree permutes a
-// single index array, and each node owns a contiguous range of it.
+// The build partitions its rows in place: a row is one point's coordinates
+// plus one int32 label, every quickselect or spatial split swaps whole
+// rows, and each node owns a contiguous range of them. When the build ends,
+// Pts holds the points in leaf order and Idx[r] is the label of row r — the
+// id queries report and exclude. Build labels row i of a private copy of
+// the caller's points with i, so its queries report point indices;
+// BuildRows takes ownership of the caller's rows and labels (a BDL level's
+// global ids) and builds over them without a copy.
 //
 // On layout: nodes live in one flat arena (Tree.Nodes), allocated in bulk
 // and laid out in DFS preorder — every subtree occupies a contiguous node
@@ -27,17 +33,16 @@
 // everywhere, the BDL-tree's static levels included: contiguous,
 // pointer-free, and cache-friendly for the traversals ParGeo performs.
 //
-// Row-ordered trees (BuildRows) are what a BDL level is: the build's last
-// step gathers the points into leaf order, so row r of Pts is the point
-// whose f32 image sits in slot r of its leaf slab, Idx[r] is the caller's
-// label for that row (the id queries report) rather than a permutation,
-// and Dead may tombstone rows. Every traversal in this file serves both
-// kinds; the only per-kind code resolves a row that survived the filter
-// (Tree.row).
+// There is one layout: row r of Pts is the point whose f32 image sits in
+// slot r of its leaf slab, so a filtered leaf re-verifies rows that lie
+// next to each other, and the boxes, quickselects and slabs of the build
+// read contiguous rows rather than gathering through an index. Dead may
+// tombstone rows (a BDL level's lazy erase); a tree without tombstones
+// reports every row.
 //
 // Leaf scan layout: the tree caches each leaf's coordinates as a
-// dimension-major (SoA) float32 slab (Tree.CoordsF32). A leaf owning Idx
-// positions [Lo, Hi) with m = Hi−Lo points stores coordinate c of its i-th
+// dimension-major (SoA) float32 slab (Tree.CoordsF32). A leaf owning rows
+// [Lo, Hi) with m = Hi−Lo points stores coordinate c of its i-th
 // point at CoordsF32[Lo*Dim + c*m + i] — m-long columns, one per
 // dimension, filled at build time while the leaf's points are cache-hot.
 // The k-NN and range inner loops hand whole columns to internal/kernel
@@ -104,13 +109,13 @@ type Options struct {
 }
 
 // Node is a kd-tree node stored in the tree's flat preorder arena. Leaves
-// have Left == 0 and own the index range [Lo, Hi) of Tree.Idx; internal
-// nodes carry the split plane and address their children by arena index
-// (Left is always the node's own index + 1 — preorder). Every node (incl.
-// internal) owns its subtree's contiguous range [Lo, Hi).
+// have Left == 0 and own the rows [Lo, Hi); internal nodes carry the split
+// plane and address their children by arena index (Left is always the
+// node's own index + 1 — preorder). Every node (incl. internal) owns its
+// subtree's contiguous row range [Lo, Hi).
 type Node struct {
 	MinC, MaxC  [MaxDim]float64 // bounding box (first Dim entries valid)
-	Lo, Hi      int32           // owned range of Tree.Idx
+	Lo, Hi      int32           // owned rows of Tree.Pts and Tree.Idx
 	Left, Right int32           // children as Tree.Nodes indices; 0 = leaf
 	SplitVal    float64
 	SplitDim    int8
@@ -123,21 +128,22 @@ func (nd *Node) IsLeaf() bool { return nd.Left == 0 }
 // Size returns the number of points in the node's subtree.
 func (nd *Node) Size() int { return int(nd.Hi - nd.Lo) }
 
-// Tree is a static kd-tree over an externally owned point buffer (Build,
-// BuildIndexed), or over its own leaf-ordered copy of one (BuildRows).
+// Tree is a static kd-tree over its own rows, in leaf order.
 type Tree struct {
+	// Pts holds the tree's points in leaf order: a node's points are the
+	// rows [Lo, Hi). The tree owns this buffer.
 	Pts geom.Points
-	// Idx maps leaf-order rows to what queries report: a permutation of
-	// the point indices (row r is Pts.At(Idx[r])), or, in a row-ordered
-	// tree, the label of row r (which is Pts.At(r)). Leaves own ranges.
+	// Idx[r] is the label of row r: the id queries report and exclude. A
+	// Build tree labels each row with the index of its point in the
+	// caller's buffer.
 	Idx []int32
 	// Nodes is the preorder node arena: Nodes[0] is the root, every subtree
 	// occupies a contiguous range, and a node's left child immediately
 	// follows it. Allocated in bulk — builds do O(1) allocations.
 	Nodes []Node
 	// CoordsF32 caches point coordinates in dimension-major (SoA) float32
-	// columns, one slab per leaf: a leaf owning Idx range [Lo, Hi) with
-	// m = Hi−Lo points stores coordinate c of its i-th point at
+	// columns, one slab per leaf: a leaf owning rows [Lo, Hi) with
+	// m = Hi−Lo points stores coordinate c of its i-th row at
 	// CoordsF32[Lo*Dim + c*m + i]. The k-NN and range inner loops scan
 	// these columns through internal/kernel as a conservative filter and
 	// re-verify survivors against the float64 truth in Pts.
@@ -148,31 +154,16 @@ type Tree struct {
 	maxAbs float64
 	f32ok  bool
 	opts   Options
-	// rows marks a row-ordered tree (BuildRows).
-	rows bool
-	// Dead is a row-ordered tree's tombstone bitset: bit r set means row r
-	// is deleted and no query reports it. nil — always, in a static tree —
-	// means every row is live. Never written once the tree is visible to
-	// readers: an eraser installs a fresh bitset in a copy of the Tree,
-	// which shares every other array.
+	// Dead is the tombstone bitset: bit r set means row r is deleted and no
+	// query reports it. nil means every row is live. Never written once the
+	// tree is visible to readers: an eraser installs a fresh bitset in a
+	// copy of the Tree, which shares every other array.
 	Dead []uint64
 }
 
 // IsDead reports whether row r is tombstoned.
 func (t *Tree) IsDead(r int32) bool {
 	return t.Dead != nil && t.Dead[r>>6]>>(uint(r)&63)&1 != 0
-}
-
-// row resolves leaf-order row r: the id queries report for it, the index
-// of its float64 coordinates in Pts, and whether it is live. This is all
-// the code that tells a row-ordered tree from a static one at query time,
-// and it runs only for rows that survived a leaf's filter.
-func (t *Tree) row(r int32) (id, at int32, live bool) {
-	id = t.Idx[r]
-	if !t.rows {
-		return id, id, true
-	}
-	return id, r, !t.IsDead(r)
 }
 
 // Root returns the root node, or nil for an empty tree.
@@ -189,55 +180,44 @@ func (t *Tree) Left(nd *Node) *Node { return &t.Nodes[nd.Left] }
 // Right returns nd's right child (nd must be internal).
 func (t *Tree) Right(nd *Node) *Node { return &t.Nodes[nd.Right] }
 
-// Build constructs a kd-tree over all points in pts.
+// Build constructs a kd-tree over a private copy of pts, labelling the copy
+// of point i with i, so queries report point indices. The caller's buffer
+// is only read.
 func Build(pts geom.Points, opts Options) *Tree {
-	n := pts.Len()
-	idx := make([]int32, n)
-	parlay.For(n, 0, func(i int) { idx[i] = int32(i) })
-	return BuildIndexed(pts, idx, opts)
-}
-
-// BuildRows constructs a row-ordered tree over all points in pts: the
-// build runs over pts in place (pts and labels are only read), and one
-// final gather copies every point to the row its leaf slab already gives
-// it. Afterwards Pts is that leaf-ordered copy — the float64
-// re-verification of a filtered leaf reads the rows next to each other —
-// and Idx[r] is the label of row r, so the tree keeps no permutation and
-// nothing of the caller's buffers. Queries report, and exclude, labels.
-// AllKNN and the node-range consumers (WSPD, EMST, BCCP), which read Idx as
-// point indices, are for static trees only.
-func BuildRows(pts geom.Points, labels []int32, opts Options) *Tree {
-	t := Build(pts, opts)
-	dim := pts.Dim
-	rows := make([]float64, len(pts.Data))
-	parlay.For(len(t.Idx), 0, func(r int) {
-		src := int(t.Idx[r])
-		copy(rows[r*dim:(r+1)*dim], pts.Data[src*dim:(src+1)*dim])
-		t.Idx[r] = labels[src]
+	n, dim := pts.Len(), pts.Dim
+	rows := make([]float64, n*dim)
+	labels := make([]int32, n)
+	parlay.ForBlocked(n, 1<<14, func(lo, hi int) {
+		copy(rows[lo*dim:hi*dim], pts.Data[lo*dim:hi*dim])
+		for i := lo; i < hi; i++ {
+			labels[i] = int32(i)
+		}
 	})
-	t.Pts = geom.Points{Data: rows, Dim: dim}
-	t.rows = true
-	return t
+	return BuildRows(geom.Points{Data: rows, Dim: dim}, labels, opts)
 }
 
-// BuildIndexed constructs a kd-tree over the subset of pts given by idx.
-// The tree takes ownership of idx and permutes it in place.
-func BuildIndexed(pts geom.Points, idx []int32, opts Options) *Tree {
+// BuildRows constructs a kd-tree over pts, labelling point i with
+// labels[i]. The tree takes ownership of both slices and partitions them in
+// place: afterwards pts.Data holds the rows in leaf order and labels[r] the
+// label of row r (they are the tree's Pts and Idx). Queries report, and
+// exclude, labels.
+func BuildRows(pts geom.Points, labels []int32, opts Options) *Tree {
 	if pts.Dim > MaxDim {
 		panic("kdtree: dimension exceeds MaxDim")
 	}
 	if opts.LeafSize <= 0 {
 		opts.LeafSize = 32
 	}
-	t := &Tree{Pts: pts, Idx: idx, opts: opts}
-	n := len(idx)
+	n := len(labels)
+	t := &Tree{Pts: geom.Points{Data: pts.Data[:n*pts.Dim], Dim: pts.Dim}, Idx: labels, opts: opts}
 	if n == 0 {
 		return t
 	}
 	// The dimension-major leaf slabs are filled as each leaf is built,
-	// while its points are still warm from the bounding-box pass.
+	// while its rows are cache-hot from the leaf's bounding-box pass.
 	t.CoordsF32 = make([]float32, n*pts.Dim)
 	par := !opts.Serial
+	root := rowSpan{t.Pts.Data, t.Idx, pts.Dim, 0}
 	switch opts.Split {
 	case SpatialMedian:
 		// Spatial splits are data-dependent, so subtree node counts are not
@@ -245,14 +225,14 @@ func BuildIndexed(pts geom.Points, idx []int32, opts Options) *Tree {
 		// leaf fill the builder guarantees), then compact to gap-free
 		// preorder.
 		arena := make([]Node, spatialNodeBound(int32(n), int32(opts.LeafSize)))
-		used := t.buildSpatial(arena, 0, 0, int32(n), par)
+		used := t.buildSpatial(arena, 0, root, par)
 		t.Nodes = compactPreorder(arena, used)
 	default: // ObjectMedian
 		// Object-median shapes depend only on subtree sizes, so the exact
 		// node count — and every subtree's exact arena range — is known
 		// before building: one bulk make, disjoint lock-free carving.
 		t.Nodes = make([]Node, objectNodeCount(int32(n), int32(opts.LeafSize)))
-		t.buildObject(0, 0, int32(n), par)
+		t.buildObject(0, root, par)
 	}
 	t.finishF32()
 	return t
@@ -346,78 +326,84 @@ func spatialNodeBound(m, leafSize int32) int32 {
 	return 2*l - 1
 }
 
-// buildObject fills the subtree rooted at arena slot node over Idx[lo:hi).
-// Exact object-median counting makes the carving tight: the subtree
-// occupies exactly [node, node+objectNodeCount(hi-lo)).
-func (t *Tree) buildObject(node, lo, hi int32, par bool) {
+// buildObject fills the subtree rooted at arena slot node over the rows of
+// s. Exact object-median counting makes the carving tight: the subtree
+// occupies exactly objectNodeCount(rows) slots from node on.
+func (t *Tree) buildObject(node int32, s rowSpan, par bool) {
 	nd := &t.Nodes[node]
-	nd.Lo, nd.Hi = lo, hi
-	t.computeBox(nd, par)
-	n := hi - lo
+	nd.Lo, nd.Hi = s.lo, s.lo+int32(len(s.lab))
+	n := int32(len(s.lab))
 	if int(n) <= t.opts.LeafSize {
-		t.fillLeafSlab(lo, hi) // leaf: Left stays 0
+		t.buildLeaf(nd, s) // Left stays 0
 		return
 	}
-	dim := widestDim(nd, t.Pts.Dim)
-	mid := lo + n/2
-	NthElement(t.Pts, t.Idx[lo:hi], int(n/2), dim)
-	nd.SplitVal = t.Pts.Coord(int(t.Idx[mid]), dim)
+	s.box(nd)
+	dim := widestDim(nd, s.dim)
+	mid := n / 2
+	s.nthElement(int(mid), dim)
+	nd.SplitVal = s.key(int(mid), dim)
 	nd.SplitDim = int8(dim)
 	nd.Left = node + 1
-	nd.Right = node + 1 + objectNodeCount(mid-lo, int32(t.opts.LeafSize))
+	nd.Right = node + 1 + objectNodeCount(mid, int32(t.opts.LeafSize))
+	l, r := s.cut(mid)
 	if par && int(n) > parallelBuildThreshold {
 		parlay.Do(
-			func() { t.buildObject(nd.Left, lo, mid, true) },
-			func() { t.buildObject(nd.Right, mid, hi, true) },
+			func() { t.buildObject(nd.Left, l, true) },
+			func() { t.buildObject(nd.Right, r, true) },
 		)
 	} else {
-		t.buildObject(nd.Left, lo, mid, false)
-		t.buildObject(nd.Right, mid, hi, false)
+		t.buildObject(nd.Left, l, false)
+		t.buildObject(nd.Right, r, false)
 	}
 }
 
-// buildSpatial fills the subtree rooted at arena slot node over Idx[lo:hi),
-// carving child slabs by the worst-case bound, and returns the number of
-// nodes the subtree actually used (its gap-free size after compaction).
-func (t *Tree) buildSpatial(arena []Node, node, lo, hi int32, par bool) int32 {
+// buildSpatial fills the subtree rooted at arena slot node over the rows of
+// s, carving child slabs by the worst-case bound, and returns the number
+// of nodes the subtree actually used (its gap-free size after compaction).
+func (t *Tree) buildSpatial(arena []Node, node int32, s rowSpan, par bool) int32 {
 	nd := &arena[node]
-	nd.Lo, nd.Hi = lo, hi
-	t.computeBox(nd, par)
-	n := hi - lo
+	nd.Lo, nd.Hi = s.lo, s.lo+int32(len(s.lab))
+	n := int32(len(s.lab))
 	if int(n) <= t.opts.LeafSize {
-		t.fillLeafSlab(lo, hi)
+		t.buildLeaf(nd, s)
 		return 1
 	}
+	s.box(nd)
 	leafSize := int32(t.opts.LeafSize)
-	dim := widestDim(nd, t.Pts.Dim)
+	dim := widestDim(nd, s.dim)
 	splitVal := (nd.MinC[dim] + nd.MaxC[dim]) / 2
-	mid := lo + int32(PartitionVal(t.Pts, t.Idx[lo:hi], dim, splitVal))
-	if fill := minLeafFill(leafSize); mid-lo < fill || hi-mid < fill {
-		// Degenerate or heavily skewed spatial cut: fall back to the object
-		// median. This guarantees progress (the classic mid==lo/hi case) and
-		// keeps every leaf at least half full, which is what bounds the
-		// arena and the tree depth.
-		mid = lo + n/2
-		NthElement(t.Pts, t.Idx[lo:hi], int(n/2), dim)
-		splitVal = t.Pts.Coord(int(t.Idx[mid]), dim)
+	mid := int32(-1)
+	if !math.IsNaN(splitVal) && !math.IsInf(splitVal, 0) {
+		mid = int32(s.partition(dim, splitVal))
+	}
+	if fill := minLeafFill(leafSize); mid < fill || n-mid < fill {
+		// A cut that is not finite (an infinite or NaN box extent), or a
+		// degenerate or heavily skewed one: fall back to the object median.
+		// This guarantees progress (the classic mid==lo/hi case) and keeps
+		// every leaf at least half full, which is what bounds the arena
+		// and the tree depth.
+		mid = n / 2
+		s.nthElement(int(mid), dim)
+		splitVal = s.key(int(mid), dim)
 	}
 	nd.SplitVal = splitVal
 	nd.SplitDim = int8(dim)
 	nd.Left = node + 1
-	nd.Right = node + 1 + spatialNodeBound(mid-lo, leafSize)
+	nd.Right = node + 1 + spatialNodeBound(mid, leafSize)
+	l, r := s.cut(mid)
 	if par && int(n) > parallelBuildThreshold {
 		// The result cells live only in the (rare) fork branch: hoisting
 		// them out would heap-box them on every call, since the closures
 		// write to them.
 		var lUsed, rUsed int32
 		parlay.Do(
-			func() { lUsed = t.buildSpatial(arena, nd.Left, lo, mid, true) },
-			func() { rUsed = t.buildSpatial(arena, nd.Right, mid, hi, true) },
+			func() { lUsed = t.buildSpatial(arena, nd.Left, l, true) },
+			func() { rUsed = t.buildSpatial(arena, nd.Right, r, true) },
 		)
 		return 1 + lUsed + rUsed
 	}
-	return 1 + t.buildSpatial(arena, nd.Left, lo, mid, false) +
-		t.buildSpatial(arena, nd.Right, mid, hi, false)
+	return 1 + t.buildSpatial(arena, nd.Left, l, false) +
+		t.buildSpatial(arena, nd.Right, r, false)
 }
 
 // compactPreorder re-emits the (possibly gappy) slab-carved arena as a
@@ -445,68 +431,15 @@ func compactPreorder(arena []Node, total int32) []Node {
 	return out
 }
 
-// fillLeafSlab transposes the coordinates of Idx[lo:hi) — a freshly built
-// leaf's points, still cache-hot from its bounding-box pass — into the
-// leaf's dimension-major float32 slab: m-long columns, one per dimension,
-// starting at CoordsF32[lo*Dim].
-func (t *Tree) fillLeafSlab(lo, hi int32) {
-	dim := t.Pts.Dim
-	m := int(hi - lo)
-	slab := t.CoordsF32[int(lo)*dim : int(lo)*dim+m*dim]
+// buildLeaf fills a leaf's bounding box and its dimension-major float32
+// slab: m-long columns, one per dimension, starting at CoordsF32[Lo*Dim].
+func (t *Tree) buildLeaf(nd *Node, s rowSpan) {
+	s.box(nd)
+	dim, m := s.dim, len(s.lab)
+	slab := t.CoordsF32[int(nd.Lo)*dim : int(nd.Lo)*dim+m*dim]
 	for i := 0; i < m; i++ {
-		p := t.Pts.At(int(t.Idx[int(lo)+i]))
-		for c := 0; c < dim; c++ {
-			slab[c*m+i] = float32(p[c])
-		}
-	}
-}
-
-// computeBox fills the node's bounding box over its index range.
-func (t *Tree) computeBox(nd *Node, par bool) {
-	dim := t.Pts.Dim
-	for c := 0; c < dim; c++ {
-		nd.MinC[c] = inf
-		nd.MaxC[c] = -inf
-	}
-	n := int(nd.Hi - nd.Lo)
-	if par && n > 1<<16 {
-		type boxAcc struct{ mn, mx [MaxDim]float64 }
-		id := boxAcc{}
-		for c := 0; c < dim; c++ {
-			id.mn[c] = inf
-			id.mx[c] = -inf
-		}
-		acc := parlay.Reduce(n, 0, id,
-			func(i int) boxAcc {
-				var a boxAcc
-				p := t.Pts.At(int(t.Idx[nd.Lo+int32(i)]))
-				for c := 0; c < dim; c++ {
-					a.mn[c], a.mx[c] = p[c], p[c]
-				}
-				for c := dim; c < MaxDim; c++ {
-					a.mn[c], a.mx[c] = inf, -inf
-				}
-				return a
-			},
-			func(a, b boxAcc) boxAcc {
-				for c := 0; c < dim; c++ {
-					a.mn[c] = math.Min(a.mn[c], b.mn[c])
-					a.mx[c] = math.Max(a.mx[c], b.mx[c])
-				}
-				return a
-			})
-		nd.MinC, nd.MaxC = acc.mn, acc.mx
-		return
-	}
-	for i := nd.Lo; i < nd.Hi; i++ {
-		p := t.Pts.At(int(t.Idx[i]))
-		for c := 0; c < dim; c++ {
-			if p[c] < nd.MinC[c] {
-				nd.MinC[c] = p[c]
-			}
-			if p[c] > nd.MaxC[c] {
-				nd.MaxC[c] = p[c]
-			}
+		for c, v := range s.data[i*dim : i*dim+dim] {
+			slab[c*m+i] = float32(v)
 		}
 	}
 }
@@ -521,25 +454,29 @@ func widestDim(nd *Node, dim int) int {
 	return best
 }
 
-// Points returns the point indices stored in the node's subtree.
+// Points returns the labels of the node's rows — point indices, in a Build
+// tree. The node's coordinates are the rows [Lo, Hi) of Pts.
 func (t *Tree) Points(nd *Node) []int32 { return t.Idx[nd.Lo:nd.Hi] }
 
 // --- k-nearest neighbors ----------------------------------------------
 
 // KNN returns, for each query point index in queries, its k nearest
-// neighbors among the tree's points (by index into Pts), excluding the
-// query point itself when it is part of the tree. Queries run data-parallel
-// (§5 "Data-Parallel k-NN"). Result row i occupies out[i*k : i*k+counts[i]].
-// It panics when k < 1.
+// neighbors among the tree's points (by point index), excluding the query
+// point itself. Point indices are labels, so the tree must label its rows
+// 0..n−1, as Build does; a label→row inverse built per call locates each
+// query's row. Queries run data-parallel (§5 "Data-Parallel k-NN"); out[i]
+// holds the neighbors of queries[i], nearest first. It panics when k < 1.
 func (t *Tree) KNN(queries []int32, k int) [][]int32 {
 	CheckK(k)
+	row := make([]int32, len(t.Idx))
+	parlay.For(len(t.Idx), 0, func(r int) { row[t.Idx[r]] = int32(r) })
 	out := make([][]int32, len(queries))
 	parlay.ForBlocked(len(queries), 64, func(lo, hi int) {
 		buf := NewKNNBuffer(k)
 		for i := lo; i < hi; i++ {
 			buf.Reset()
-			q := int(queries[i])
-			t.KNNInto(t.Pts.At(q), int32(q), buf)
+			q := queries[i]
+			t.KNNInto(t.Pts.At(int(row[q])), q, buf)
 			out[i] = buf.Result(nil)
 		}
 	})
@@ -550,8 +487,8 @@ func (t *Tree) KNN(queries []int32, k int) [][]int32 {
 // caller Reset()s between unrelated queries but deliberately reuses across
 // the levels of a BDL-tree: the candidates and the k-th-distance bound
 // carry over, while the float32 filter is re-armed here for this tree's own
-// magnitude gate). exclude is a reported id — point index, or label in a
-// row-ordered tree — to skip (-1 for none). With a reused buffer the query
+// magnitude gate). exclude is a label — a point index, in a Build tree —
+// to skip (-1 for none). With a reused buffer the query
 // allocates nothing.
 func (t *Tree) KNNInto(q []float64, exclude int32, buf *KNNBuffer) {
 	if len(t.Nodes) > 0 {
@@ -592,8 +529,8 @@ func (t *Tree) knnRec(ni int32, q []float64, exclude int32, buf *KNNBuffer) {
 // the excluded id or tombstoned. Every candidate of every k-NN scan enters
 // the buffer here, after whatever filtering the scan did.
 func (t *Tree) offer(r int32, q []float64, exclude int32, buf *KNNBuffer) {
-	if id, at, live := t.row(r); live && id != exclude {
-		buf.Insert(id, geom.SqDist(q, t.Pts.At(int(at))))
+	if id := t.Idx[r]; id != exclude && !t.IsDead(r) {
+		buf.Insert(id, geom.SqDist(q, t.Pts.At(int(r))))
 	}
 }
 
@@ -699,8 +636,8 @@ func (t *Tree) makeRangeCtx(box geom.Box) rangeCtx {
 	return rc
 }
 
-// RangeSearch returns the reported ids (point indices, or labels in a
-// row-ordered tree) of all live points inside the closed box.
+// RangeSearch returns the labels (point indices, in a Build tree) of all
+// live points inside the closed box.
 func (t *Tree) RangeSearch(box geom.Box) []int32 {
 	var out []int32
 	if len(t.Nodes) > 0 {
@@ -764,10 +701,9 @@ func (t *Tree) rangeRec(ni int32, rc *rangeCtx, out *[]int32, cnt *int) {
 // rangeRow reports row r if it is live and — unless the caller knows the
 // whole node is inside — its float64 coordinates are in the box.
 func (t *Tree) rangeRow(r int32, rc *rangeCtx, inside bool, out *[]int32, cnt *int) {
-	id, at, live := t.row(r)
-	if live && (inside || rc.box.Contains(t.Pts.At(int(at)))) {
+	if !t.IsDead(r) && (inside || rc.box.Contains(t.Pts.At(int(r)))) {
 		if out != nil {
-			*out = append(*out, id)
+			*out = append(*out, t.Idx[r])
 		} else {
 			*cnt++
 		}
@@ -806,7 +742,7 @@ func (t *Tree) RangeSearchParallel(boxes []geom.Box) [][]int32 {
 
 // --- exact-match point location ------------------------------------------
 
-// MatchRows appends to rows every live row of a row-ordered tree whose
+// MatchRows appends to rows every live row of the tree whose
 // float64 coordinates equal q (==, so -0 matches +0 and NaN matches
 // nothing) — the lookup a batch deletion runs once per candidate and level.
 // It is a point location, not a box search: the root box rejects q outright

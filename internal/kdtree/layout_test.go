@@ -28,7 +28,7 @@ func boxAround(c []float64, w float64) geom.Box {
 // child is the next slot, the right child starts immediately after the left
 // subtree (so every subtree occupies one contiguous, gap-free node range),
 // the whole arena is exactly covered, children partition their parent's
-// point range, and the leaf-coordinate cache mirrors Idx.
+// row range, and the leaf-coordinate cache mirrors the rows.
 func TestPreorderLayoutInvariant(t *testing.T) {
 	const n = 700
 	for _, tc := range distCases {
@@ -96,8 +96,8 @@ func checkPreorder(t *testing.T, tr *Tree, label string) {
 	if root.Lo != 0 || int(root.Hi) != len(tr.Idx) {
 		t.Fatalf("%s: root range [%d,%d), want [0,%d)", label, root.Lo, root.Hi, len(tr.Idx))
 	}
-	// CoordsF32 mirrors Idx leaf by leaf in dimension-major order: leaf
-	// [Lo,Hi) with m points stores coordinate c of its i-th point at
+	// CoordsF32 mirrors the rows leaf by leaf in dimension-major order: leaf
+	// [Lo,Hi) with m rows stores coordinate c of its i-th row at
 	// CoordsF32[Lo*dim + c*m + i], rounded to float32.
 	dim := tr.Pts.Dim
 	var walkLeaves func(ni int32)
@@ -111,7 +111,7 @@ func checkPreorder(t *testing.T, tr *Tree, label string) {
 		m := int(nd.Hi - nd.Lo)
 		slab := tr.CoordsF32[int(nd.Lo)*dim : int(nd.Lo)*dim+m*dim]
 		for i := 0; i < m; i++ {
-			want := tr.Pts.At(int(tr.Idx[int(nd.Lo)+i]))
+			want := tr.Pts.At(int(nd.Lo) + i)
 			for c := 0; c < dim; c++ {
 				if got := slab[c*m+i]; got != float32(want[c]) {
 					t.Fatalf("%s: leaf [%d,%d) slab[%d*%d+%d] = %v, want f32(%v)",
@@ -212,36 +212,6 @@ func TestAllKthSqDistMatchesOracle(t *testing.T) {
 	for _, d := range tiny.AllKthSqDist(8) {
 		if !isInf(d) {
 			t.Fatalf("5-point tree, k=8: got %v, want +Inf", d)
-		}
-	}
-}
-
-// TestAllKNNSubsetTree checks that a tree built over an index subset pads
-// the rows of absent points.
-func TestAllKNNSubsetTree(t *testing.T) {
-	pts := generators.UniformCube(200, 2, 4)
-	idx := make([]int32, 0, 100)
-	for i := 0; i < 200; i += 2 {
-		idx = append(idx, int32(i))
-	}
-	tr := BuildIndexed(pts, idx, Options{})
-	const k = 3
-	sq := make([]float64, 200*k)
-	ids := tr.AllKNN(k, sq)
-	for p := 0; p < 200; p++ {
-		if p%2 == 1 {
-			for j := 0; j < k; j++ {
-				if ids[p*k+j] != -1 || !isInf(sq[p*k+j]) {
-					t.Fatalf("absent point %d row not padded: %v", p, ids[p*k:(p+1)*k])
-				}
-			}
-			continue
-		}
-		for j := 0; j < k; j++ {
-			id := ids[p*k+j]
-			if id < 0 || id%2 == 1 || id == int32(p) {
-				t.Fatalf("point %d neighbor %d = %d: must be a distinct even (in-tree) id", p, j, id)
-			}
 		}
 	}
 }

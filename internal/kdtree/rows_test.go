@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,20 +12,21 @@ import (
 	"pargeo/internal/rng"
 )
 
-// Differential tests for row-ordered trees (BuildRows): the two things a
-// BDL level has and a static tree lacks — a label per row and tombstones —
-// go through the same traversals, so every answer is checked against the
-// brute-force oracle over the rows that are still live.
+// Differential tests for trees over caller labels (BuildRows): the two
+// things a BDL level has and a Build tree lacks — arbitrary labels and
+// tombstones — go through the same traversals, so every answer is checked
+// against the brute-force oracle over the rows that are still live.
 
-// rowsFixture builds a row-ordered tree over pts with labels 7i+3 and
-// tombstones the rows kill selects; it returns the tree and the oracle's
-// view of it (live coordinates and the label of each live row).
+// rowsFixture builds a tree over a copy of pts (BuildRows owns its input)
+// with labels 7i+3 and tombstones the rows kill selects; it returns the
+// tree and the oracle's view of it (live coordinates and the label of each
+// live row).
 func rowsFixture(pts geom.Points, opts Options, kill func(label int32) bool) (*Tree, geom.Points, []int32) {
 	labels := make([]int32, pts.Len())
 	for i := range labels {
 		labels[i] = int32(7*i + 3)
 	}
-	tr := BuildRows(pts, labels, opts)
+	tr := BuildRows(geom.Points{Data: slices.Clone(pts.Data), Dim: pts.Dim}, labels, opts)
 	live := geom.Points{Dim: pts.Dim}
 	var liveLabels []int32
 	for r, lab := range tr.Idx {

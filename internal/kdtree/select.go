@@ -1,35 +1,69 @@
 package kdtree
 
-import "pargeo/internal/geom"
+// rowSpan is a node's rows while the tree is built: dim coordinates per
+// row in data and one label per row in lab, starting at row lo of the
+// tree. The build partitions a span in place by swapping whole rows, so a
+// node's box, its split and its leaf slab all read contiguous memory.
+type rowSpan struct {
+	data []float64
+	lab  []int32
+	dim  int
+	lo   int32
+}
 
-// NthElement reorders idx so idx[kth] holds the element of rank kth by
-// coordinate dim (quickselect with median-of-three pivots; ties land on
-// either side). Shared by this package's builder and the B2 baseline's.
-func NthElement(pts geom.Points, idx []int32, kth int, dim int) {
-	lo, hi := 0, len(idx)
-	key := func(i int) float64 { return pts.Coord(int(idx[i]), dim) }
+// cut splits s before its row m.
+func (s rowSpan) cut(m int32) (rowSpan, rowSpan) {
+	at := int(m) * s.dim
+	return rowSpan{s.data[:at], s.lab[:m], s.dim, s.lo},
+		rowSpan{s.data[at:], s.lab[m:], s.dim, s.lo + m}
+}
+
+// key returns coordinate c of row i.
+func (s rowSpan) key(i, c int) float64 { return s.data[i*s.dim+c] }
+
+// swapRows exchanges rows i and j of data (dim coordinates a row) and lab.
+func swapRows(data []float64, lab []int32, dim, i, j int) {
+	a := data[i*dim : i*dim+dim]
+	b := data[j*dim : j*dim+dim]
+	for c := range a {
+		a[c], b[c] = b[c], a[c]
+	}
+	lab[i], lab[j] = lab[j], lab[i]
+}
+
+// nthElement reorders the rows so row kth holds the row of rank kth by
+// coordinate c (quickselect with median-of-three pivots; ties land on
+// either side). Each scan stops at a row that is not strictly on its side
+// of the pivot and every round swaps at least once, so the range shrinks
+// every round and the selection ends whatever the keys, NaN included.
+func (s rowSpan) nthElement(kth, c int) {
+	// The loops index plain locals: a method call on s per key would copy
+	// the span on every probe.
+	data, lab, dim := s.data, s.lab, s.dim
+	key := data[c:]
+	lo, hi := 0, len(lab)
 	for hi-lo > 1 {
 		mid := (lo + hi - 1) / 2
-		if key(mid) < key(lo) {
-			idx[mid], idx[lo] = idx[lo], idx[mid]
+		if key[mid*dim] < key[lo*dim] {
+			swapRows(data, lab, dim, mid, lo)
 		}
-		if key(hi-1) < key(lo) {
-			idx[hi-1], idx[lo] = idx[lo], idx[hi-1]
+		if key[(hi-1)*dim] < key[lo*dim] {
+			swapRows(data, lab, dim, hi-1, lo)
 		}
-		if key(hi-1) < key(mid) {
-			idx[hi-1], idx[mid] = idx[mid], idx[hi-1]
+		if key[(hi-1)*dim] < key[mid*dim] {
+			swapRows(data, lab, dim, hi-1, mid)
 		}
-		pivot := key(mid)
+		pivot := key[mid*dim]
 		i, j := lo, hi-1
 		for i <= j {
-			for key(i) < pivot {
+			for key[i*dim] < pivot {
 				i++
 			}
-			for key(j) > pivot {
+			for key[j*dim] > pivot {
 				j--
 			}
 			if i <= j {
-				idx[i], idx[j] = idx[j], idx[i]
+				swapRows(data, lab, dim, i, j)
 				i++
 				j--
 			}
@@ -44,22 +78,46 @@ func NthElement(pts geom.Points, idx []int32, kth int, dim int) {
 	}
 }
 
-// PartitionVal reorders idx so elements with coordinate dim < val precede
-// the rest, returning the boundary position.
-func PartitionVal(pts geom.Points, idx []int32, dim int, val float64) int {
-	i, j := 0, len(idx)-1
+// partition moves the rows whose coordinate c is below val to the front
+// and returns their count. The two scans test one predicate and its
+// complement, so between them they consume every row and the pass ends
+// even on a NaN coordinate, which is not below val and goes right.
+func (s rowSpan) partition(c int, val float64) int {
+	data, lab, dim := s.data, s.lab, s.dim
+	key := data[c:]
+	i, j := 0, len(lab)-1
 	for i <= j {
-		for i <= j && pts.Coord(int(idx[i]), dim) < val {
+		for i <= j && key[i*dim] < val {
 			i++
 		}
-		for i <= j && pts.Coord(int(idx[j]), dim) >= val {
+		for i <= j && !(key[j*dim] < val) {
 			j--
 		}
 		if i < j {
-			idx[i], idx[j] = idx[j], idx[i]
+			swapRows(data, lab, dim, i, j)
 			i++
 			j--
 		}
 	}
 	return i
+}
+
+// box sets nd's bounding box to the span's, one coordinate at a time so
+// that the running bounds stay in registers. A NaN coordinate fails both
+// comparisons and never widens the box.
+func (s rowSpan) box(nd *Node) {
+	data, dim := s.data, s.dim
+	for c := 0; c < dim; c++ {
+		mn, mx := inf, -inf
+		for i := c; i < len(data); i += dim {
+			v := data[i]
+			if v < mn {
+				mn = v
+			}
+			if v > mx {
+				mx = v
+			}
+		}
+		nd.MinC[c], nd.MaxC[c] = mn, mx
+	}
 }
