@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pargeo/internal/engine"
@@ -123,34 +123,40 @@ type call struct {
 	err  error
 }
 
+// frame is one request of the in-flight batch still waiting for its
+// response: resolve hands the response carrying id, or the stream's
+// error, to the frame's calls.
+type frame struct {
+	id      uint64
+	resolve func(*wire.Response, error)
+}
+
 // Client is one connection to a pargeo-serve daemon. All methods are
 // safe for concurrent use by any number of goroutines; see the package
 // documentation for the batching semantics.
 type Client struct {
 	conn   net.Conn
+	br     *bufio.Reader
 	opts   Options
 	dim    int
 	shards int
 
-	// Write side: the flat-combining batcher (doc.go). binflight is set
-	// while a batch is written but not fully answered; at most one is.
-	bmu       sync.Mutex
-	bpending  []*call
-	binflight bool
+	// The flat-combining batcher (doc.go): calls parked for the next
+	// flush, whether a batch is in flight (at most one is), that batch's
+	// frames still waiting for a response, the id counter, and the error
+	// that poisoned the stream once it is unusable.
+	mu       sync.Mutex
+	parked   []*call
+	inflight bool
+	wait     []frame
+	nextID   uint64
+	sticky   error
 
-	// Read side: in-flight requests by id, completed by the reader
-	// goroutine. A handler distributes one response to its calls.
-	pmu     sync.Mutex
-	pending map[uint64]func(*wire.Response, error)
-	nextID  uint64
-	sticky  error // set once the stream is unusable; guarded by pmu
-
-	readerDone chan struct{}
+	rbuf []byte // response frame buffer, owned by the in-flight batch's reader
 }
 
-// Dial connects to a pargeo-serve daemon, performs the Hello handshake
-// (learning the engine's dimension and shard count), and starts the
-// response reader.
+// Dial connects to a pargeo-serve daemon and performs the Hello
+// handshake, learning the engine's dimension and shard count.
 func Dial(addr string) (*Client, error) { return DialWith(addr, Options{}) }
 
 // DialWith is Dial with explicit options.
@@ -159,21 +165,15 @@ func DialWith(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:       conn,
-		opts:       opts,
-		pending:    map[uint64]func(*wire.Response, error){},
-		readerDone: make(chan struct{}),
-	}
-	// Handshake runs synchronously, before the reader exists: id 0 is
-	// reserved for it and the first frame back must answer it.
+	c := &Client{conn: conn, br: bufio.NewReader(conn), opts: opts}
+	// Id 0 is reserved for the handshake, and the first frame back must
+	// answer it.
 	hello := wire.AppendRequest(nil, &wire.Request{Op: wire.OpHello})
 	if _, err := conn.Write(hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	br := bufio.NewReader(conn)
-	buf, err := wire.ReadFrame(br, nil)
+	buf, err := wire.ReadFrame(c.br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -195,7 +195,6 @@ func DialWith(addr string, opts Options) (*Client, error) {
 	}
 	c.dim = int(resp.Dim)
 	c.shards = int(resp.Shards)
-	go c.readLoop(br)
 	return c, nil
 }
 
@@ -209,9 +208,7 @@ func (c *Client) Shards() int { return c.shards }
 // ErrConnClosed. Closing an already-closed client is a no-op.
 func (c *Client) Close() error {
 	c.fail(ErrConnClosed)
-	err := c.conn.Close()
-	<-c.readerDone
-	return err
+	return c.conn.Close()
 }
 
 // respErr maps a response status to the client's typed errors.
@@ -237,49 +234,68 @@ func respErr(r *wire.Response) error {
 // err (wrapped under ErrConnClosed when it isn't the sticky value
 // already). First caller wins; later errors are ignored.
 func (c *Client) fail(err error) {
-	c.pmu.Lock()
+	c.mu.Lock()
 	if c.sticky != nil {
-		c.pmu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	if err != ErrConnClosed {
 		err = fmt.Errorf("%w: %w", ErrConnClosed, err)
 	}
 	c.sticky = err
-	handlers := c.pending
-	c.pending = map[uint64]func(*wire.Response, error){}
-	c.pmu.Unlock()
-	for _, h := range handlers {
-		h(nil, err)
+	wait := c.wait
+	c.wait = nil
+	c.mu.Unlock()
+	for _, f := range wait {
+		f.resolve(nil, err)
 	}
 }
 
-// readLoop is the reader goroutine: one response frame at a time, read
-// through br and dispatched to its registered handler by request id.
-func (c *Client) readLoop(br *bufio.Reader) {
-	defer close(c.readerDone)
-	var buf []byte
+// read is the in-flight batch's reader. It reads responses until none of
+// the batch's frames waits, resolving the frame each response's id
+// names, then passes the baton. A broken stream, or a response whose id
+// no frame waits for, fails the client, which resolves every frame
+// still waiting. calls is the number of calls the batch carries.
+func (c *Client) read(calls int) {
 	for {
-		var err error
-		buf, err = wire.ReadFrame(br, buf)
-		if err != nil {
-			c.fail(err)
+		c.mu.Lock()
+		if len(c.wait) == 0 {
+			c.mu.Unlock()
+			c.batchDone(calls)
 			return
 		}
-		resp, _, err := wire.DecodeResponse(buf, c.dim)
+		c.mu.Unlock()
+		f, resp, err := c.next()
 		if err != nil {
 			c.fail(err)
 			c.conn.Close()
-			return
+			continue
 		}
-		c.pmu.Lock()
-		h := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.pmu.Unlock()
-		if h != nil {
-			h(&resp, nil)
+		f.resolve(&resp, nil)
+	}
+}
+
+// next reads one response and takes the frame it answers out of wait.
+// The search is by id, not position: the wire lets a server answer out
+// of order.
+func (c *Client) next() (frame, wire.Response, error) {
+	var err error
+	if c.rbuf, err = wire.ReadFrame(c.br, c.rbuf); err != nil {
+		return frame{}, wire.Response{}, err
+	}
+	resp, _, err := wire.DecodeResponse(c.rbuf, c.dim)
+	if err != nil {
+		return frame{}, resp, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, f := range c.wait {
+		if f.id == resp.ID {
+			c.wait = slices.Delete(c.wait, i, i+1)
+			return f, resp, nil
 		}
 	}
+	return frame{}, resp, fmt.Errorf("response id %d answers no waiting request", resp.ID)
 }
 
 // submitCtx parks one call on the combiner and waits for its result. An
@@ -288,27 +304,28 @@ func (c *Client) readLoop(br *bufio.Reader) {
 // leader/baton protocol as the engine's committers, applied to the
 // connection's write side. Unlike the engine's (whose combining window
 // is the synchronous commit), a flushed batch stays in flight until its
-// LAST response arrives (batchDone, called from the reader): the network
-// round trip is the combining window, so calls arriving meanwhile
-// accumulate into the next batch instead of racing out as singletons.
+// LAST response arrives (batchDone, called from the batch's reader): the
+// network round trip is the combining window, so calls arriving
+// meanwhile accumulate into the next batch instead of racing out as
+// singletons.
 //
 // A nil return means the call resolved: ca's result fields are valid. A
 // non-nil return means the caller abandoned the call at ctx's deadline
 // and must not touch ca — the call is still live inside the batcher (a
-// deputy goroutine carries any baton it is later handed, and the reader
-// will still resolve it).
+// deputy goroutine carries any baton it is later handed, and the batch's
+// reader will still resolve it).
 func (c *Client) submitCtx(ctx context.Context, ca *call) error {
 	ca.done = make(chan struct{})
 	ca.lead = make(chan struct{})
-	c.bmu.Lock()
-	if c.binflight {
-		c.bpending = append(c.bpending, ca)
-		c.bmu.Unlock()
+	c.mu.Lock()
+	if c.inflight {
+		c.parked = append(c.parked, ca)
+		c.mu.Unlock()
 		select {
 		case <-ca.done:
 			return nil
 		case <-ca.lead:
-			c.leadDrain(ca)
+			c.leadDrain(ctx, ca)
 		case <-ctx.Done():
 			// Abandoned while parked. The call stays queued — pulling it
 			// out would reorder the baton bookkeeping under the reader's
@@ -320,42 +337,55 @@ func (c *Client) submitCtx(ctx context.Context, ca *call) error {
 				select {
 				case <-ca.done:
 				case <-ca.lead:
-					c.leadDrain(ca)
+					c.leadDrain(ctx, ca)
 				}
 			}()
 			return ctx.Err()
 		}
 	} else {
-		c.binflight = true
-		c.bmu.Unlock()
-		c.leadDrain(ca)
+		c.inflight = true
+		c.mu.Unlock()
+		c.leadDrain(ctx, ca)
 	}
 	select {
 	case <-ca.done:
 		return nil
 	case <-ctx.Done():
-		// In flight: the reader (or fail) will close done eventually; the
-		// caller just stops waiting.
+		// In flight: the batch's reader (or fail) will close done
+		// eventually; the caller just stops waiting.
 		return ctx.Err()
 	}
 }
 
 // leadDrain is the leader's half of the baton protocol: drain everything
-// parked, fold the leader's own call in, and flush one merged batch. The
-// leader's in-flight flag was set either at submit (immediate leader) or
-// inherited through the baton (batchDone popped it from the queue
-// without clearing the flag). A baton from a batch that resolved a
-// cohort comes with one yield first, so that callers that batch released
-// on other processors can park in time to ride this flush.
-func (c *Client) leadDrain(ca *call) {
+// parked, fold the leader's own call in, flush one merged batch, and see
+// that its responses are read. The leader's in-flight flag was set
+// either at submit (immediate leader) or inherited through the baton
+// (batchDone popped it from the queue without clearing the flag). A
+// baton from a batch that resolved a cohort comes with one yield first,
+// so that callers that batch released on other processors can park in
+// time to ride this flush.
+//
+// A leader whose batch is its own call alone, under a context that
+// cannot expire, reads the response itself: nobody else waits on it.
+// Any other batch gets a reader goroutine of its own. A leader reading a
+// cohort's responses would be a cohort member passing the baton, and
+// its own caller could not park again before the next flush; a leader
+// whose deadline passes mid-read must be free to leave.
+func (c *Client) leadDrain(ctx context.Context, ca *call) {
 	if ca.yield {
 		runtime.Gosched()
 	}
-	c.bmu.Lock()
-	group := append(c.bpending, ca)
-	c.bpending = nil
-	c.bmu.Unlock()
+	c.mu.Lock()
+	group := append(c.parked, ca)
+	c.parked = nil
+	c.mu.Unlock()
 	c.flush(group)
+	if len(group) == 1 && ctx.Done() == nil {
+		c.read(1)
+	} else {
+		go c.read(len(group))
+	}
 }
 
 // batchDone runs once the in-flight batch fully resolves: leadership
@@ -369,28 +399,33 @@ func (c *Client) batchDone(resolved int) {
 	if resolved > 1 {
 		runtime.Gosched()
 	}
-	c.bmu.Lock()
-	if len(c.bpending) == 0 {
-		c.binflight = false
-		c.bmu.Unlock()
+	c.mu.Lock()
+	if len(c.parked) == 0 {
+		c.inflight = false
+		c.mu.Unlock()
 		return
 	}
-	next := c.bpending[0]
-	c.bpending = c.bpending[1:]
+	next := c.parked[0]
+	c.parked = c.parked[1:]
 	next.yield = resolved > 1
-	c.bmu.Unlock()
+	c.mu.Unlock()
 	close(next.lead)
 }
 
 // flush merges one drained group into as few wire requests as it can,
-// registers the response handlers, and writes every frame in one call.
+// puts their frames in wait, and writes every request in one call. On a
+// poisoned client it resolves the group with the sticky error instead.
 func (c *Client) flush(group []*call) {
 	var (
-		buf     []byte
-		raws    []*call
+		reqs    []*wire.Request
+		frames  []frame
 		inserts []*call
 		byK     = map[int][]*call{}
 	)
+	add := func(req *wire.Request, resolve func(*wire.Response, error)) {
+		reqs = append(reqs, req)
+		frames = append(frames, frame{resolve: resolve})
+	}
 	for _, ca := range group {
 		switch ca.class {
 		case classKNN:
@@ -398,52 +433,23 @@ func (c *Client) flush(group []*call) {
 		case classInsert:
 			inserts = append(inserts, ca)
 		default:
-			raws = append(raws, ca)
+			add(ca.req, func(r *wire.Response, err error) {
+				if err == nil {
+					if err = respErr(r); err == nil {
+						ca.resp = *r
+					}
+				}
+				ca.err = err
+				close(ca.done)
+			})
 		}
-	}
-
-	c.pmu.Lock()
-	if err := c.sticky; err != nil {
-		c.pmu.Unlock()
-		for _, ca := range group {
-			ca.err = err
-			close(ca.done)
-		}
-		c.batchDone(0)
-		return
-	}
-	// The whole batch registers under one pmu hold, before the write:
-	// no handler can fire (reader or fail) until registration is
-	// complete, so the countdown to batchDone is race-free.
-	left := new(atomic.Int64)
-	register := func(req *wire.Request, h func(*wire.Response, error)) {
-		left.Add(1)
-		c.nextID++
-		req.ID = c.nextID
-		c.pending[req.ID] = func(r *wire.Response, err error) {
-			h(r, err)
-			if left.Add(-1) == 0 {
-				c.batchDone(len(group))
-			}
-		}
-		buf = wire.AppendRequest(buf, req)
-	}
-	for _, ca := range raws {
-		register(ca.req, func(r *wire.Response, err error) {
-			if err == nil {
-				ca.resp = *r
-				err = respErr(r)
-			}
-			ca.err = err
-			close(ca.done)
-		})
 	}
 	for k, members := range byK {
 		q := Points{Dim: c.dim}
 		for _, ca := range members {
 			q.Data = append(q.Data, ca.q...)
 		}
-		register(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: q},
+		add(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: q},
 			func(r *wire.Response, err error) {
 				if err == nil {
 					if err = respErr(r); err == nil && len(r.Neighbors) != len(members) {
@@ -466,7 +472,7 @@ func (c *Client) flush(group []*call) {
 			rows[i] = ca.ins.Len()
 			ins.Data = append(ins.Data, ca.ins.Data...)
 		}
-		register(&wire.Request{Op: wire.OpUpdate, Ins: ins, Del: Points{Dim: c.dim}},
+		add(&wire.Request{Op: wire.OpUpdate, Ins: ins, Del: Points{Dim: c.dim}},
 			func(r *wire.Response, err error) {
 				if err == nil {
 					if err = respErr(r); err == nil && len(r.IDs) != ins.Len() {
@@ -487,11 +493,26 @@ func (c *Client) flush(group []*call) {
 				}
 			})
 	}
-	c.pmu.Unlock()
 
-	if len(buf) == 0 {
-		c.batchDone(0)
+	c.mu.Lock()
+	err := c.sticky
+	if err == nil {
+		for i := range frames {
+			c.nextID++
+			frames[i].id, reqs[i].ID = c.nextID, c.nextID
+		}
+		c.wait = frames
+	}
+	c.mu.Unlock()
+	if err != nil {
+		for _, f := range frames {
+			f.resolve(nil, err)
+		}
 		return
+	}
+	var buf []byte
+	for _, req := range reqs {
+		buf = wire.AppendRequest(buf, req)
 	}
 	if d := c.opts.RequestTimeout; d > 0 {
 		// A peer that stops reading while we stall in Write would
@@ -501,8 +522,8 @@ func (c *Client) flush(group []*call) {
 		c.conn.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck // a failed arm surfaces in Write
 	}
 	if _, err := c.conn.Write(buf); err != nil {
-		// fail resolves every registered handler, this group's included
-		// — their countdown reaches zero and releases the combiner.
+		// fail resolves every waiting frame, this group's included, and
+		// the batch's reader then finds nothing left to read.
 		c.fail(err)
 	}
 }
@@ -523,7 +544,8 @@ func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
 	return c.roundTripCtx(ctx, req)
 }
 
-// roundTripCtx is roundTrip under an already-prepared context.
+// roundTripCtx is roundTrip under an already-prepared context. A failed
+// call returns the zero response with its error.
 func (c *Client) roundTripCtx(ctx context.Context, req *wire.Request) (wire.Response, error) {
 	ca := &call{class: classRaw, req: req}
 	if err := c.submitCtx(ctx, ca); err != nil {
@@ -559,44 +581,44 @@ func (c *Client) KNNContext(ctx context.Context, q []float64, k int) ([]int32, e
 	return ca.ids, ca.err
 }
 
-// KNNBatch answers many queries in one request (one parallel pass on the
-// server). It is never merged with other calls — it already is a batch.
-func (c *Client) KNNBatch(queries Points, k int) ([][]int32, error) {
+// knnBatch validates and answers every k-NN read that is not merged: one
+// request for all queries, at epoch (0 reads live, as on the wire).
+func (c *Client) knnBatch(queries Points, k int, epoch uint64) ([][]int32, error) {
 	if queries.Len() > 0 && queries.Dim != c.dim {
 		return nil, fmt.Errorf("client: query dim %d, engine dim %d", queries.Dim, c.dim)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("client: k = %d: want k ≥ 1", k)
 	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries})
-	if err != nil {
-		return nil, err
+	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries, AsOf: epoch})
+	return resp.Neighbors, err
+}
+
+// rangeOp validates and answers every range read: op is OpRange or
+// OpRangeCount, and epoch 0 reads live, as on the wire.
+func (c *Client) rangeOp(op byte, box Box, epoch uint64) (wire.Response, error) {
+	if len(box.Min) != c.dim || len(box.Max) != c.dim {
+		return wire.Response{}, fmt.Errorf("client: box dim %d×%d, engine dim %d", len(box.Min), len(box.Max), c.dim)
 	}
-	return resp.Neighbors, nil
+	return c.roundTrip(&wire.Request{Op: op, Box: box, AsOf: epoch})
+}
+
+// KNNBatch answers many queries in one request (one parallel pass on the
+// server). It is never merged with other calls — it already is a batch.
+func (c *Client) KNNBatch(queries Points, k int) ([][]int32, error) {
+	return c.knnBatch(queries, k, 0)
 }
 
 // RangeSearch returns the ids of all live points inside the closed box.
 func (c *Client) RangeSearch(box Box) ([]int32, error) {
-	if err := c.checkBox(box); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRange, Box: box})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
+	resp, err := c.rangeOp(wire.OpRange, box, 0)
+	return resp.IDs, err
 }
 
 // RangeCount returns the number of live points inside the closed box.
 func (c *Client) RangeCount(box Box) (int, error) {
-	if err := c.checkBox(box); err != nil {
-		return 0, err
-	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRangeCount, Box: box})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.Count), nil
+	resp, err := c.rangeOp(wire.OpRangeCount, box, 0)
+	return int(resp.Count), err
 }
 
 // --- time travel ---------------------------------------------------------
@@ -614,71 +636,46 @@ func (c *Client) KNNAsOf(q []float64, k int, epoch uint64) ([]int32, error) {
 	if len(q) != c.dim {
 		return nil, fmt.Errorf("client: query dim %d, engine dim %d", len(q), c.dim)
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("client: k = %d: want k ≥ 1", k)
-	}
 	if epoch == 0 {
 		return nil, fmt.Errorf("client: as-of epoch 0 (use KNN for live reads)")
 	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: Points{Data: q, Dim: c.dim}, AsOf: epoch})
+	nb, err := c.knnBatch(Points{Data: q, Dim: c.dim}, k, epoch)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Neighbors) != 1 {
-		return nil, &RemoteError{Msg: fmt.Sprintf("KNN answered %d of 1 queries", len(resp.Neighbors))}
+	if len(nb) != 1 {
+		return nil, &RemoteError{Msg: fmt.Sprintf("KNN answered %d of 1 queries", len(nb))}
 	}
-	return resp.Neighbors[0], nil
+	return nb[0], nil
 }
 
 // KNNBatchAsOf is KNNBatch against the snapshot at exactly the given
 // epoch.
 func (c *Client) KNNBatchAsOf(queries Points, k int, epoch uint64) ([][]int32, error) {
-	if queries.Len() > 0 && queries.Dim != c.dim {
-		return nil, fmt.Errorf("client: query dim %d, engine dim %d", queries.Dim, c.dim)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("client: k = %d: want k ≥ 1", k)
-	}
 	if epoch == 0 {
 		return nil, fmt.Errorf("client: as-of epoch 0 (use KNNBatch for live reads)")
 	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpKNN, K: int32(k), Queries: queries, AsOf: epoch})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
+	return c.knnBatch(queries, k, epoch)
 }
 
 // RangeSearchAsOf is RangeSearch against the snapshot at exactly the given
 // epoch.
 func (c *Client) RangeSearchAsOf(box Box, epoch uint64) ([]int32, error) {
-	if err := c.checkBox(box); err != nil {
-		return nil, err
-	}
 	if epoch == 0 {
 		return nil, fmt.Errorf("client: as-of epoch 0 (use RangeSearch for live reads)")
 	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRange, Box: box, AsOf: epoch})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
+	resp, err := c.rangeOp(wire.OpRange, box, epoch)
+	return resp.IDs, err
 }
 
 // RangeCountAsOf is RangeCount against the snapshot at exactly the given
 // epoch.
 func (c *Client) RangeCountAsOf(box Box, epoch uint64) (int, error) {
-	if err := c.checkBox(box); err != nil {
-		return 0, err
-	}
 	if epoch == 0 {
 		return 0, fmt.Errorf("client: as-of epoch 0 (use RangeCount for live reads)")
 	}
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpRangeCount, Box: box, AsOf: epoch})
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.Count), nil
+	resp, err := c.rangeOp(wire.OpRangeCount, box, epoch)
+	return int(resp.Count), err
 }
 
 // Pin pins the server's latest committed epoch and returns it: the epoch
@@ -688,10 +685,7 @@ func (c *Client) RangeCountAsOf(box Box, epoch uint64) (int, error) {
 // see the package documentation).
 func (c *Client) Pin() (uint64, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpPin})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
+	return resp.Epoch, err
 }
 
 // PinEpoch pins a specific epoch still inside the server's retention
@@ -701,10 +695,7 @@ func (c *Client) PinEpoch(epoch uint64) (uint64, error) {
 		return 0, fmt.Errorf("client: pin epoch 0 (use Pin for the latest commit)")
 	}
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpPin, Epoch: epoch})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
+	return resp.Epoch, err
 }
 
 // Unpin releases one of this connection's pins of epoch. Unpinning an
@@ -713,13 +704,6 @@ func (c *Client) PinEpoch(epoch uint64) (uint64, error) {
 func (c *Client) Unpin(epoch uint64) error {
 	_, err := c.roundTrip(&wire.Request{Op: wire.OpUnpin, Epoch: epoch})
 	return err
-}
-
-func (c *Client) checkBox(box Box) error {
-	if len(box.Min) != c.dim || len(box.Max) != c.dim {
-		return fmt.Errorf("client: box dim %d×%d, engine dim %d", len(box.Min), len(box.Max), c.dim)
-	}
-	return nil
 }
 
 // Update commits one insert/delete batch pair, mirroring the embedded
@@ -761,10 +745,7 @@ func (c *Client) UpdateContext(ctx context.Context, insert, del Points) UpdateRe
 		Ins: Points{Data: insert.Data, Dim: c.dim},
 		Del: Points{Data: del.Data, Dim: c.dim},
 	})
-	if err != nil {
-		return UpdateResult{Err: err}
-	}
-	return UpdateResult{IDs: resp.IDs, Deleted: int(resp.Deleted), Epoch: resp.Epoch}
+	return UpdateResult{IDs: resp.IDs, Deleted: int(resp.Deleted), Epoch: resp.Epoch, Err: err}
 }
 
 // Insert commits a batch of new points and returns their assigned ids.
@@ -781,20 +762,14 @@ func (c *Client) Delete(batch Points) UpdateResult {
 // Epoch returns the server engine's current snapshot epoch.
 func (c *Client) Epoch() (uint64, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpEpoch})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
+	return resp.Epoch, err
 }
 
 // Checkpoint asks the server to write a checkpoint and returns the
 // highest durable epoch once it completes.
 func (c *Client) Checkpoint() (uint64, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpCheckpoint})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
+	return resp.Epoch, err
 }
 
 // Stats returns the server's counters (engine serving stats plus

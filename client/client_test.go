@@ -3,7 +3,10 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,9 +94,10 @@ func (fs *fakeServer) serve() {
 					send(&wire.Response{Op: wire.OpHello, ID: req.ID, Dim: 2, Shards: 1})
 					continue
 				}
-				// Concurrent dispatch, like the real server: the read
-				// loop must not serialize handlers, or pipelined batches
-				// could never overlap at the server.
+				// Concurrent dispatch: the real server answers a
+				// connection's frames in order, but the wire lets a
+				// server answer out of order, so the client must match
+				// every response to its request by id.
 				r := req
 				go fs.handle(&r, send)
 			}
@@ -419,5 +423,374 @@ func TestCohortRidesOneFlush(t *testing.T) {
 	if len(counts) == 0 || whole*10 < 9*len(counts) {
 		t.Fatalf("%d of %d server reads carried the whole cohort of %d calls, want at least 90 %%; calls per read from the first: %v",
 			whole, len(counts), knnCallers+1, counts[:min(len(counts), 24)])
+	}
+}
+
+// clientGoroutines counts the goroutines with a Client method on their
+// stack. With parked set it counts only those blocked in submitCtx's
+// select: calls waiting for the baton or for their response, not a
+// leader reading its own.
+func clientGoroutines(parked bool) int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, _, _ := strings.Cut(g, "\n")
+		if parked && !(strings.Contains(header, "[select") && strings.Contains(g, "pargeo/client.(*Client).submitCtx")) {
+			continue
+		}
+		if strings.Contains(g, "pargeo/client.(*Client).") {
+			count++
+		}
+	}
+	return count
+}
+
+// waitFor polls cond for up to five seconds and fails the test with what
+// if it never holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 5s: %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestUnknownResponseIDFailsStream: a response whose id matches no
+// request in flight leaves that request unanswered for good, so the
+// stream is unusable. The call fails at once with ErrConnClosed naming
+// the stray id, and so does every later call, instead of each one
+// waiting out its deadline.
+func TestUnknownResponseIDFailsStream(t *testing.T) {
+	fs := newFakeServer(t, func(req *wire.Request, send func(*wire.Response)) {
+		send(&wire.Response{Op: req.Op, ID: req.ID + 1000, Neighbors: make([][]int32, req.Queries.Len())})
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_, err := c.KNNContext(ctx, []float64{1, 2}, 1)
+		cancel()
+		if !errors.Is(err, client.ErrConnClosed) {
+			t.Fatalf("call %d: %v, want ErrConnClosed", i, err)
+		}
+		if i == 0 && !strings.Contains(err.Error(), "1001") {
+			t.Fatalf("first call: %v, want the stray id 1001 named", err)
+		}
+	}
+}
+
+// TestLeaderDeadlineWhileReading: a lone leader whose context can expire
+// does not read its own response. At its deadline it returns, although
+// the response is still held by the server, and a call parked behind
+// its batch resolves once that response arrives.
+func TestLeaderDeadlineWhileReading(t *testing.T) {
+	type held struct {
+		req  *wire.Request
+		send func(*wire.Response)
+	}
+	first := make(chan held, 1)
+	var n atomic.Int64
+	fs := newFakeServer(t, func(req *wire.Request, send func(*wire.Response)) {
+		if n.Add(1) == 1 {
+			first <- held{req, send}
+			return
+		}
+		echoKNN(req, send)
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := c.KNNContext(ctx, []float64{0, 0}, 1)
+		aDone <- err
+	}()
+	h := <-first
+	select {
+	case err := <-aDone:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("leader at its deadline: %v, want DeadlineExceeded", err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("leader with a 50ms deadline returned after %v", el)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("leader ignored its deadline while its response was held")
+	}
+
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := c.KNN([]float64{1, 1}, 1)
+		bDone <- err
+	}()
+	waitFor(t, "the second call never parked", func() bool { return clientGoroutines(true) == 1 })
+	select {
+	case err := <-bDone:
+		t.Fatalf("call resolved while the first batch still held: %v", err)
+	default:
+	}
+	echoKNN(h.req, h.send)
+	select {
+	case err := <-bDone:
+		if err != nil {
+			t.Fatalf("call parked behind an abandoned leader: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call parked behind an abandoned leader never resolved")
+	}
+}
+
+// TestOutOfOrderBatch: the wire lets a server answer a connection's
+// frames in any order. The server here answers the frames of each read
+// last to first, and one batch carries a range count, an epoch read,
+// two k-NN frames (one merging two callers) and a merged insert. Every
+// caller must get its own answer.
+func TestOutOfOrderBatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	arrived, release := make(chan struct{}), make(chan struct{})
+	most := make(chan int, 1) // the most frames one server read carried
+	go func() {
+		reads, frames := 0, 0
+		defer func() { most <- frames }()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var pending []byte
+		chunk := make([]byte, 64<<10)
+		for {
+			n, err := conn.Read(chunk)
+			if err != nil {
+				return
+			}
+			pending = append(pending, chunk[:n]...)
+			var out [][]byte
+			for wire.Complete(pending) {
+				req, m, err := wire.DecodeRequest(pending, 2)
+				if err != nil {
+					t.Errorf("corrupt request: %v", err)
+					return
+				}
+				pending = pending[m:]
+				// Every answer is derived from its request, so a caller
+				// handed another frame's answer sees the wrong value.
+				resp := &wire.Response{Op: req.Op, ID: req.ID, Dim: 2, Shards: 1}
+				switch req.Op {
+				case wire.OpKNN:
+					resp.Neighbors = make([][]int32, req.Queries.Len())
+					for i := range resp.Neighbors {
+						resp.Neighbors[i] = []int32{1000*req.K + int32(req.Queries.At(i)[0])}
+					}
+				case wire.OpUpdate:
+					resp.IDs = make([]int32, req.Ins.Len())
+					for i := range resp.IDs {
+						resp.IDs[i] = int32(req.Ins.At(i)[0])
+					}
+					resp.Epoch = 9
+				case wire.OpRangeCount:
+					resp.Count = uint64(req.Box.Min[0])
+				case wire.OpEpoch:
+					resp.Epoch = 77
+				}
+				out = append(out, wire.AppendResponse(nil, resp))
+			}
+			if reads++; reads == 2 {
+				// Hold the first batch so the other calls park behind it.
+				close(arrived)
+				<-release
+			}
+			frames = max(frames, len(out))
+			for i := len(out) - 1; i >= 0; i-- {
+				if _, err := conn.Write(out[i]); err != nil {
+					return
+				}
+			}
+		}
+	}()
+
+	c, err := client.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	check := func(what string, f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := f(); err != nil {
+				t.Errorf("%s: %v", what, err)
+			}
+		}()
+	}
+	knn := func(x float64, k int, want int32) func() error {
+		return func() error {
+			ids, err := c.KNN([]float64{x, 0}, k)
+			if err == nil && (len(ids) != 1 || ids[0] != want) {
+				err = fmt.Errorf("got %v, want [%d]", ids, want)
+			}
+			return err
+		}
+	}
+	insert := func(xs ...float64) func() error {
+		return func() error {
+			pts := client.Points{Dim: 2}
+			for _, x := range xs {
+				pts.Data = append(pts.Data, x, 0)
+			}
+			res := c.Insert(pts)
+			if res.Err == nil && (len(res.IDs) != len(xs) || res.Epoch != 9) {
+				return fmt.Errorf("got ids %v at epoch %d, want %v at 9", res.IDs, res.Epoch, xs)
+			}
+			for i, id := range res.IDs {
+				if float64(id) != xs[i] {
+					return fmt.Errorf("got ids %v, want %v", res.IDs, xs)
+				}
+			}
+			return res.Err
+		}
+	}
+	// The held call has a deadline, so it waits parked in submitCtx's
+	// select like the others rather than reading its own response.
+	check("held k-NN", func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		ids, err := c.KNNContext(ctx, []float64{0, 0}, 1)
+		if err == nil && (len(ids) != 1 || ids[0] != 1000) {
+			err = fmt.Errorf("got %v, want [1000]", ids)
+		}
+		return err
+	})
+	<-arrived
+	check("k-NN k=1 a", knn(1, 1, 1001))
+	check("k-NN k=1 b", knn(2, 1, 1002))
+	check("k-NN k=2", knn(3, 2, 2003))
+	check("insert a", insert(10, 11))
+	check("insert b", insert(12))
+	check("range count", func() error {
+		n, err := c.RangeCount(client.Box{Min: []float64{5, 0}, Max: []float64{6, 1}})
+		if err == nil && n != 5 {
+			err = fmt.Errorf("got %d, want 5", n)
+		}
+		return err
+	})
+	check("epoch", func() error {
+		e, err := c.Epoch()
+		if err == nil && e != 77 {
+			err = fmt.Errorf("got %d, want 77", e)
+		}
+		return err
+	})
+	waitFor(t, "the callers never parked", func() bool { return clientGoroutines(true) == 8 })
+	close(release)
+	wg.Wait()
+	c.Close()
+	if n := <-most; n != 5 {
+		t.Fatalf("the largest batch carried %d frames, want 5", n)
+	}
+}
+
+// TestIdleClientHoldsNoGoroutine: the client keeps no goroutine of its
+// own. Between calls, after lone and merged batches alike, no goroutine
+// runs client code; Close with a batch in flight releases every caller,
+// and the goroutine count returns to where it was.
+func TestIdleClientHoldsNoGoroutine(t *testing.T) {
+	fs := newFakeServer(t, echoKNN)
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.KNN([]float64{1, 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := c.KNN([]float64{1, 2}, 1); err != nil {
+					t.Errorf("KNN: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "an idle client still runs a goroutine", func() bool { return clientGoroutines(false) == 0 })
+	c.Close()
+
+	swallow := newFakeServer(t, func(*wire.Request, func(*wire.Response)) {})
+	c, err = client.Dial(swallow.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	const callers = 4
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			_, err := c.KNNContext(ctx, []float64{1, 2}, 1)
+			errs <- err
+		}()
+	}
+	waitFor(t, "the callers never parked", func() bool { return clientGoroutines(true) == callers })
+	c.Close()
+	for i := 0; i < callers; i++ {
+		if err := <-errs; !errors.Is(err, client.ErrConnClosed) {
+			t.Fatalf("call in flight at Close: %v, want ErrConnClosed", err)
+		}
+	}
+	waitFor(t, "goroutines outlived Close", func() bool {
+		return clientGoroutines(false) == 0 && runtime.NumGoroutine() <= base
+	})
+}
+
+// TestIdleServerCloseFailsNextCall: nobody reads an idle connection, so a
+// server that drops it goes unnoticed until the next call, which must
+// then fail promptly with ErrConnClosed rather than wait on a dead
+// stream.
+func TestIdleServerCloseFailsNextCall(t *testing.T) {
+	fs := newFakeServer(t, echoKNN)
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.KNN([]float64{1, 2}, 1); err != nil {
+		t.Fatal(err)
+	}
+	fs.dropConns()
+	start := time.Now()
+	if _, err := c.KNN([]float64{1, 2}, 1); !errors.Is(err, client.ErrConnClosed) {
+		t.Fatalf("call after the server dropped the connection: %v, want ErrConnClosed", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("call on a dropped connection took %v to fail", el)
 	}
 }

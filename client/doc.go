@@ -7,14 +7,15 @@
 //
 // The server-side engine coalesces concurrent updates with flat-combining
 // committers; the client applies the trick to every call on the
-// connection's write side so that concurrency survives the network hop. Calls park on a per-connection combiner. Exactly one merged batch
-// is in flight per connection: the first arrival while none is becomes
-// the leader, drains everything parked, merges what merges, writes all
-// resulting frames in one call, and waits for its own response like
-// everyone else. When the batch's last response arrives, leadership
-// passes to a call that parked meanwhile. The round trip is the
-// combining window, so under load whole groups of goroutine calls cross
-// the wire as single requests and reach the engine as single batches:
+// connection's write side so that concurrency survives the network hop.
+// Calls park on a per-connection combiner. Exactly one merged batch is
+// in flight per connection: the first arrival while none is becomes the
+// leader, drains everything parked, merges what merges, and writes all
+// resulting frames in one call. When the batch's last response arrives,
+// leadership passes to a call that parked meanwhile. The round trip is
+// the combining window, so under load whole groups of goroutine calls
+// cross the wire as single requests and reach the engine as single
+// batches:
 //
 //   - KNN calls sharing a k merge into one multi-query request, answered
 //     by one parallel pass over one snapshot.
@@ -29,6 +30,21 @@
 // connection adds no latency, and the more load arrives during a round
 // trip, the deeper the next batch merges.
 //
+// # Who reads a batch
+//
+// The client runs no goroutine of its own: an idle connection has nobody
+// parked on it. Each batch is read by one reader, which matches every
+// response to its request by id (the wire lets a server answer out of
+// order), resolves that request's callers, and passes the baton after
+// the batch's last response. A leader whose batch holds only its own
+// call, under a context that cannot expire, is that reader itself, so a
+// lone caller's round trip needs no hand-off. Any other batch gets a
+// reader goroutine that ends with the batch: a leader with a deadline
+// must be free to leave when it passes, and a leader reading a cohort's
+// responses would be a cohort member passing the baton, unable to park
+// again in time for the next flush. A response whose id no request
+// waits for, like a broken stream, poisons the connection.
+//
 // # One round trip per cohort
 //
 // A batch's responses do not land together: the server answers a merged
@@ -39,13 +55,13 @@
 // they take the round trip after it, on their own. Without help, a
 // connection with k-NN callers and one insert caller alternates a k-NN
 // flush and an insert flush, two round trips per cycle. So when the
-// batch that just completed resolved more than one call, the reader
-// yields once (runtime.Gosched) before it passes the baton, and the new
-// leader yields once before it drains: every caller that batch released
-// is back in the queue and rides the next flush. A batch that resolved a
-// single call has no cohort to wait for, so a lone caller never yields:
-// on a connection with one caller a yield would only delay its next call
-// behind whatever else is runnable.
+// batch that just completed resolved more than one call, the batch's
+// reader yields once (runtime.Gosched) before it passes the baton, and
+// the new leader yields once before it drains: every caller that batch
+// released is back in the queue and rides the next flush. A batch that
+// resolved a single call has no cohort to wait for, so a lone caller
+// never yields: on a connection with one caller a yield would only delay
+// its next call behind whatever else is runnable.
 //
 // # Overload and deadlines
 //
