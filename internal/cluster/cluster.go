@@ -121,9 +121,9 @@ func (d Dendrogram) NumClusters(threshold float64) int {
 
 // CoreDistances returns, for every point, its distance to its minPts-th
 // nearest neighbor — the core distance of DBSCAN/HDBSCAN — via the
-// kd-tree's batched AllKthSqDist pass (leaf-ordered queries, pooled
-// buffers, O(n) output; +Inf when a point has fewer than minPts
-// neighbors, matching the k-NN buffer's KthDist convention).
+// kd-tree's batched AllKthSqDist pass (each leaf's points answered as
+// one group, O(n) output; +Inf when a point has fewer than minPts
+// neighbors).
 func CoreDistances(pts geom.Points, minPts int) []float64 {
 	n := pts.Len()
 	t := kdtree.Build(pts, kdtree.Options{})

@@ -135,10 +135,10 @@ func TestNoopAckDurableUnderLoad(t *testing.T) {
 func TestNoopRiderAckDurable(t *testing.T) {
 	miss := geom.Points{Data: []float64{50.5, 50.5}, Dim: 2} // never inserted
 	for _, tc := range []struct {
-		name   string
-		shards int
-		seeded bool // a founding insert precedes the group
-		multi  bool // the group's insert spans shards
+		name      string
+		shards    int
+		prefilled bool // a founding insert precedes the group
+		multi     bool // the group's insert spans shards
 	}{
 		{"one shard", 4, true, false},
 		{"multi-shard", 4, true, true},
@@ -160,7 +160,7 @@ func TestNoopRiderAckDurable(t *testing.T) {
 					}
 					return pts
 				}
-				if tc.seeded {
+				if tc.prefilled {
 					if res := e.Insert(batch(64)); res.Err != nil {
 						t.Fatal(res.Err)
 					}

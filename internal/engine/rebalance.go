@@ -314,11 +314,11 @@ func (e *Engine) splitMergeLocked(snap *Snapshot, part *partition, scores, ewmas
 	// Build the post-split span list: every shard's inclusive upper bound
 	// and tree, with the hot shard replaced by its two halves.
 	type span struct {
-		hi    uint64 // inclusive upper bound of the span's code range
-		tree  *bdltree.Tree
-		score float64
-		ewma  float64
-		fresh bool // one of the split halves
+		hi     uint64 // inclusive upper bound of the span's code range
+		tree   *bdltree.Tree
+		score  float64
+		ewma   float64
+		halved bool // one of the split halves
 	}
 	spans := make([]span, 0, S+1)
 	for s := 0; s < S; s++ {
@@ -331,8 +331,8 @@ func (e *Engine) splitMergeLocked(snap *Snapshot, part *partition, scores, ewmas
 			right := e.newTree(pts.Slice(cutIdx, pts.Len()), ids[cutIdx:])
 			halfE := ewmas[s] / 2
 			spans = append(spans,
-				span{hi: cutCode, tree: left, score: scores[s] / 2, ewma: halfE, fresh: true},
-				span{hi: bound, tree: right, score: scores[s] / 2, ewma: halfE, fresh: true})
+				span{hi: cutCode, tree: left, score: scores[s] / 2, ewma: halfE, halved: true},
+				span{hi: bound, tree: right, score: scores[s] / 2, ewma: halfE, halved: true})
 			continue
 		}
 		spans = append(spans, span{hi: bound, tree: snap.trees[s], score: scores[s], ewma: ewmas[s]})
@@ -341,7 +341,7 @@ func (e *Engine) splitMergeLocked(snap *Snapshot, part *partition, scores, ewmas
 	// Coldest admissible adjacent pair, excluding the freshly split pair.
 	best, bestScore := -1, math.Inf(1)
 	for i := 0; i+1 < len(spans); i++ {
-		if spans[i].fresh && spans[i+1].fresh {
+		if spans[i].halved && spans[i+1].halved {
 			continue
 		}
 		c := spans[i].score + spans[i+1].score

@@ -1,140 +1,222 @@
 package kdtree
 
 import (
+	"cmp"
 	"math"
 
-	"pargeo/internal/geom"
 	"pargeo/internal/parlay"
 )
 
 // allknnGrain is the subtree size below which the batch pass runs
-// sequentially on one worker (one pooled buffer, one seed chain).
+// sequentially on one worker, with one leaf group's scratch and one
+// KNNBuffer answering every leaf of the subtree in turn.
 const allknnGrain = 2048
 
-// seedFromPrev primes buf for a query at point q using the previous query
-// in the batch: if the previous point prev had exact k-th squared distance
-// prevKth, the triangle inequality bounds this query's k-th distance by
-// √prevKth + |prev−q| (prev itself plus k-th-ball(prev) minus q is k
-// points ≠ q within that radius). Inflated to a strict bound as SeedBound
-// requires; zero radius (exact duplicates) cannot be made strict and is
-// skipped. Queries run in row (leaf) order, so prev is spatially adjacent
-// and the seed is tight — pruning and the f32 refine threshold are armed
-// from the first leaf, skipping the eager phase entirely.
-func seedFromPrev(buf *KNNBuffer, prev []float64, prevKth float64, q []float64) {
-	if math.IsInf(prevKth, 1) {
-		return
+// leafGroup is one worker's scratch for answering a leaf's rows together.
+// Row i owns the k slots ids/dists[i*k : i*k+k]: its nearest candidates
+// so far, sorted by increasing distance and padded with (-1, +Inf), so
+// dists[i*k+k-1] is its k-th distance or +Inf while it holds fewer. ord
+// orders the rows along the leaf's widest dimension, and sibs lists the
+// ancestors whose other child survived the group bound. The scratch is
+// O(LeafSize·k).
+type leafGroup struct {
+	k     int
+	ids   []int32
+	dists []float64
+	ord   []int32
+	sibs  []int32
+	buf   *KNNBuffer
+}
+
+// pairs fills the slots of the leaf nd from the leaf itself. Each
+// unordered pair of rows is measured at most once and offered to both;
+// an offer is taken only when its distance beats the row's k-th.
+//
+// Pairs go in order of their gap in ord, so each row meets its nearest
+// candidates first and its k-th shrinks early. The squared coordinate gap
+// dx² lower-bounds a pair's distance, so a pair whose dx² reaches both
+// rows' k-th could be taken by neither and is not measured. Gaps only
+// widen with the gap in ord, and k-ths only shrink, so once a whole gap in
+// ord is skipped every later one would be. (cmp.Less sorts NaN first, and
+// a NaN gap is never skipped, so no gap is skipped whole while one lasts.)
+func (g *leafGroup) pairs(t *Tree, nd *Node) {
+	k, dim, lo, m := g.k, t.Pts.Dim, int(nd.Lo), nd.Size()
+	ids, ds := g.ids[:m*k], g.dists[:m*k]
+	for i := range ds {
+		ids[i], ds[i] = -1, inf
 	}
-	r := math.Sqrt(prevKth) + math.Sqrt(geom.SqDist(prev, q))
-	if r > 0 {
-		r *= 1 + 0x1p-30
-		buf.SeedBound(r * r)
+	rows, ord, wd := t.Pts.Data[lo*dim:(lo+m)*dim], g.ord[:m], widestDim(nd, dim)
+	for i := range m {
+		j := i
+		for ; j > 0 && cmp.Less(rows[i*dim+wd], rows[int(ord[j-1])*dim+wd]); j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = int32(i)
+	}
+	for gap := 1; gap < m; gap++ {
+		measured := false
+		for a := 0; a+gap < m; a++ {
+			i, j := int(ord[a]), int(ord[a+gap])
+			p, o := rows[i*dim:(i+1)*dim], rows[j*dim:(j+1)*dim]
+			dx := o[wd] - p[wd]
+			if dx *= dx; dx >= ds[i*k+k-1] && dx >= ds[j*k+k-1] {
+				continue
+			}
+			measured = true
+			d := 0.0
+			for c, x := range p {
+				x -= o[c]
+				d += x * x
+			}
+			if d < ds[i*k+k-1] && !t.IsDead(int32(lo+j)) {
+				insertSorted(ids[i*k:i*k+k], ds[i*k:i*k+k], t.Idx[lo+j], d)
+			}
+			if d < ds[j*k+k-1] && !t.IsDead(int32(lo+i)) {
+				insertSorted(ids[j*k:j*k+k], ds[j*k:j*k+k], t.Idx[lo+i], d)
+			}
+		}
+		if !measured {
+			break
+		}
 	}
 }
 
-// allknnState threads one worker's query chain through a sequential run of
-// leaves: the reused buffer plus the previous query point and its exact
-// k-th distance (the seed for the next query).
-type allknnState struct {
-	buf     *KNNBuffer
-	prev    []float64
-	prevKth float64
+// insertSorted puts id at squared distance d, nearer than the last of the
+// sorted slots, into its place, dropping the last.
+func insertSorted(ids []int32, ds []float64, id int32, d float64) {
+	c := len(ds) - 1
+	for ; c > 0 && ds[c-1] > d; c-- {
+		ids[c], ds[c] = ids[c-1], ds[c-1]
+	}
+	ids[c], ds[c] = id, d
 }
 
 // allknnPar fans the batch pass out over the tree: subtrees larger than
-// allknnGrain fork through the scheduler (each side gets its own copy of
-// the ancestor path), smaller ones run sequentially with one pooled
-// buffer. emit consumes one finished query's buffer and returns the exact
-// k-th squared distance (+Inf when under k), which seeds the next query.
-func (t *Tree) allknnPar(ni int32, path []int32, pool *BufferPool, emit func(int32, *KNNBuffer) float64) {
+// allknnGrain fork through the scheduler, smaller ones run sequentially on
+// one leaf group. Each call owns path's backing array past its length, so
+// the left side extends it in place and the right side gets a copy.
+func (t *Tree) allknnPar(ni int32, path []int32, k int, emit func(int32, []int32, []float64)) {
 	nd := &t.Nodes[ni]
 	if nd.Left == 0 || nd.Size() <= allknnGrain {
-		st := allknnState{buf: pool.Get(), prevKth: inf}
-		t.allknnWalk(ni, path, &st, emit)
-		pool.Put(st.buf)
+		m := min(t.opts.LeafSize, nd.Size()) // no leaf holds more rows
+		t.allknnWalk(ni, path, &leafGroup{k: k, ids: make([]int32, m*k), dists: make([]float64, m*k),
+			ord: make([]int32, m), buf: NewKNNBuffer(k)}, emit)
 		return
 	}
-	lp := make([]int32, len(path)+1, len(path)+16)
-	copy(lp, path)
-	lp[len(path)] = ni
-	rp := make([]int32, len(path)+1, len(path)+16)
-	copy(rp, path)
-	rp[len(path)] = ni
+	path = append(path, ni)
+	rp := append(make([]int32, 0, len(path)+16), path...)
 	parlay.Do(
-		func() { t.allknnPar(nd.Left, lp, pool, emit) },
-		func() { t.allknnPar(nd.Right, rp, pool, emit) },
+		func() { t.allknnPar(nd.Left, path, k, emit) },
+		func() { t.allknnPar(nd.Right, rp, k, emit) },
 	)
 }
 
-// allknnWalk visits the leaves of subtree ni in order and answers each
-// leaf's self-queries bottom-up: the query point is already in this leaf,
-// so the leaf is scanned first (with the seed from the previous query in
-// the chain), and the rest of the tree is covered by walking the ancestor
-// path upward, descending into each ancestor's other child only when its
-// box beats the current bound. That replaces the per-query root descent —
-// by the time siblings are tested, the bound is already tight, so almost
-// all of them prune on the one box test.
-func (t *Tree) allknnWalk(ni int32, path []int32, st *allknnState, emit func(int32, *KNNBuffer) float64) {
+// allknnWalk answers the rows of subtree ni leaf by leaf. A leaf's m rows
+// are answered as a group, the leaf-level form of dual-tree all-nearest-
+// neighbours (Gray & Moore, NIPS 2000):
+//
+//  1. Each unordered pair of the leaf's rows is measured once, in float64,
+//     and offered to both rows' slots. Dead rows are queried but never
+//     offered.
+//  2. The group bound G is the largest k-th distance among the rows (+Inf
+//     while any row holds fewer than k). The ancestor path is walked once:
+//     a sibling whose box lies at least G from the leaf's box cannot hold a
+//     neighbour of any row and is skipped for all of them.
+//  3. Each row loads its slots into the worker's KNNBuffer, with its exact
+//     k-th as the bound, tests the surviving siblings against it nearest
+//     first, and descends through knnRec into those it cannot skip; the
+//     buffer's result becomes its slots. emit receives the row's label and
+//     its k slots.
+func (t *Tree) allknnWalk(ni int32, path []int32, g *leafGroup, emit func(int32, []int32, []float64)) {
 	nd := &t.Nodes[ni]
 	if nd.Left != 0 {
 		path = append(path, ni)
-		t.allknnWalk(nd.Left, path, st, emit)
-		t.allknnWalk(nd.Right, path, st, emit)
+		t.allknnWalk(nd.Left, path, g, emit)
+		t.allknnWalk(nd.Right, path, g, emit)
 		return
 	}
-	dim := t.Pts.Dim
-	buf := st.buf
-	for i := nd.Lo; i < nd.Hi; i++ {
-		pid := t.Idx[i]
-		q := t.Pts.At(int(i))
-		buf.Reset()
-		if st.prev != nil {
-			seedFromPrev(buf, st.prev, st.prevKth, q)
+	k, dim, lo, m := g.k, t.Pts.Dim, int(nd.Lo), nd.Size()
+	g.pairs(t, nd)
+	bound := 0.0
+	for i := 0; i < m; i++ {
+		bound = max(bound, g.dists[i*k+k-1])
+	}
+	// The leaf lies in an ancestor's left subtree exactly when it precedes
+	// the right child in preorder.
+	g.sibs = g.sibs[:0]
+	for j := len(path) - 1; j >= 0; j-- {
+		anc := &t.Nodes[path[j]]
+		sib := anc.Left
+		if ni < anc.Right {
+			sib = anc.Right
 		}
-		buf.PrepareF32(q, t.maxAbs, t.f32ok)
-		t.scanLeaf(nd, q, pid, buf)
-		child := ni
-		for j := len(path) - 1; j >= 0; j-- {
-			anc := &t.Nodes[path[j]]
-			// Signed distance from q to the ancestor's split plane, oriented
-			// toward the sibling. Both split rules partition so that the
-			// left child's coords are ≤ SplitVal ≤ the right child's, so a
-			// positive pd lower-bounds the distance to the sibling's box —
-			// a one-multiply prune that usually saves the per-axis box test.
-			// (q can sit past the plane among duplicates; then pd ≤ 0 and
-			// only the exact box test decides.)
-			sib := anc.Left
-			pd := q[anc.SplitDim] - anc.SplitVal
-			if sib == child {
-				sib = anc.Right
-				pd = -pd
-			}
-			bd := buf.Bound()
-			if math.IsInf(bd, 1) ||
-				((pd <= 0 || pd*pd < bd) && boxSqDist(&t.Nodes[sib], q, dim) < bd) {
-				t.knnRec(sib, q, pid, buf)
-			}
-			child = path[j]
+		if NodeSqDist(nd, &t.Nodes[sib], dim) < bound {
+			g.sibs = append(g.sibs, path[j])
 		}
-		st.prev, st.prevKth = q, emit(pid, buf)
+	}
+	buf := g.buf
+	for i := 0; i < m; i++ {
+		pid, q := t.Idx[lo+i], t.Pts.At(lo+i)
+		ids, ds := g.ids[i*k:i*k+k], g.dists[i*k:i*k+k]
+		if len(g.sibs) > 0 {
+			buf.load(ids, ds)
+			buf.PrepareF32(q, t.maxAbs, t.f32ok)
+			for _, a := range g.sibs {
+				anc := &t.Nodes[a]
+				// Signed distance from q to the ancestor's split plane, oriented
+				// toward the sibling. Both split rules partition so that the
+				// left child's coords are ≤ SplitVal ≤ the right child's, so a
+				// positive pd lower-bounds the distance to the sibling's box —
+				// a one-multiply prune that usually saves the per-axis box test.
+				// (q can sit past the plane among duplicates; then pd ≤ 0 and
+				// only the exact box test decides.)
+				sib, pd := anc.Left, q[anc.SplitDim]-anc.SplitVal
+				if ni < anc.Right {
+					sib, pd = anc.Right, -pd
+				}
+				bd := buf.Bound()
+				if math.IsInf(bd, 1) ||
+					((pd <= 0 || pd*pd < bd) && boxSqDist(&t.Nodes[sib], q, dim) < bd) {
+					t.knnRec(sib, q, pid, buf)
+				}
+			}
+			buf.ResultInto(ids, ds)
+		}
+		emit(pid, ids, ds)
+	}
+}
+
+// allknn runs the batch pass over the whole tree. Its output is indexed
+// by label, so it panics unless every label lies in [0, Pts.Len()); like
+// CheckK it checks before the pass forks, where the panic reaches the
+// caller — a worker's index panic would end the process.
+func (t *Tree) allknn(k int, emit func(int32, []int32, []float64)) {
+	n := int32(len(t.Idx))
+	for _, lab := range t.Idx {
+		if lab < 0 || lab >= n {
+			panic("kdtree: AllKNN requires labels 0..n-1")
+		}
+	}
+	if n > 0 {
+		t.allknnPar(0, make([]int32, 0, 16), k, emit)
 	}
 }
 
 // AllKNN computes, for every point stored in the tree, its k nearest
 // neighbors among the tree's points (excluding the point itself), in one
 // data-parallel batch pass. Results are flat and row-major by point index —
-// the label, so the tree must label its rows 0..n−1, as Build does: the
-// neighbors of point p occupy ids[p*k : (p+1)*k], sorted by increasing
-// distance and padded with -1 when fewer than k neighbors exist. If
-// sqDists is non-nil it must have length Pts.Len()*k and receives the
-// matching squared distances (+Inf padding).
+// the label, so the tree must label its rows 0..n−1, as Build does (it
+// panics otherwise): the neighbors of point p occupy ids[p*k : (p+1)*k],
+// sorted by increasing distance and padded with -1 when fewer than k
+// neighbors exist. If sqDists is non-nil it must have length Pts.Len()*k
+// and receives the matching squared distances (+Inf padding).
 //
-// Queries run in row (leaf) order as a bottom-up co-traversal: each query
-// starts at its own leaf, seeds its pruning bound from the previous
-// (spatially adjacent) query via the triangle inequality, and covers the
-// rest of the tree by testing ancestor siblings against that bound — see
-// allknnWalk. Workers draw KNNBuffers from a pool and reuse one across an
-// entire subtree of queries; the batch allocates nothing per query beyond
-// the result rows.
+// Each leaf's rows are answered as one group (see allknnWalk): the pairs
+// inside the leaf are measured once for both of their rows, and the
+// ancestor path is walked once per leaf, so a row descends only into the
+// siblings the whole leaf could not rule out. Each worker reuses one
+// KNNBuffer and one O(LeafSize·k) group scratch across an entire subtree of
+// leaves; the batch allocates nothing per query beyond the result rows.
 //
 // This is the batch entry point the closest-pair reduction, the clustering
 // pipeline's core distances, and the k-NN graph generator share.
@@ -147,54 +229,28 @@ func (t *Tree) AllKNN(k int, sqDists []float64) []int32 {
 		panic("kdtree: AllKNN sqDists length must be Pts.Len()*k")
 	}
 	ids := make([]int32, n*k)
-	if n == 0 {
-		return ids
-	}
-	pool := NewBufferPool(k)
-	t.allknnPar(0, make([]int32, 0, 16), pool, func(pid int32, buf *KNNBuffer) float64 {
-		row := ids[int(pid)*k : (int(pid)+1)*k]
-		var drow []float64
+	t.allknn(k, func(pid int32, nbrs []int32, dists []float64) {
+		copy(ids[int(pid)*k:], nbrs)
 		if sqDists != nil {
-			drow = sqDists[int(pid)*k : (int(pid)+1)*k]
+			copy(sqDists[int(pid)*k:], dists)
 		}
-		m := buf.ResultInto(row, drow)
-		for j := m; j < k; j++ {
-			row[j] = -1
-			if drow != nil {
-				drow[j] = inf
-			}
-		}
-		if m < k {
-			return inf
-		}
-		// ResultInto sorted the kept prefix, so the exact k-th distance for
-		// the next query's seed is just its last entry.
-		return buf.dists[k-1]
 	})
 	return ids
 }
 
 // AllKthSqDist computes, for every point stored in the tree, the squared
-// distance to its k-th nearest neighbor (excluding itself) — the batch form
-// of KNNBuffer.KthDist, and the quantity DBSCAN/HDBSCAN core distances are
-// built from. Entry p is +Inf when point p (a label, as in AllKNN) has
-// fewer than k neighbors. Unlike AllKNN it materializes no neighbor
-// matrix: output is O(n) however large k is. Batched exactly like AllKNN
-// (leaf-ordered bottom-up co-traversal with seeded bounds).
+// distance to its k-th nearest neighbor (excluding itself) — the quantity
+// DBSCAN/HDBSCAN core distances are built from. Entry p is +Inf when point
+// p (a label, as in AllKNN, which must lie in 0..n−1) has fewer than k
+// neighbors. It runs AllKNN's leaf-group pass but materializes no neighbor
+// matrix: output is O(n) however large k is.
 func (t *Tree) AllKthSqDist(k int) []float64 {
 	if k <= 0 {
 		panic("kdtree: AllKthSqDist requires k >= 1")
 	}
-	n := t.Pts.Len()
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	pool := NewBufferPool(k)
-	t.allknnPar(0, make([]int32, 0, 16), pool, func(pid int32, buf *KNNBuffer) float64 {
-		d := buf.KthDist()
-		out[pid] = d
-		return d
+	out := make([]float64, t.Pts.Len())
+	t.allknn(k, func(pid int32, _ []int32, dists []float64) {
+		out[pid] = dists[k-1]
 	})
 	return out
 }

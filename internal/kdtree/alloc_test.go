@@ -108,10 +108,10 @@ func TestRangeCountZeroAllocs(t *testing.T) {
 }
 
 // allknnSerialAllocBudget bounds a sub-grain (single-worker) AllKNN pass:
-// the result slice, the buffer pool and its one KNNBuffer (id/dist rows
-// plus the f32 query and distance scratch), and the ancestor-path slice.
-// Nothing may scale with the number of queries — the seeded co-traversal
-// reuses one buffer across the whole batch.
+// the result slice, the one KNNBuffer (id/dist rows plus the f32 query and
+// distance scratch), the leaf group's scratch, and the ancestor-path
+// slice. Nothing may scale with the number of queries — the leaf-group
+// pass reuses one buffer and one scratch across the whole batch.
 const allknnSerialAllocBudget = 24
 
 func TestAllKNNAllocsConstantSerial(t *testing.T) {

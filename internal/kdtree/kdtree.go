@@ -511,7 +511,7 @@ func (t *Tree) knnRec(ni int32, q []float64, exclude int32, buf *KNNBuffer) {
 	}
 	t.knnRec(near, q, exclude, buf)
 	// Paper heuristic (C.1.3): while no pruning bound exists (neither
-	// collected from leaves nor seeded by the caller), eagerly visit the
+	// collected from leaves nor loaded by the caller), eagerly visit the
 	// sibling to establish one as fast as possible.
 	bd := buf.Bound()
 	if math.IsInf(bd, 1) {
@@ -573,17 +573,7 @@ func (t *Tree) scanLeafF32(nd *Node, q []float64, exclude int32, buf *KNNBuffer)
 		if t.Dead == nil {
 			thr = buf.EagerThreshold(dists)
 		}
-	} else if buf.seeded && buf.fresh {
-		// First leaf of a seeded query — for batch queries this is the
-		// query's own leaf, whose (k+1)-th f32 distance usually beats the
-		// triangle-inequality seed. Tighten both the refine threshold and
-		// the pruning bound before paying any float64 work.
-		if t2 := buf.EagerThreshold(dists); t2 < thr {
-			thr = t2
-			buf.tightenBound(t2)
-		}
 	}
-	buf.fresh = false
 	for i := 0; i < m; i++ {
 		if float64(dists[i]) <= thr {
 			t.offer(nd.Lo+int32(i), q, exclude, buf)

@@ -117,6 +117,15 @@ func BenchmarkAllKNN(b *testing.B) {
 		_, t64 := buildPastF32(b, pts)
 		run(fmt.Sprintf("d=%d/k=5/f64", dim), t64)
 	}
+	// paper-batch's kdtree.allknn stage: its u2 input at seed 1.
+	pts := generators.UniformCube(250000, 2, 4)
+	t := Build(pts, Options{})
+	b.Run("d=2/k=5/n=250000", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			t.AllKNN(5, nil)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pts.Len()), "ns/pt")
+	})
 }
 
 func BenchmarkKNNBufferInsert(b *testing.B) {

@@ -26,11 +26,8 @@ type KNNBuffer struct {
 	n     int     // live candidates in the buffer
 	bound float64 // current upper bound on the k-th nearest distance
 
-	seeded bool // bound came from SeedBound (no compaction yet)
-
 	// float32 filter state, valid for the query PrepareF32 saw last.
 	f32     bool            // filter armed for this query
-	fresh   bool            // no leaf scanned since PrepareF32
 	q32     [MaxDim]float32 // f32 image of the query point
 	errD    float64         // bound on |f32 distance − true distance|
 	thr     float64         // cached refinement threshold (squared, f32 scale)
@@ -72,7 +69,6 @@ func CheckK(k int) {
 func (b *KNNBuffer) Reset() {
 	b.n = 0
 	b.bound = inf
-	b.seeded = false
 }
 
 // K returns the configured neighbor count.
@@ -82,39 +78,19 @@ func (b *KNNBuffer) K() int { return b.k }
 func (b *KNNBuffer) Full() bool { return b.n >= b.k }
 
 // Bound returns the current upper bound on the k-th nearest squared
-// distance: +inf until the buffer establishes one by compaction, or the
-// value a caller primed via SeedBound. Used for subtree pruning.
+// distance: +inf until the buffer establishes one by compaction or load.
+// Used for subtree pruning.
 func (b *KNNBuffer) Bound() float64 { return b.bound }
 
-// SeedBound primes a fresh (just Reset) buffer with an externally proven
-// upper bound s on the query's k-th nearest squared distance, arming
-// subtree pruning and the f32 refine threshold from the first leaf. The
-// bound must be STRICT — s > the true k-th distance — because inserts
-// reject d ≥ bound and pruning drops boxes at ≥ bound: a merely equal seed
-// could discard the k-th neighbor itself. Callers holding a non-strict
-// bound B (e.g. the triangle-inequality hand-off in AllKNN, where
-// √B = k-th(p) + |pq| can be exactly attained by collinear points) must
-// inflate it by a relative epsilon and skip seeding when B = 0.
-//
-// Soundness: every point at distance < s is still inserted and no box
-// containing one is pruned, so with ≥ k candidates in range the result is
-// exact — identical to the unseeded scan up to the order exact ties are
-// kept.
-func (b *KNNBuffer) SeedBound(s float64) {
-	if b.n == 0 && s < b.bound {
-		b.bound = s
-		b.seeded = true
-	}
-}
-
-// tightenBound lowers the pruning bound to s mid-scan when a scanned leaf
-// proves a tighter upper bound on the k-th distance than the caller's seed
-// (see scanLeafF32). Zero is refused: a zero bound would reject the
-// duplicate points that realize it.
-func (b *KNNBuffer) tightenBound(s float64) {
-	if s > 0 && s < b.bound {
-		b.bound = s
-	}
+// load primes the buffer for a new query with its k slots collected
+// elsewhere: sorted by increasing distance and padded with (-1, +Inf). The
+// bound is armed at the k-th, the state a compaction leaves. Padding acts
+// as candidates at +Inf: any real candidate displaces it, and what is left
+// of it comes back from ResultInto as padding.
+func (b *KNNBuffer) load(ids []int32, dists []float64) {
+	b.n = copy(b.ids, ids)
+	copy(b.dists, dists)
+	b.bound = dists[b.k-1]
 }
 
 // Insert offers candidate id at squared distance d.
@@ -286,7 +262,6 @@ func (b *KNNBuffer) PrepareF32(q []float64, treeMaxAbs float64, treeOK bool) {
 	b.errD = combined * F32CoordErr * math.Sqrt(float64(len(q)))
 	b.thrFor = math.NaN() // never equal to a Bound() — forces recompute
 	b.f32 = true
-	b.fresh = true
 }
 
 // ScanF32 reports whether the float32 filter is armed for the current
@@ -440,26 +415,4 @@ func selectF32(s []float32, kth int) float32 {
 		}
 	}
 	return s[kth]
-}
-
-// KthDist returns the exact k-th nearest squared distance collected so far
-// (+inf if fewer than k candidates). Unlike Bound — which may be stale
-// between compactions, or a caller-seeded overestimate, and is only an
-// upper bound for pruning — KthDist always compacts first, so it is exact.
-func (b *KNNBuffer) KthDist() float64 {
-	if b.n < b.k {
-		return inf
-	}
-	if b.n > b.k {
-		b.compact()
-		return b.bound
-	}
-	// Exactly k candidates: they are the answer, whatever b.bound says.
-	mx := 0.0
-	for _, d := range b.dists[:b.k] {
-		if d > mx {
-			mx = d
-		}
-	}
-	return mx
 }

@@ -143,43 +143,109 @@ func TestObjectNodeCountExact(t *testing.T) {
 	}
 }
 
+// allknnCase is one tree the batch passes are checked on: pts holds its
+// points by label (dense, 0..n−1), live the points of its live rows, and
+// self[p] the index of point p in live, -1 when p is tombstoned (self is
+// nil when every row is live).
+type allknnCase struct {
+	name string
+	pts  geom.Points
+	tr   *Tree
+	live geom.Points
+	self []int32
+}
+
+// want is the oracle's distance signature for point p over the live rows.
+func (c *allknnCase) want(p, k int) []float64 {
+	self := int32(p)
+	if c.self != nil {
+		self = c.self[p]
+	}
+	return oracle.KNNDists(c.live, c.pts.At(p), k, self)
+}
+
+// allknnExtraCases are the shapes the leaf-group pass treats specially:
+// leaves of one row (no pair inside a leaf) and of 256 rows (scratch past
+// the default size), an all-equal input (every k-th distance ties at
+// zero), and tombstoned rows, which are queried but may never be answers.
+func allknnExtraCases(n int) []allknnCase {
+	var cases []allknnCase
+	for _, leaf := range []int{1, 256} {
+		for _, split := range []SplitRule{ObjectMedian, SpatialMedian} {
+			pts := generators.UniformCube(n, 3, 11)
+			cases = append(cases, allknnCase{fmt.Sprintf("Uniform/d3/%v/leaf%d", split, leaf), pts,
+				Build(pts, Options{Split: split, LeafSize: leaf}), pts, nil})
+		}
+	}
+	for _, leaf := range []int{0, 1} {
+		pts := allEqual(n, 2, 0)
+		cases = append(cases, allknnCase{fmt.Sprintf("AllEqual/d2/leaf%d", leaf), pts,
+			Build(pts, Options{LeafSize: leaf}), pts, nil})
+	}
+	for _, tc := range []distCase{distCases[0], distCases[4]} { // Uniform, Duplicated
+		pts := tc.gen(n, 2, 13)
+		kill := func(label int32) bool { return label%3 != 1 }
+		c := allknnCase{name: tc.name + "/d2/tombstones", pts: pts, tr: Build(pts, Options{LeafSize: 8}),
+			live: geom.Points{Dim: pts.Dim}, self: make([]int32, n)}
+		killRows(c.tr, kill)
+		for p := range n {
+			c.self[p] = -1
+			if !kill(int32(p)) {
+				c.self[p] = int32(c.live.Len())
+				c.live.Data = append(c.live.Data, pts.At(p)...)
+			}
+		}
+		cases = append(cases, c)
+	}
+	return cases
+}
+
 // TestAllKNNMatchesOracle runs the batched AllKNN against the brute-force
-// oracle on every distribution, dimension set, and split rule: each row's
-// distance signature must match the oracle exactly, including the sqDists
-// output and the -1/+Inf padding.
+// oracle on every distribution, dimension set, and split rule, and on
+// allknnExtraCases: each row's distance signature must match the oracle
+// exactly, including the sqDists output and the -1/+Inf padding, and no
+// tombstoned row may be an answer. k = 33 is more than a default leaf
+// holds.
 func TestAllKNNMatchesOracle(t *testing.T) {
 	const n = 300
+	var cases []allknnCase
 	for _, tc := range distCases {
 		for _, dim := range []int{2, 3, 5} {
 			for _, split := range []SplitRule{ObjectMedian, SpatialMedian} {
 				pts := tc.gen(n, dim, 9)
-				tr := Build(pts, Options{Split: split})
-				for _, k := range []int{1, 5, 16} {
-					label := fmt.Sprintf("%s/d%d/%v/k%d", tc.name, dim, split, k)
-					sq := make([]float64, n*k)
-					ids := tr.AllKNN(k, sq)
-					for p := 0; p < n; p++ {
-						wantD := oracle.KNNDists(pts, pts.At(p), k, int32(p))
-						row := ids[p*k : (p+1)*k]
-						for j, want := range wantD {
-							id := row[j]
-							if id < 0 {
-								t.Fatalf("%s/p%d: row ends at %d, oracle has %d", label, p, j, len(wantD))
-							}
-							got := geom.SqDist(pts.At(p), pts.At(int(id)))
-							if got != want {
-								t.Fatalf("%s/p%d: neighbor %d at sqdist %v, oracle %v", label, p, j, got, want)
-							}
-							if sq[p*k+j] != want {
-								t.Fatalf("%s/p%d: sqDists[%d] = %v, oracle %v", label, p, j, sq[p*k+j], want)
-							}
-						}
-						for j := len(wantD); j < k; j++ {
-							if row[j] != -1 || !isInf(sq[p*k+j]) {
-								t.Fatalf("%s/p%d: padding at %d is (%d, %v), want (-1, +Inf)",
-									label, p, j, row[j], sq[p*k+j])
-							}
-						}
+				cases = append(cases, allknnCase{fmt.Sprintf("%s/d%d/%v", tc.name, dim, split), pts,
+					Build(pts, Options{Split: split}), pts, nil})
+			}
+		}
+	}
+	for _, c := range append(cases, allknnExtraCases(n)...) {
+		for _, k := range []int{1, 5, 16, 33} {
+			label := fmt.Sprintf("%s/k%d", c.name, k)
+			sq := make([]float64, n*k)
+			ids := c.tr.AllKNN(k, sq)
+			for p := 0; p < n; p++ {
+				wantD := c.want(p, k)
+				row := ids[p*k : (p+1)*k]
+				for j, want := range wantD {
+					id := row[j]
+					if id < 0 {
+						t.Fatalf("%s/p%d: row ends at %d, oracle has %d", label, p, j, len(wantD))
+					}
+					if c.self != nil && c.self[id] < 0 {
+						t.Fatalf("%s/p%d: neighbor %d is tombstoned point %d", label, p, j, id)
+					}
+					got := geom.SqDist(c.pts.At(p), c.pts.At(int(id)))
+					if got != want {
+						t.Fatalf("%s/p%d: neighbor %d at sqdist %v, oracle %v", label, p, j, got, want)
+					}
+					if sq[p*k+j] != want {
+						t.Fatalf("%s/p%d: sqDists[%d] = %v, oracle %v", label, p, j, sq[p*k+j], want)
+					}
+				}
+				for j := len(wantD); j < k; j++ {
+					if row[j] != -1 || !isInf(sq[p*k+j]) {
+						t.Fatalf("%s/p%d: padding at %d is (%d, %v), want (-1, +Inf)",
+							label, p, j, row[j], sq[p*k+j])
 					}
 				}
 			}
@@ -190,21 +256,25 @@ func TestAllKNNMatchesOracle(t *testing.T) {
 func isInf(v float64) bool { return math.IsInf(v, 1) }
 
 // TestAllKthSqDistMatchesOracle checks the O(n)-output batch k-th-distance
-// pass (the core-distance substrate) against the oracle, including the
-// +Inf convention when fewer than k neighbors exist.
+// pass (the core-distance substrate) against the oracle, on a clustered
+// input and on allknnExtraCases, including the +Inf convention when fewer
+// than k neighbors exist.
 func TestAllKthSqDistMatchesOracle(t *testing.T) {
-	pts := generators.SeedSpreader(400, 3, 2)
-	tr := Build(pts, Options{})
-	for _, k := range []int{1, 4, 16} {
-		got := tr.AllKthSqDist(k)
-		for p := 0; p < pts.Len(); p++ {
-			wantD := oracle.KNNDists(pts, pts.At(p), k, int32(p))
-			want := math.Inf(1)
-			if len(wantD) == k {
-				want = wantD[k-1]
-			}
-			if got[p] != want {
-				t.Fatalf("k=%d p=%d: got %v, oracle %v", k, p, got[p], want)
+	const n = 400
+	pts := generators.SeedSpreader(n, 3, 2)
+	cases := append([]allknnCase{{"SeedSpreader/d3", pts, Build(pts, Options{}), pts, nil}}, allknnExtraCases(n)...)
+	for _, c := range cases {
+		for _, k := range []int{1, 4, 16, 33} {
+			got := c.tr.AllKthSqDist(k)
+			for p := 0; p < n; p++ {
+				wantD := c.want(p, k)
+				want := math.Inf(1)
+				if len(wantD) == k {
+					want = wantD[k-1]
+				}
+				if got[p] != want {
+					t.Fatalf("%s/k%d/p%d: got %v, oracle %v", c.name, k, p, got[p], want)
+				}
 			}
 		}
 	}

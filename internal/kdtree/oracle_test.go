@@ -45,18 +45,21 @@ var distCases = []distCase{
 		}
 		return pts
 	}},
-	{"SinglePoint", func(n, dim int, seed uint64) geom.Points {
-		// n copies of one coordinate: zero-width boxes everywhere.
-		pts := geom.NewPoints(n, dim)
-		row := make([]float64, dim)
-		for c := range row {
-			row[c] = 3.25
-		}
-		for i := 0; i < n; i++ {
-			pts.Set(i, row)
-		}
-		return pts
-	}},
+	{"SinglePoint", allEqual},
+}
+
+// allEqual returns n copies of one coordinate: zero-width boxes everywhere,
+// and every k-NN distance ties at zero.
+func allEqual(n, dim int, _ uint64) geom.Points {
+	pts := geom.NewPoints(n, dim)
+	row := make([]float64, dim)
+	for c := range row {
+		row[c] = 3.25
+	}
+	for i := 0; i < n; i++ {
+		pts.Set(i, row)
+	}
+	return pts
 }
 
 func checkKNNDists(t *testing.T, pts geom.Points, got []int32, q []float64, wantD []float64, label string) {

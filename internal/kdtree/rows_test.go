@@ -27,20 +27,29 @@ func rowsFixture(pts geom.Points, opts Options, kill func(label int32) bool) (*T
 		labels[i] = int32(7*i + 3)
 	}
 	tr := BuildRows(geom.Points{Data: slices.Clone(pts.Data), Dim: pts.Dim}, labels, opts)
+	killRows(tr, kill)
 	live := geom.Points{Dim: pts.Dim}
 	var liveLabels []int32
+	for r, lab := range tr.Idx {
+		if !tr.IsDead(int32(r)) {
+			live.Data = append(live.Data, tr.Pts.At(r)...)
+			liveLabels = append(liveLabels, lab)
+		}
+	}
+	return tr, live, liveLabels
+}
+
+// killRows tombstones every row whose label kill selects (none when kill
+// is nil).
+func killRows(tr *Tree, kill func(label int32) bool) {
 	for r, lab := range tr.Idx {
 		if kill != nil && kill(lab) {
 			if tr.Dead == nil {
 				tr.Dead = make([]uint64, (len(tr.Idx)+63)/64)
 			}
 			tr.Dead[r>>6] |= 1 << (uint(r) & 63)
-			continue
 		}
-		live.Data = append(live.Data, tr.Pts.At(r)...)
-		liveLabels = append(liveLabels, lab)
 	}
-	return tr, live, liveLabels
 }
 
 func TestBuildRowsKeepsEveryPointUnderItsLabel(t *testing.T) {
@@ -172,5 +181,26 @@ func TestRowsEagerThresholdIgnoresDeadRows(t *testing.T) {
 		if dead[ids[j]] || dists[j] != want[j] {
 			t.Fatalf("neighbour %d: label %d (dead=%v) at %v, oracle %v", j, ids[j], dead[ids[j]], dists[j], want[j])
 		}
+	}
+}
+
+// TestAllKNNRejectsSparseLabels: the batch passes index their output by
+// label, so a tree labelled 7i+3 cannot be answered. Both must panic on
+// the caller's goroutine, before the pass forks, where recover sees it; a
+// worker's index panic would end the process.
+func TestAllKNNRejectsSparseLabels(t *testing.T) {
+	tr, _, _ := rowsFixture(generators.UniformCube(10000, 2, 1), Options{}, nil)
+	for name, pass := range map[string]func(){
+		"AllKNN":       func() { tr.AllKNN(5, nil) },
+		"AllKthSqDist": func() { tr.AllKthSqDist(5) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "kdtree: AllKNN requires labels 0..n-1" {
+					t.Errorf("%s over labels 7i+3: recovered %v, want the label panic", name, r)
+				}
+			}()
+			pass()
+		}()
 	}
 }
