@@ -21,10 +21,11 @@
 // "internally deterministic" property of Blelloch et al.'s deterministic
 // reservations.
 //
-// This package provides the reservation slots, the round driver, and the
-// instrumentation counters used for the reservation-overhead experiment
-// (Fig. 12). The convex hull (hull2d, hull3d) and the Delaunay
-// triangulation build on it.
+// This package provides the reservation slots, the round driver
+// (SpeculativeFor, which feeds a priority order to the rounds batch by
+// batch), and the instrumentation counters used for the
+// reservation-overhead experiment (Fig. 12). The convex hull (hull2d,
+// hull3d) and the Delaunay triangulation build on it.
 package core
 
 import (
@@ -76,9 +77,79 @@ func (r *Reservations) Holds(i int, p int64) bool {
 // elements (newly created elements start unreserved).
 func (r *Reservations) Release(i int) { atomic.StoreInt64(&r.slots[i], NoOwner) }
 
-// ReleaseAll resets every slot in parallel.
-func (r *Reservations) ReleaseAll() {
-	parlay.For(len(r.slots), 0, func(i int) { r.slots[i] = NoOwner })
+// ReserveSlots claims, for priority p, every slot in a and in b: a point's
+// visible elements and the boundary elements its insertion rewires.
+func (r *Reservations) ReserveSlots(p int64, a, b []int32) {
+	for _, l := range [2][]int32{a, b} {
+		for _, i := range l {
+			r.Reserve(int(i), p)
+		}
+	}
+}
+
+// HoldsSlots reports whether priority p holds every slot in a and in b.
+func (r *Reservations) HoldsSlots(p int64, a, b []int32) bool {
+	for _, l := range [2][]int32{a, b} {
+		for _, i := range l {
+			if !r.Holds(int(i), p) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ReleaseSlots resets every slot in a and in b. A round calls it for each
+// of its points once every point has checked; the slot of an element that
+// died in the round is reset too, and never read again.
+func (r *Reservations) ReleaseSlots(a, b []int32) {
+	for _, l := range [2][]int32{a, b} {
+		for _, i := range l {
+			r.Release(int(i))
+		}
+	}
+}
+
+// SpeculativeFor drives the reservation rounds of a randomized incremental
+// algorithm: it runs round on successive batches of up to size points of
+// order that are not done, until every point is done. Each batch is the
+// first size points of order, in order, that are not done when the round
+// starts, and a point that is not done after its round is retried in the
+// next. done must stay true once it is true, and round must leave its
+// batch as it found it.
+//
+// order is reused as the work queue, and each point is passed to done at
+// most once before its first round and once after each round it takes part
+// in, so a run costs O(len(order)) plus its failed attempts. This is the speculative for-loop of Blelloch, Fineman, Gibbons and Shun,
+// "Internally Deterministic Parallel Algorithms Can Be Fast" (PPoPP 2012),
+// with a fixed round size.
+func SpeculativeFor(order []int32, size int, done func(q int32) bool, round func(batch []int32)) {
+	// order[lo:next] holds the points still to retry, in order, none of
+	// them done; order[next:] has not been looked at yet.
+	lo, next := 0, 0
+	for {
+		k := next
+		for ; k-lo < size && next < len(order); next++ {
+			if q := order[next]; !done(q) {
+				order[k] = q
+				k++
+			}
+		}
+		if k == lo {
+			return
+		}
+		round(order[lo:k])
+		// Move the batch's survivors, in order, to the end of the gap the
+		// dropped points left, so that they directly precede order[next:].
+		w := next
+		for i := k - 1; i >= lo; i-- {
+			if q := order[i]; !done(q) {
+				w--
+				order[w] = q
+			}
+		}
+		lo = w
+	}
 }
 
 // Stats instruments a reservation-based run for the Fig. 12 overhead

@@ -40,13 +40,12 @@ type tri struct {
 // synthetic super-triangle vertices with ids n, n+1, n+2 (excluded from
 // Triangles / Edges output).
 type Triangulation struct {
-	Pts   geom.Points // input points + 3 super vertices appended
-	N     int         // number of real points
-	tris  []tri
-	res   *core.Reservations
-	seed  []int32 // per real point: containing triangle, or seedDone
-	prio  []int64
-	stats *core.Stats
+	Pts  geom.Points // input points + 3 super vertices appended
+	N    int         // number of real points
+	tris []tri
+	res  *core.Reservations
+	seed []int32 // per real point: containing triangle, or seedDone
+	prio []int64
 }
 
 // inCircum reports whether point p is strictly inside t's circumcircle.
@@ -89,13 +88,12 @@ func New(pts geom.Points) *Triangulation {
 	all.Set(n+1, []float64{cx + 2*r, cy - r})
 	all.Set(n+2, []float64{cx, cy + 2*r})
 	dt := &Triangulation{
-		Pts:   all,
-		N:     n,
-		seed:  make([]int32, n),
-		prio:  make([]int64, n),
-		res:   core.NewReservations(1),
-		tris:  []tri{{v: [3]int32{int32(n), int32(n + 1), int32(n + 2)}, nbr: [3]int32{-1, -1, -1}}},
-		stats: nil,
+		Pts:  all,
+		N:    n,
+		seed: make([]int32, n),
+		prio: make([]int64, n),
+		res:  core.NewReservations(1),
+		tris: []tri{{v: [3]int32{int32(n), int32(n + 1), int32(n + 2)}, nbr: [3]int32{-1, -1, -1}}},
 	}
 	idx := make([]int32, n)
 	parlay.For(n, 0, func(i int) { idx[i] = int32(i) })
@@ -199,7 +197,6 @@ func (dt *Triangulation) retriangulate(q int32, cavity []int32, ridges []cavityR
 		gathered = append(gathered, dt.tris[ti].pts...)
 		dt.tris[ti].pts = nil
 	}
-	dt.stats.AddKilled(int64(len(cavity)))
 	dt.seed[q] = seedDone
 	for _, p := range gathered {
 		if p == q {
@@ -235,7 +232,6 @@ func (dt *Triangulation) insertOne(q int32) {
 	base := int32(len(dt.tris))
 	dt.tris = append(dt.tris, make([]tri, len(ridges))...)
 	dt.res.Grow(len(dt.tris))
-	dt.stats.AddAlloc(int64(len(ridges)))
 	dt.retriangulate(q, cavity, ridges, base)
 }
 
@@ -257,41 +253,18 @@ func Parallel(pts geom.Points, seed uint64) *Triangulation {
 	n := pts.Len()
 	perm := parlay.RandomPermutation(n, seed)
 	parlay.For(n, 0, func(k int) { dt.prio[perm[k]] = int64(k) })
-	P := perm
-	batch := core.BatchSize(8)
-	for len(P) > 0 {
-		q := P
-		if len(q) > batch {
-			q = P[:batch]
-		}
-		dt.round(q)
-		P = parlay.Pack(P, func(i int) bool { return dt.seed[P[i]] != seedDone })
-	}
+	core.SpeculativeFor(perm, core.BatchSize(8), func(q int32) bool { return dt.seed[q] == seedDone }, dt.round)
 	return dt
 }
 
 // round is one reserve/check/commit batch round.
 func (dt *Triangulation) round(batch []int32) {
-	dt.stats.AddRound()
-	dt.stats.AddPoints(int64(len(batch)))
 	type info struct{ cavity, boundary []int32 }
 	infos := make([]info, len(batch))
 	parlay.For(len(batch), 1, func(k int) {
-		q := batch[k]
-		cav, bnd := dt.cavityOf(q)
-		infos[k] = info{cav, bnd}
-		if cav == nil {
-			return
-		}
-		dt.stats.AddFacets(int64(len(cav)))
-		dt.stats.AddReservations(int64(len(cav) + len(bnd)))
-		p := dt.prio[q]
-		for _, t := range cav {
-			dt.res.Reserve(int(t), p)
-		}
-		for _, t := range bnd {
-			dt.res.Reserve(int(t), p)
-		}
+		in := &infos[k]
+		in.cavity, in.boundary = dt.cavityOf(batch[k])
+		dt.res.ReserveSlots(dt.prio[batch[k]], in.cavity, in.boundary)
 	})
 	success := make([]bool, len(batch))
 	parlay.For(len(batch), 1, func(k int) {
@@ -300,28 +273,7 @@ func (dt *Triangulation) round(batch []int32) {
 			dt.seed[q] = seedDone // duplicate: drop
 			return
 		}
-		p := dt.prio[q]
-		ok := true
-		for _, t := range infos[k].cavity {
-			if !dt.res.Holds(int(t), p) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, t := range infos[k].boundary {
-				if !dt.res.Holds(int(t), p) {
-					ok = false
-					break
-				}
-			}
-		}
-		success[k] = ok
-		if ok {
-			dt.stats.AddSuccess()
-		} else {
-			dt.stats.AddFailure()
-		}
+		success[k] = dt.res.HoldsSlots(dt.prio[q], infos[k].cavity, infos[k].boundary)
 	})
 	winnerIdx := parlay.PackIndex(len(batch), func(k int) bool { return success[k] })
 	ridgesOf := make([][]cavityRidge, len(winnerIdx))
@@ -341,23 +293,11 @@ func (dt *Triangulation) round(batch []int32) {
 	base := int32(len(dt.tris))
 	dt.tris = append(dt.tris, make([]tri, totalNew)...)
 	dt.res.Grow(len(dt.tris))
-	dt.stats.AddAlloc(int64(totalNew))
 	parlay.For(len(winnerIdx), 1, func(w int) {
 		k := int(winnerIdx[w])
 		dt.retriangulate(batch[k], infos[k].cavity, ridgesOf[w], base+int32(counts[w]))
 	})
-	parlay.For(len(batch), 1, func(k int) {
-		for _, t := range infos[k].cavity {
-			if !dt.tris[t].dead {
-				dt.res.Release(int(t))
-			}
-		}
-		for _, t := range infos[k].boundary {
-			if !dt.tris[t].dead {
-				dt.res.Release(int(t))
-			}
-		}
-	})
+	parlay.For(len(batch), 1, func(k int) { dt.res.ReleaseSlots(infos[k].cavity, infos[k].boundary) })
 }
 
 // Triangles returns the live triangles not touching the super vertices.

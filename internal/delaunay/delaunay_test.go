@@ -1,6 +1,8 @@
 package delaunay
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"pargeo/internal/generators"
@@ -85,18 +87,34 @@ func TestDelaunayParallelSmall(t *testing.T) {
 	}
 }
 
+// procs are the worker counts the parallel tests run at. A round's batch is
+// 8·P points, so P = 32 (256-point batches) has the most contention.
+var procs = []int{1, 2, 4, 32}
+
+// atProcs runs f as one subtest per worker count in procs.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, p := range procs {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+			f(t)
+		})
+	}
+}
+
 func TestDelaunayParallelMatchesSequential(t *testing.T) {
 	pts := generators.InSphere(800, 2, 77)
 	seqEdges := edgeSet(Sequential(pts, 3).Edges())
-	parEdges := edgeSet(Parallel(pts, 4).Edges())
-	if len(seqEdges) != len(parEdges) {
-		t.Fatalf("edge counts differ: %d vs %d", len(seqEdges), len(parEdges))
-	}
-	for e := range seqEdges {
-		if !parEdges[e] {
-			t.Fatalf("edge %v in sequential but not parallel", e)
+	atProcs(t, func(t *testing.T) {
+		parEdges := edgeSet(Parallel(pts, 4).Edges())
+		if len(seqEdges) != len(parEdges) {
+			t.Fatalf("edge counts differ: %d vs %d", len(seqEdges), len(parEdges))
 		}
-	}
+		for e := range seqEdges {
+			if !parEdges[e] {
+				t.Fatalf("edge %v in sequential but not parallel", e)
+			}
+		}
+	})
 }
 
 func edgeSet(es []Edge) map[Edge]bool {
@@ -157,16 +175,17 @@ func TestDelaunayGrid(t *testing.T) {
 			pts.Set(i*k+j, []float64{float64(i), float64(j)})
 		}
 	}
-	dt := Parallel(pts, 8)
-	tris := dt.Triangles()
-	want := 2 * (k - 1) * (k - 1)
-	if len(tris) != want {
-		t.Fatalf("grid: %d triangles, want %d", len(tris), want)
-	}
-	for _, tv := range tris {
-		a, b, c := pts.At(int(tv[0])), pts.At(int(tv[1])), pts.At(int(tv[2]))
-		if geom.Orient2D(a, b, c) <= 0 {
-			t.Fatalf("grid triangle not CCW: %v", tv)
+	atProcs(t, func(t *testing.T) {
+		tris := Parallel(pts, 8).Triangles()
+		want := 2 * (k - 1) * (k - 1)
+		if len(tris) != want {
+			t.Fatalf("grid: %d triangles, want %d", len(tris), want)
 		}
-	}
+		for _, tv := range tris {
+			a, b, c := pts.At(int(tv[0])), pts.At(int(tv[1])), pts.At(int(tv[2]))
+			if geom.Orient2D(a, b, c) <= 0 {
+				t.Fatalf("grid triangle not CCW: %v", tv)
+			}
+		}
+	})
 }

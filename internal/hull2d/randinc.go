@@ -20,12 +20,12 @@ import (
 //	   edge stored with q — the paper's "store one arbitrary visible facet
 //	   per point and BFS when needed") and reserves each edge by WriteMin
 //	   of q's priority;
-//	3. q succeeds if it still holds all its reservations;
+//	3. q succeeds if it still holds all its reservations, and once every
+//	   point has checked, every point resets the slots it reserved;
 //	4. winners replace their chains with two new edges through q and
 //	   redistribute the points stored on the dead edges onto the new ones
-//	   (or drop them as interior);
-//	5. the visible-point set is packed, and surviving reservations are
-//	   released.
+//	   (or drop them as interior). For RandInc, core.SpeculativeFor retries
+//	   the losers that are still visible in the next round.
 //
 // Winners mutate disjoint edge sets, so the commit phase is lock-free; the
 // only sequential step is re-linking the O(|Q|) boundary pointers between
@@ -78,17 +78,7 @@ func RandIncStats(pts geom.Points, seedVal uint64, stats *core.Stats) []int32 {
 	// Random priorities via a random permutation: prio[p] = position.
 	perm := parlay.RandomPermutation(n, seedVal)
 	parlay.For(n, 0, func(k int) { h.prio[perm[k]] = int64(k) })
-	// P: visible points in priority order.
-	P := parlay.Pack(perm, func(k int) bool { return h.seed[perm[k]] >= 0 })
-	batch := core.BatchSize(8)
-	for len(P) > 0 {
-		q := P
-		if len(q) > batch {
-			q = P[:batch]
-		}
-		h.round(q)
-		P = parlay.Pack(P, func(i int) bool { return h.seed[P[i]] >= 0 })
-	}
+	core.SpeculativeFor(perm, core.BatchSize(8), func(q int32) bool { return h.seed[q] < 0 }, h.round)
 	return h.extract()
 }
 
@@ -270,26 +260,13 @@ func (h *hullState2) round(batch []int32) {
 		bounds[k] = [2]int32{op, on}
 		h.stats.AddFacets(int64(len(ch)))
 		h.stats.AddReservations(int64(len(ch)) + 2)
-		for _, e := range ch {
-			h.res.Reserve(int(e), h.prio[q])
-		}
-		h.res.Reserve(int(op), h.prio[q])
-		h.res.Reserve(int(on), h.prio[q])
+		h.res.ReserveSlots(h.prio[q], ch, bounds[k][:])
 	})
-	// Phase 2: check.
+	// Phase 2: check, then reset every reserved slot: the commit does not
+	// read them.
 	success := make([]bool, len(batch))
 	parlay.For(len(batch), 1, func(k int) {
-		q := batch[k]
-		ok := h.res.Holds(int(bounds[k][0]), h.prio[q]) &&
-			h.res.Holds(int(bounds[k][1]), h.prio[q])
-		if ok {
-			for _, e := range chains[k] {
-				if !h.res.Holds(int(e), h.prio[q]) {
-					ok = false
-					break
-				}
-			}
-		}
+		ok := h.res.HoldsSlots(h.prio[batch[k]], chains[k], bounds[k][:])
 		success[k] = ok
 		if ok {
 			h.stats.AddSuccess()
@@ -297,14 +274,9 @@ func (h *hullState2) round(batch []int32) {
 			h.stats.AddFailure()
 		}
 	})
+	parlay.For(len(batch), 1, func(k int) { h.res.ReleaseSlots(chains[k], bounds[k][:]) })
 	// Phase 3: commit winners. Allocate 2 new edges per winner.
 	winnerIdx := parlay.PackIndex(len(batch), func(k int) bool { return success[k] })
-	if len(winnerIdx) == 0 {
-		// Cannot happen: the smallest priority in the batch wins all of its
-		// writes. Defensive: release and return.
-		h.releaseChains(chains, bounds)
-		return
-	}
 	base := int32(len(h.edges))
 	h.edges = append(h.edges, make([]edge2, 2*len(winnerIdx))...)
 	h.res.Grow(len(h.edges))
@@ -372,28 +344,11 @@ func (h *hullState2) round(batch []int32) {
 			h.edges[w.newE2].next = b
 		}
 	}
-	// Release surviving reservations, then refresh the alive list.
-	h.releaseChains(chains, bounds)
 	newAlive := make([]int32, 0, 2*len(winners))
 	for _, w := range winners {
 		newAlive = append(newAlive, w.newE1, w.newE2)
 	}
 	h.alive = append(parlay.Pack(h.alive, func(i int) bool { return !h.edges[h.alive[i]].dead }), newAlive...)
-}
-
-func (h *hullState2) releaseChains(chains [][]int32, bounds [][2]int32) {
-	parlay.For(len(chains), 1, func(k int) {
-		for _, e := range chains[k] {
-			if !h.edges[e].dead {
-				h.res.Release(int(e))
-			}
-		}
-		for _, e := range bounds[k] {
-			if !h.edges[e].dead {
-				h.res.Release(int(e))
-			}
-		}
-	})
 }
 
 // extract walks the linked hull and returns the CCW vertex cycle.

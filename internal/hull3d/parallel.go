@@ -9,10 +9,11 @@ import (
 // This file implements the paper's reservation-based parallel incremental
 // convex hull in R³ (§3, Fig. 5). Per round:
 //
-//  1. select a batch of visible points (a prefix of the random permutation
-//     for RandInc; for the quickhull flavor, the furthest points of the
-//     fullest facets whose neighborhoods do not touch — see batchQueue —
-//     each memoized when its facet's list was built);
+//  1. select a batch of visible points (for RandInc, the first c·numProc
+//     visible points of the random permutation, fed by core.SpeculativeFor;
+//     for the quickhull flavor, the furthest points of the fullest facets
+//     whose neighborhoods do not touch — see batchQueue — each memoized
+//     when its facet's list was built);
 //  2. each batch point BFSes its visible facet set from its one stored
 //     facet and reserves — via WriteMin of its priority — every visible
 //     facet *and* every horizon-adjacent boundary facet (boundary facets
@@ -71,13 +72,7 @@ func (h *hullState3) round(batch []int32) {
 		info.won, info.ridges = false, info.ridges[:0]
 		h.stats.AddFacets(int64(len(info.vis)))
 		h.stats.AddReservations(int64(len(info.vis) + len(info.boundary)))
-		p := h.prio[q]
-		for _, f := range info.vis {
-			h.res.Reserve(int(f), p)
-		}
-		for _, f := range info.boundary {
-			h.res.Reserve(int(f), p)
-		}
+		h.res.ReserveSlots(h.prio[q], info.vis, info.boundary)
 	})
 	visits, most := 0, 0
 	for k := range infos {
@@ -93,15 +88,10 @@ func (h *hullState3) round(batch []int32) {
 		g = 1
 	}
 	parlay.For(len(batch), g, func(k int) {
-		p := h.prio[batch[k]]
 		info := &infos[k]
-		for _, l := range [2][]int32{info.vis, info.boundary} {
-			for _, f := range l {
-				if !h.res.Holds(int(f), p) {
-					h.stats.AddFailure()
-					return
-				}
-			}
+		if !h.res.HoldsSlots(h.prio[batch[k]], info.vis, info.boundary) {
+			h.stats.AddFailure()
+			return
 		}
 		h.stats.AddSuccess()
 		info.won = true
@@ -144,11 +134,7 @@ func (h *hullState3) round(batch []int32) {
 		if info.won {
 			h.addCone(batch[k], info.vis, info.ridges, info.base, info.off)
 		}
-		for _, l := range [2][]int32{info.vis, info.boundary} {
-			for _, f := range l {
-				h.res.Release(int(f))
-			}
-		}
+		h.res.ReleaseSlots(info.vis, info.boundary)
 	})
 }
 
@@ -170,16 +156,7 @@ func RandIncStats(pts geom.Points, seed uint64, stats *core.Stats) [][3]int32 {
 	perm := parlay.RandomPermutation(n, seed)
 	h.prio = make([]int64, n)
 	parlay.For(n, 0, func(k int) { h.prio[perm[k]] = int64(k) })
-	P := parlay.Pack(perm, func(k int) bool { return h.seed[perm[k]] >= 0 })
-	batch := core.BatchSize(8)
-	for len(P) > 0 {
-		q := P
-		if len(q) > batch {
-			q = P[:batch]
-		}
-		h.round(q)
-		P = parlay.Pack(P, func(i int) bool { return h.seed[P[i]] >= 0 })
-	}
+	core.SpeculativeFor(perm, core.BatchSize(8), func(q int32) bool { return h.seed[q] < 0 }, h.round)
 	return h.extract()
 }
 
