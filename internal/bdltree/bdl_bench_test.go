@@ -149,6 +149,8 @@ func BenchmarkLadderKNN(b *testing.B) {
 // begin with) — with the deletion's two halves timed apart: erase (locate
 // and tombstone) and rebalance (rebuild what fell below half capacity).
 // ns/op and allocs/op cover both halves; the insertions run off the clock.
+// levels-probed/candidate counts the levels whose filter lets a candidate
+// through to a point location (every level without a filter included).
 func BenchmarkChurnDelete(b *testing.B) {
 	const n, batch, lag = 200_000, 512, 64
 	base := generators.UniformCube(n, 3, 5)
@@ -160,7 +162,7 @@ func BenchmarkChurnDelete(b *testing.B) {
 	for i := range queue {
 		queue[i] = base.Slice(i*batch, (i+1)*batch)
 	}
-	var eraseNs, rebalanceNs time.Duration
+	var d deleteTimer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,16 +174,76 @@ func BenchmarkChurnDelete(b *testing.B) {
 		tr.Insert(ins)
 		del := queue[0]
 		queue = append(queue[1:], ins)
-		b.StartTimer()
-		t0 := time.Now()
-		if got := tr.erase(del); got != batch {
+		if got := d.delete(b, tr, del); got != batch {
 			b.Fatalf("update %d erased %d of %d", i, got, batch)
 		}
-		t1 := time.Now()
-		tr.insertWithIDs(geom.Points{Dim: 3}, nil)
-		eraseNs += t1.Sub(t0)
-		rebalanceNs += time.Since(t1)
 	}
-	b.ReportMetric(float64(eraseNs)/float64(b.N), "erase-ns/op")
-	b.ReportMetric(float64(rebalanceNs)/float64(b.N), "rebalance-ns/op")
+	d.report(b)
+}
+
+// BenchmarkPaperDelete is the paper-batch bdltree stage's deletion,
+// reproducible with `go test -bench PaperDelete` alone: 100 k uniform 5-D
+// points inserted in ten 10 % batches, then deleted in the same ten
+// batches, with the halves and the probe count of BenchmarkChurnDelete.
+// One op deletes all ten batches; the insertions run off the clock.
+func BenchmarkPaperDelete(b *testing.B) {
+	const n, batches = 100_000, 10
+	pts := generators.UniformCube(n, 5, 5)
+	tenth := n / batches
+	var d deleteTimer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := New(5, Options{})
+		for lo := 0; lo < n; lo += tenth {
+			tr.Insert(pts.Slice(lo, lo+tenth))
+		}
+		for lo := 0; lo < n; lo += tenth {
+			if got := d.delete(b, tr, pts.Slice(lo, lo+tenth)); got != tenth {
+				b.Fatalf("batch %d erased %d of %d", lo/tenth, got, tenth)
+			}
+		}
+		if tr.Size() != 0 {
+			b.Fatalf("%d points left", tr.Size())
+		}
+	}
+	d.report(b)
+}
+
+// deleteTimer runs Delete's two halves — erase, then the rebalancing
+// insertWithIDs — on the clock and timed apart, and counts, off the clock,
+// the levels each candidate is located in.
+type deleteTimer struct {
+	erase, rebalance time.Duration
+	probed, cands    int
+}
+
+// delete deletes batch from tr and returns how many rows erase removed. The
+// benchmark timer runs for the two halves only and is left stopped.
+func (d *deleteTimer) delete(b *testing.B, tr *Tree, batch geom.Points) int {
+	for _, l := range tr.levels() {
+		for i := 0; l != nil && i < batch.Len(); i++ {
+			if l.filter.mayHold(batch.At(i)) {
+				d.probed++
+			}
+		}
+	}
+	d.cands += batch.Len()
+	b.StartTimer()
+	t0 := time.Now()
+	got := tr.erase(batch)
+	t1 := time.Now()
+	tr.insertWithIDs(geom.Points{Dim: tr.dim}, nil)
+	t2 := time.Now()
+	b.StopTimer()
+	d.erase += t1.Sub(t0)
+	d.rebalance += t2.Sub(t1)
+	return got
+}
+
+func (d *deleteTimer) report(b *testing.B) {
+	b.ReportMetric(float64(d.erase)/float64(b.N), "erase-ns/op")
+	b.ReportMetric(float64(d.rebalance)/float64(b.N), "rebalance-ns/op")
+	b.ReportMetric(float64(d.probed)/float64(d.cands), "levels-probed/candidate")
 }

@@ -108,41 +108,71 @@ func TestEraseDuplicates(t *testing.T) {
 }
 
 // TestEraseSpecialValues: -0 deletes +0 rows (and the reverse), NaN and
-// infinite candidates delete nothing, and a level whose coordinates exceed
-// the f32-safe bound — distinct rows there share an f32 image — loses
-// exactly the rows asked for.
+// infinite candidates delete nothing, a level whose coordinates exceed the
+// f32-safe bound — distinct rows there share an f32 image — loses exactly
+// the rows asked for, and a row with copies in several levels loses every
+// copy. At X = 16 every level is one leaf; at X = 128 the static trees have
+// several and so a membership filter each, which must pass every one of
+// these rows: the signed zeros and the copies sit in filtered levels.
 func TestEraseSpecialValues(t *testing.T) {
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
-	for _, split := range splitRules {
-		label := split.String()
-		const x = 16
-		tr := New(2, Options{BufferSize: x, Split: split})
-		m := &oracle.LiveSet{Dim: 2}
-		huge := geom.NewPoints(4*x, 2)
-		for i := 0; i < huge.Len(); i++ {
-			huge.Set(i, []float64{3e18 + 1024*float64(i), -2e19 * float64(i%7)})
-		}
-		small := generators.UniformCube(3*x+5, 2, 9)
-		small.Set(0, []float64{0, 0})
-		small.Set(1, []float64{negZero, 0.5})
-		small.Set(2, []float64{0, negZero})
-		m.Insert(tr.Insert(huge), huge)   // slot 2, beyond the f32 filter's gate
-		m.Insert(tr.Insert(small), small) // slots 0, 1 and the buffer
-		if fmt.Sprint(tr.TreeSizes()) != fmt.Sprint([]int{5, x, 2 * x, 4 * x}) {
-			t.Fatalf("%s: ladder sizes %v", label, tr.TreeSizes())
-		}
-		none := geom.Points{Dim: 2, Data: []float64{
-			nan, 0, 0, nan, nan, nan, inf, 0, 0, -inf, inf, inf, 3e18 + 512, 0, 3e18, 1,
-		}}
-		if got := deleteBoth(t, label+"/nan and inf", tr, m, none); got != 0 {
-			t.Fatalf("%s: NaN, infinite and near-miss candidates removed %d rows", label, got)
-		}
-		zeros := geom.Points{Dim: 2, Data: []float64{negZero, negZero, 0, 0.5}}
-		if got := deleteBoth(t, label+"/signed zeros", tr, m, zeros); got != 3 {
-			t.Fatalf("%s: signed-zero candidates removed %d rows, want 3", label, got)
-		}
-		if got := deleteBoth(t, label+"/huge", tr, m, huge.Slice(3, 30)); got != 27 {
-			t.Fatalf("%s: huge candidates removed %d rows, want 27", label, got)
+	for _, x := range []int{16, 128} {
+		for _, split := range splitRules {
+			label := fmt.Sprintf("%v/X=%d", split, x)
+			tr := New(2, Options{BufferSize: x, Split: split})
+			m := &oracle.LiveSet{Dim: 2}
+			huge := geom.NewPoints(4*x, 2)
+			for i := 0; i < huge.Len(); i++ {
+				huge.Set(i, []float64{3e18 + 1024*float64(i), -2e19 * float64(i%7)})
+			}
+			// small's rows [0, 5) become the buffer tree, [5, x+5) slot 0 and
+			// [x+5, 3x+5) slot 1.
+			small := generators.UniformCube(3*x+5, 2, 9)
+			small.Set(5, []float64{0, 0})
+			small.Set(x+6, []float64{negZero, 0.5})
+			small.Set(3*x+4, []float64{0, negZero})
+			for j := 0; j < 10; j++ { // slot 0's rows 10..19 again in slot 1
+				small.Set(2*x+j, small.At(10+j))
+			}
+			for j := 0; j < 5; j++ { // huge rows 40..44 again in slot 1
+				small.Set(x+8+j, huge.At(40+j))
+			}
+			third := geom.Points{Dim: 2} // and five rows a third time, in the open leaf
+			third.Data = append(third.Data, small.Slice(10, 13).Data...)
+			third.Data = append(third.Data, huge.Slice(41, 43).Data...)
+			m.Insert(tr.Insert(huge), huge)   // slot 2, beyond the f32 filter's gate
+			m.Insert(tr.Insert(small), small) // slots 0, 1 and the buffer
+			m.Insert(tr.Insert(third), third) // the open leaf
+			if fmt.Sprint(tr.TreeSizes()) != fmt.Sprint([]int{10, x, 2 * x, 4 * x}) || tr.tail.size() != 5 {
+				t.Fatalf("%s: ladder sizes %v", label, tr.TreeSizes())
+			}
+			for i, l := range tr.trees {
+				if (l.filter != nil) != (x > levelLeafSize) {
+					t.Fatalf("%s: slot %d of %d rows has filter %v", label, i, len(l.Idx), l.filter != nil)
+				}
+			}
+			none := geom.Points{Dim: 2, Data: []float64{
+				nan, 0, 0, nan, nan, nan, inf, 0, 0, -inf, inf, inf, -inf, -inf, nan, inf,
+				3e18 + 512, 0, 3e18, 1, 3e18 + 1024*40, -2e19 * 4,
+			}}
+			if got := deleteBoth(t, label+"/nan and inf", tr, m, none); got != 0 {
+				t.Fatalf("%s: NaN, infinite and near-miss candidates removed %d rows", label, got)
+			}
+			zeros := geom.Points{Dim: 2, Data: []float64{negZero, negZero, 0, 0.5}}
+			if got := deleteBoth(t, label+"/signed zeros", tr, m, zeros); got != 3 {
+				t.Fatalf("%s: signed-zero candidates removed %d rows, want 3", label, got)
+			}
+			if got := deleteBoth(t, label+"/huge", tr, m, huge.Slice(3, 30)); got != 27 {
+				t.Fatalf("%s: huge candidates removed %d rows, want 27", label, got)
+			}
+			// Three copies of small 10..12 and huge 41..42, two of small
+			// 13..19 and huge 40, 43, 44.
+			copies := geom.Points{Dim: 2}
+			copies.Data = append(copies.Data, small.Slice(10, 20).Data...)
+			copies.Data = append(copies.Data, huge.Slice(40, 45).Data...)
+			if got := deleteBoth(t, label+"/copies", tr, m, copies); got != 3*5+2*10 {
+				t.Fatalf("%s: candidates with copies in several levels removed %d rows, want %d", label, got, 3*5+2*10)
+			}
 		}
 	}
 }

@@ -8,14 +8,15 @@ import (
 
 // MemoryFootprint estimates the heap bytes of the tree's storage — each
 // level's leaf-ordered float64 rows, float32 leaf slabs, global-id array,
-// node arena and (once it has one) tombstone bitset — that are not already
-// recorded in seen, and records them. Passing one seen map across the
-// versions of a persistent chain therefore measures the chain's total
-// without double-counting shared structure: a version derived with
-// PersistentInsert/PersistentDelete shares untouched arrays with its
-// parent, and those arrays are charged to whichever version was visited
-// first. Keys added to seen are opaque identity tokens (internal array
-// pointers); callers should treat the map as a black box seeded empty.
+// node arena, membership filter and (once it has one) tombstone bitset —
+// that are not already recorded in seen, and records them. Passing one
+// seen map across the versions of a persistent chain therefore measures
+// the chain's total without double-counting shared structure: a version
+// derived with PersistentInsert/PersistentDelete shares untouched arrays
+// with its parent, and those arrays are charged to whichever version was
+// visited first. Keys added to seen are opaque identity tokens (internal
+// array pointers); callers should treat the map as a black box seeded
+// empty.
 //
 // The estimate covers the dominant O(n)-sized arrays and ignores
 // fixed-size headers, so it is a floor — accurate to within a few percent
@@ -47,6 +48,7 @@ func (t *Tree) MemoryFootprint(seen map[any]struct{}) uint64 {
 		charge(unsafe.SliceData(l.Idx), len(l.Idx)*4)
 		charge(unsafe.SliceData(l.Nodes), len(l.Nodes)*int(unsafe.Sizeof(kdtree.Node{})))
 		charge(unsafe.SliceData(l.Dead), len(l.Dead)*8)
+		charge(unsafe.SliceData(l.filter), len(l.filter)*8)
 	}
 	return total
 }

@@ -278,7 +278,7 @@ func TestPersistentDeleteSharesUntouchedArrays(t *testing.T) {
 // that re-inflates the levels fails here, not at a benchmark's RSS gate.
 // Floor: 8·dim (float64 rows) + 4·dim (f32 slabs) + 4 (id) bytes a point;
 // the rest is the node arena at 64-point leaves, the open leaf's one node
-// included.
+// included, and the levels' membership filters (1.25 B a row).
 func TestFootprintPerPoint(t *testing.T) {
 	for _, tc := range []struct {
 		dim   int
@@ -301,5 +301,54 @@ func TestFootprintPerPoint(t *testing.T) {
 		if floor := float64(12*tc.dim + 4); got < floor {
 			t.Errorf("dim %d: %.1f B/point is below the %v B floor — an array is uncounted", tc.dim, got, floor)
 		}
+	}
+}
+
+// TestFootprintCountsFiltersOnce: the footprint charges every level's
+// membership filter, and a persistent deletion's child, whose levels share
+// their filters with the parent's, adds only its fresh tombstone bitsets to
+// the parent's count.
+func TestFootprintCountsFiltersOnce(t *testing.T) {
+	pts := generators.UniformCube(0b1011*256+100, 3, 41)
+	parent := New(3, Options{BufferSize: 256})
+	parent.Insert(pts)
+	bare, filterBytes := parent.shallowClone(), 0
+	bare.buffer = nil // one leaf: no filter
+	for i, l := range parent.trees {
+		if l != nil {
+			nl := *l
+			nl.filter = nil
+			bare.trees[i] = &nl
+			filterBytes += 8 * len(l.filter)
+		}
+	}
+	withFilters := parent.MemoryFootprint(map[any]struct{}{})
+	bare.buffer = parent.buffer
+	if without := bare.MemoryFootprint(map[any]struct{}{}); filterBytes == 0 || withFilters-without != uint64(filterBytes) {
+		t.Fatalf("footprint %d B with filters, %d B without, filters hold %d B", withFilters, without, filterBytes)
+	}
+	victims := geom.Points{Dim: 3}
+	for i := 0; i < pts.Len(); i += 10 { // a tenth of every level: none falls below half
+		victims.Data = append(victims.Data, pts.At(i)...)
+	}
+	child, removed := parent.PersistentDelete(victims)
+	if removed != victims.Len() {
+		t.Fatalf("removed %d of %d", removed, victims.Len())
+	}
+	bitsets := 0
+	for i, l := range child.levels() {
+		p := parent.levels()[i]
+		if l == nil && p == nil {
+			continue
+		}
+		if l == nil || p == nil || l == p || unsafe.SliceData(l.filter) != unsafe.SliceData(p.filter) {
+			t.Fatalf("level %d was rebuilt or not erased: parent %v, child %v", i-2, parent.TreeSizes(), child.TreeSizes())
+		}
+		bitsets += 8 * len(l.Dead)
+	}
+	seen := map[any]struct{}{}
+	parent.MemoryFootprint(seen)
+	if extra := child.MemoryFootprint(seen); extra != uint64(bitsets) {
+		t.Fatalf("child adds %d B to its parent's footprint, its bitsets are %d B", extra, bitsets)
 	}
 }

@@ -13,13 +13,15 @@ const levelLeafSize = 64
 // level is one tree of the ladder — a static tree or the buffer tree: a
 // kdtree arena (leaf-ordered float64 rows, their f32 slabs,
 // one global id per row, the preorder nodes, a tombstone bitset that is
-// nil until the level's first erase) and the count of rows still live.
+// nil until the level's first erase), the count of rows still live and,
+// for a level of more than one leaf, a membership filter over its rows.
 // Levels are immutable once built: an erase returns a copy that shares
 // every array but the bitset, so one level can serve any number of
 // persistent versions. A nil *level is an empty slot.
 type level struct {
 	kdtree.Tree
-	live int
+	live   int
+	filter filter // nil for a one-leaf level: its lookup is one leaf scan
 }
 
 // newLevel builds a level over pts, labelling row i with ids[i]. The level
@@ -30,7 +32,11 @@ func newLevel(pts geom.Points, ids []int32, split SplitRule) *level {
 		return nil
 	}
 	kt := kdtree.BuildRows(pts, ids, kdtree.Options{Split: split, LeafSize: levelLeafSize})
-	return &level{Tree: *kt, live: pts.Len()}
+	l := &level{Tree: *kt, live: pts.Len()}
+	if pts.Len() > levelLeafSize {
+		l.filter = newFilter(kt.Pts)
+	}
+	return l
 }
 
 // size returns the live point count.
@@ -55,13 +61,14 @@ func (l *level) knnInto(q []float64, exclude int32, buf *kdtree.KNNBuffer) {
 // across blocks — duplicate candidates find the same row — so a row counts
 // the first time its bit is set). The receiver is never written: a level
 // that loses rows is replaced by a copy sharing every array except a fresh
-// tombstone bitset (one word per 64 rows), a level that loses none is
+// tombstone bitset (one word per 64 rows) — the filter, too, is shared,
+// since a tombstone clears none of its bits — a level that loses none is
 // returned as is, and a level that loses its last live row becomes nil.
 func (l *level) erase(blocks [][]int32) *level {
 	var nl *level
 	for _, rows := range blocks {
 		if nl == nil && len(rows) > 0 {
-			nl = &level{Tree: l.Tree, live: l.live}
+			nl = &level{Tree: l.Tree, live: l.live, filter: l.filter}
 			nl.Dead = make([]uint64, (len(l.Idx)+63)/64)
 			copy(nl.Dead, l.Dead)
 		}
