@@ -332,91 +332,6 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// --- Figure 11 (BDL-tree operations) ---------------------------------------
-
-func BenchmarkFig11(b *testing.B) {
-	pts := generators.UniformCube(benchN, 7, 1)
-	batch := pts.Len() / 10
-	variants := []struct {
-		name string
-		mk   func() bdltree.Dynamic
-	}{
-		{"B1-object", func() bdltree.Dynamic { return bdltree.NewB1(7, bdltree.ObjectMedian) }},
-		{"B2-object", func() bdltree.Dynamic { return bdltree.NewB2(7, bdltree.ObjectMedian) }},
-		{"BDL-object", func() bdltree.Dynamic { return bdltree.New(7, bdltree.Options{Split: bdltree.ObjectMedian}) }},
-		{"BDL-spatial", func() bdltree.Dynamic { return bdltree.New(7, bdltree.Options{Split: bdltree.SpatialMedian}) }},
-	}
-	for _, v := range variants {
-		b.Run("construct/"+v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := v.mk()
-				tr.Insert(pts)
-			}
-		})
-		b.Run("insert10pct/"+v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := v.mk()
-				for j := 0; j < 10; j++ {
-					tr.Insert(pts.Slice(j*batch, (j+1)*batch))
-				}
-			}
-		})
-		b.Run("delete10pct/"+v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				tr := v.mk()
-				tr.Insert(pts)
-				b.StartTimer()
-				for j := 0; j < 10; j++ {
-					tr.Delete(pts.Slice(j*batch, (j+1)*batch))
-				}
-			}
-		})
-		b.Run("knn5/"+v.name, func(b *testing.B) {
-			tr := v.mk()
-			ids := tr.Insert(pts)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.KNN(pts, 5, ids)
-			}
-		})
-	}
-}
-
-// --- Figure 14 (k-NN vs k after incremental construction) ------------------
-
-func BenchmarkFig14(b *testing.B) {
-	pts := generators.UniformCube(benchN/2, 7, 1)
-	batch := pts.Len() / 20
-	variants := []struct {
-		name string
-		mk   func() bdltree.Dynamic
-	}{
-		{"B1", func() bdltree.Dynamic { return bdltree.NewB1(7, bdltree.ObjectMedian) }},
-		{"B2", func() bdltree.Dynamic { return bdltree.NewB2(7, bdltree.ObjectMedian) }},
-		{"BDL", func() bdltree.Dynamic { return bdltree.New(7, bdltree.Options{Split: bdltree.ObjectMedian}) }},
-	}
-	for _, v := range variants {
-		for _, k := range []int{2, 5, 11} {
-			b.Run(fmt.Sprintf("%s/k=%d", v.name, k), func(b *testing.B) {
-				tr := v.mk()
-				var ids []int32
-				for i := 0; i*batch < pts.Len(); i++ {
-					hi := (i + 1) * batch
-					if hi > pts.Len() {
-						hi = pts.Len()
-					}
-					ids = append(ids, tr.Insert(pts.Slice(i*batch, hi))...)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					tr.KNN(pts, k, ids)
-				}
-			})
-		}
-	}
-}
-
 // --- Figure 12 (reservation overhead, single-thread counters) --------------
 
 func BenchmarkFig12ReservationQuickhull(b *testing.B) {

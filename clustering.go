@@ -3,7 +3,6 @@ package pargeo
 import (
 	"pargeo/internal/cluster"
 	"pargeo/internal/geom"
-	"pargeo/internal/zdtree"
 )
 
 // Dendrogram is a single-linkage merge tree (see internal/cluster).
@@ -23,14 +22,6 @@ func HDBSCAN(pts Points, minPts int) Dendrogram { return cluster.HDBSCAN(pts, mi
 func CoreDistances(pts Points, minPts int) []float64 {
 	return cluster.CoreDistances(pts, minPts)
 }
-
-// ZdTree is the simplified Morton-order batch-dynamic tree used for the
-// §6.3 comparison (see internal/zdtree for its relationship to Blelloch &
-// Dobson's structure).
-type ZdTree = zdtree.Tree
-
-// NewZdTree returns an empty Zd-tree whose Morton quantization covers box.
-func NewZdTree(dim int, box Box) *ZdTree { return zdtree.New(dim, box) }
 
 // BoundingBox computes the bounding box of all points.
 func BoundingBox(pts Points) Box { return geom.BoundingBoxAll(pts) }

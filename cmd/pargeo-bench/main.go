@@ -14,6 +14,12 @@
 // anywhere. Shapes (which algorithm wins, crossover behavior) reproduce;
 // absolute times depend on the host.
 //
+// fig11, fig14 and zdcompare run the BDL-tree beside the §6.3 baselines
+// of internal/baseline (B1, B2 and the Zd-tree) from one variant table.
+// After each operation they cross-check every structure against the
+// BDL-tree (live size, and the sorted k-NN distances of 64 sampled
+// queries) and exit with status 1 if any disagrees.
+//
 // The engine experiment sweeps the Morton shard count (-shards) and the
 // per-configuration measurement window (-measure), and prints each row's
 // write group (updates per commit) beside its throughput.
@@ -80,7 +86,6 @@ var (
 	flagN          = flag.Int("n", 200000, "base data-set size (paper: 10M)")
 	flagThreads    = flag.String("threads", "", "comma-separated thread counts for scaling experiments (default 1,2,4,...,NumCPU)")
 	flagSeed       = flag.Uint64("seed", 42, "data-generation seed")
-	flagVerify     = flag.Bool("verify", false, "cross-check results between implementations where cheap")
 	flagShards     = flag.String("shards", "1,2,4", "comma-separated engine shard counts for the engine experiment sweep")
 	flagMeasure    = flag.Duration("measure", 1500*time.Millisecond, "measurement window per engine-experiment configuration")
 	flagOverAssert = flag.Bool("overload-assert", false, "overload experiment: exit 1 unless goodput at 2x saturation stays within 80% of the best observed and the successful-read p99 stays bounded")

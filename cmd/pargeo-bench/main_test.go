@@ -2,9 +2,14 @@ package main
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"pargeo/internal/baseline"
+	"pargeo/internal/generators"
+	"pargeo/internal/geom"
 )
 
 // TestExperimentDispatch runs the real experiment list with every run
@@ -91,5 +96,48 @@ func TestWithThreadsRestores(t *testing.T) {
 	// Smoke check: ms formatting.
 	if got := ms(0.0123); got != "12.3" {
 		t.Fatalf("ms = %q", got)
+	}
+}
+
+// TestDynamicVariantsAgree runs every operation of fig11 and zdcompare over
+// every structure of the variant table: the cross-check must pass.
+func TestDynamicVariantsAgree(t *testing.T) {
+	pts := generators.UniformCube(3000, 3, 1)
+	for _, op := range dynOps {
+		if _, err := measure(dynVariants, op, pts, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrossCheckCatchesDisagreement: a structure that lost a point, or
+// holds one sampled point elsewhere, fails the cross-check, and the error
+// names it.
+func TestCrossCheckCatchesDisagreement(t *testing.T) {
+	pts := generators.UniformCube(2000, 2, 2)
+	// Row 1000 is the 33rd sampled query (32·2000/64).
+	moved := geom.Points{Data: slices.Clone(pts.Data), Dim: 2}
+	moved.Set(1000, []float64{5, 5})
+	vs := pick("B2-object", "BDL-object")
+	for name, mk := range map[string]func() baseline.Dynamic{
+		"lost": func() baseline.Dynamic {
+			tr := vs[0].mk(pts)
+			tr.Insert(pts)
+			tr.Delete(pts.Slice(0, 1))
+			return tr
+		},
+		"moved": func() baseline.Dynamic {
+			tr := vs[0].mk(pts)
+			tr.Insert(moved)
+			return tr
+		},
+	} {
+		ref := vs[1].mk(pts)
+		ref.Insert(pts)
+		sigs := []string{signature(mk(), pts), signature(ref, pts)}
+		err := crossCheck(vs, sigs, "insert")
+		if err == nil || !strings.Contains(err.Error(), "B2-object") {
+			t.Errorf("%s point: cross-check error %v, want one naming B2-object", name, err)
+		}
 	}
 }

@@ -3,8 +3,7 @@
 // kd-tree). A sliding window of sensor-like readings is inserted and
 // expired batch by batch while queries run between updates — the workload
 // the logarithmic method is designed for, where rebuilding from scratch
-// (baseline B1) would dominate and in-place insertion (baseline B2) would
-// degrade query time.
+// would dominate and in-place insertion would degrade query time.
 package main
 
 import (
@@ -22,10 +21,9 @@ func main() {
 		rounds    = 12
 	)
 	bdl := pargeo.NewBDLTree(dim, pargeo.BDLOptions{})
-	b1 := pargeo.NewB1(dim, pargeo.ObjectMedian)
 
 	var batches []pargeo.Points
-	var insertBDL, insertB1, queryBDL time.Duration
+	var insertBDL, queryBDL time.Duration
 
 	for r := 0; r < rounds; r++ {
 		batch := pargeo.Uniform(batchSize, dim, uint64(r)+1)
@@ -35,16 +33,10 @@ func main() {
 		bdl.Insert(batch)
 		insertBDL += time.Since(start)
 
-		start = time.Now()
-		b1.Insert(batch)
-		insertB1 += time.Since(start)
-
 		// Expire the oldest batch once the window is full.
 		if len(batches) > window {
-			old := batches[0]
+			bdl.Delete(batches[0])
 			batches = batches[1:]
-			bdl.Delete(old)
-			b1.Delete(old)
 		}
 
 		// Query: 5-NN of a fresh probe batch against the live window.
@@ -55,12 +47,11 @@ func main() {
 
 		fmt.Printf("round %2d: live=%6d  trees=%d  first probe -> %v\n",
 			r, bdl.Size(), bdl.NumTrees(), res[0])
-		if bdl.Size() != b1.Size() {
-			panic("BDL and B1 disagree on live size")
+		if want := min(r+1, window) * batchSize; bdl.Size() != want {
+			panic(fmt.Sprintf("live size %d, want %d", bdl.Size(), want))
 		}
 	}
 	fmt.Printf("\ntotals over %d rounds:\n", rounds)
 	fmt.Printf("  BDL inserts: %8.1fms   (amortized log-structured rebuilds)\n", insertBDL.Seconds()*1000)
-	fmt.Printf("  B1  inserts: %8.1fms   (full rebuild every batch)\n", insertB1.Seconds()*1000)
 	fmt.Printf("  BDL queries: %8.1fms\n", queryBDL.Seconds()*1000)
 }

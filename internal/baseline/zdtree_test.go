@@ -1,4 +1,4 @@
-package zdtree
+package baseline
 
 import (
 	"sort"
@@ -6,26 +6,15 @@ import (
 
 	"pargeo/internal/generators"
 	"pargeo/internal/geom"
+	"pargeo/internal/oracle"
 )
 
 func box3(pts geom.Points) geom.Box { return geom.BoundingBoxAll(pts) }
 
-func bruteKNN(coords geom.Points, gids []int32, q []float64, k int, exclude int32) []float64 {
-	var ds []float64
-	for i := 0; i < coords.Len(); i++ {
-		if gids[i] == exclude {
-			continue
-		}
-		ds = append(ds, geom.SqDist(q, coords.At(i)))
-	}
-	sort.Float64s(ds)
-	if len(ds) > k {
-		ds = ds[:k]
-	}
-	return ds
-}
-
-func distsOf(t *Tree, q []float64, ids []int32, coordOf map[int32][]float64) []float64 {
+// distsOf returns the sorted squared distances from q to ids. A fresh tree
+// numbers its first batch's rows from 0, so the tests below also pass ids
+// to the oracle as row indices.
+func distsOf(q []float64, ids []int32, coordOf map[int32][]float64) []float64 {
 	var out []float64
 	for _, id := range ids {
 		out = append(out, geom.SqDist(q, coordOf[id]))
@@ -36,7 +25,7 @@ func distsOf(t *Tree, q []float64, ids []int32, coordOf map[int32][]float64) []f
 
 func TestZdKNNMatchesBrute(t *testing.T) {
 	pts := generators.UniformCube(2000, 3, 1)
-	tr := New(3, box3(pts))
+	tr := NewZdTree(3, box3(pts))
 	ids := tr.Insert(pts)
 	coordOf := map[int32][]float64{}
 	for i, id := range ids {
@@ -45,8 +34,8 @@ func TestZdKNNMatchesBrute(t *testing.T) {
 	queries := pts.Slice(0, 40)
 	res := tr.KNN(queries, 5, ids[:40])
 	for i := range res {
-		want := bruteKNN(pts, ids, queries.At(i), 5, ids[i])
-		got := distsOf(tr, queries.At(i), res[i], coordOf)
+		want := oracle.KNNDists(pts, queries.At(i), 5, ids[i])
+		got := distsOf(queries.At(i), res[i], coordOf)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d results, want %d", i, len(got), len(want))
 		}
@@ -60,7 +49,7 @@ func TestZdKNNMatchesBrute(t *testing.T) {
 
 func TestZdBatchInsertMerge(t *testing.T) {
 	all := generators.UniformCube(1000, 2, 2)
-	tr := New(2, box3(all))
+	tr := NewZdTree(2, box3(all))
 	var ids []int32
 	for b := 0; b < 10; b++ {
 		ids = append(ids, tr.Insert(all.Slice(b*100, (b+1)*100))...)
@@ -80,8 +69,8 @@ func TestZdBatchInsertMerge(t *testing.T) {
 	}
 	res := tr.KNN(all.Slice(0, 20), 3, ids[:20])
 	for i := range res {
-		want := bruteKNN(all, ids, all.At(i), 3, ids[i])
-		got := distsOf(tr, all.At(i), res[i], coordOf)
+		want := oracle.KNNDists(all, all.At(i), 3, ids[i])
+		got := distsOf(all.At(i), res[i], coordOf)
 		for j := range got {
 			if got[j] != want[j] {
 				t.Fatalf("incremental query %d mismatch", i)
@@ -92,7 +81,7 @@ func TestZdBatchInsertMerge(t *testing.T) {
 
 func TestZdDelete(t *testing.T) {
 	pts := generators.UniformCube(800, 3, 3)
-	tr := New(3, box3(pts))
+	tr := NewZdTree(3, box3(pts))
 	tr.Insert(pts)
 	if got := tr.Delete(pts.Slice(0, 300)); got != 300 {
 		t.Fatalf("deleted %d", got)
@@ -126,7 +115,7 @@ func TestZdDelete(t *testing.T) {
 
 func TestZdDuplicateCoordinates(t *testing.T) {
 	pts := geom.Points{Dim: 2, Data: []float64{1, 1, 1, 1, 2, 2, 3, 3}}
-	tr := New(2, box3(pts))
+	tr := NewZdTree(2, box3(pts))
 	tr.Insert(pts)
 	if got := tr.Delete(geom.Points{Dim: 2, Data: []float64{1, 1}}); got != 2 {
 		t.Fatalf("duplicate delete removed %d, want 2", got)

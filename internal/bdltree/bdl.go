@@ -85,10 +85,6 @@
 //	µs per update             b = 1      16      64     512   B/update, b = 16
 //	buffer tree every time     58.9   280.6   276.8   1 142            135 689
 //	open leaf                   4.5    94.7   132.0   1 079             31 950
-//
-// The package also provides the two baselines the paper evaluates against
-// (§6.3): B1, which rebuilds one static tree on every update, and B2, which
-// inserts into leaf buffers in place and tombstones deletions.
 package bdltree
 
 import (

@@ -14,22 +14,11 @@ import (
 
 func BenchmarkConstruction(b *testing.B) {
 	pts := generators.UniformCube(100000, 5, 1)
-	variants := []struct {
-		name string
-		mk   func() Dynamic
-	}{
-		{"BDL", func() Dynamic { return New(5, Options{}) }},
-		{"B1", func() Dynamic { return NewB1(5, ObjectMedian) }},
-		{"B2", func() Dynamic { return NewB2(5, ObjectMedian) }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := v.mk()
-				tr.Insert(pts)
-			}
-		})
-	}
+	b.Run("BDL", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			New(5, Options{}).Insert(pts)
+		}
+	})
 }
 
 func BenchmarkBatchInsert(b *testing.B) {

@@ -71,17 +71,14 @@ func idMap(coords geom.Points, gids []int32) map[int32][]float64 {
 
 func trees() []struct {
 	name string
-	mk   func(dim int) Dynamic
+	mk   func(dim int) *Tree
 } {
 	return []struct {
 		name string
-		mk   func(dim int) Dynamic
+		mk   func(dim int) *Tree
 	}{
-		{"BDL-object", func(d int) Dynamic { return New(d, Options{Split: ObjectMedian, BufferSize: 64}) }},
-		{"BDL-spatial", func(d int) Dynamic { return New(d, Options{Split: SpatialMedian, BufferSize: 64}) }},
-		{"B1-object", func(d int) Dynamic { return NewB1(d, ObjectMedian) }},
-		{"B2-object", func(d int) Dynamic { return NewB2(d, ObjectMedian) }},
-		{"B2-spatial", func(d int) Dynamic { return NewB2(d, SpatialMedian) }},
+		{"BDL-object", func(d int) *Tree { return New(d, Options{Split: ObjectMedian, BufferSize: 64}) }},
+		{"BDL-spatial", func(d int) *Tree { return New(d, Options{Split: SpatialMedian, BufferSize: 64}) }},
 	}
 }
 

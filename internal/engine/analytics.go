@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"pargeo/internal/geom"
-	"pargeo/internal/kdtree"
-	"pargeo/internal/parlay"
-)
+import "math"
 
 // Snapshot analytics: long-running, whole-dataset jobs that make sense
 // precisely BECAUSE snapshots are immutable versions. Each job reads one
@@ -58,7 +52,7 @@ func (s *Snapshot) KNNGraph(k int) *KNNGraph {
 		Neighbors: make([]int32, n*k),
 		SqDists:   make([]float64, n*k),
 	}
-	s.allKNNExcluding(pts, gids, k, g.Neighbors, g.SqDists)
+	s.allKNN(pts, gids, k, g.Neighbors, g.SqDists)
 	return g
 }
 
@@ -75,39 +69,10 @@ func (s *Snapshot) CoreDistances(minPts int) ([]int32, []float64) {
 	pts, gids := s.Points()
 	n := pts.Len()
 	sq := make([]float64, n*minPts)
-	s.allKNNExcluding(pts, gids, minPts, nil, sq)
+	s.allKNN(pts, gids, minPts, nil, sq)
 	core := make([]float64, n)
 	for i := range core {
 		core[i] = math.Sqrt(sq[i*minPts+minPts-1])
 	}
 	return gids, core
-}
-
-// allKNNExcluding is the shared inner pass of the analytics jobs: AllKNN's
-// blocked parallel loop, with query i excluding its own global id. ids (if
-// non-nil) and sqDists (if non-nil) receive flat row-major results with
-// -1/+Inf padding.
-func (s *Snapshot) allKNNExcluding(queries geom.Points, gids []int32, k int, ids []int32, sqDists []float64) {
-	n := queries.Len()
-	parlay.ForBlocked(n, 32, func(lo, hi int) {
-		buf := kdtree.NewKNNBuffer(k)
-		var order []shardDist
-		row := make([]int32, k)
-		drow := make([]float64, k)
-		for i := lo; i < hi; i++ {
-			buf.Reset()
-			order = s.knnOne(queries.At(i), gids[i], buf, order)
-			m := buf.ResultInto(row, drow)
-			for j := m; j < k; j++ {
-				row[j] = -1
-				drow[j] = math.Inf(1)
-			}
-			if ids != nil {
-				copy(ids[i*k:(i+1)*k], row)
-			}
-			if sqDists != nil {
-				copy(sqDists[i*k:(i+1)*k], drow)
-			}
-		}
-	})
 }

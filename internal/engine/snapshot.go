@@ -130,27 +130,40 @@ func (s *Snapshot) AllKNN(queries geom.Points, k int, sqDists []float64) []int32
 		panic("engine: AllKNN sqDists length must be queries.Len()*k")
 	}
 	ids := make([]int32, n*k)
-	parlay.ForBlocked(n, 32, func(lo, hi int) {
+	s.allKNN(queries, nil, k, ids, sqDists)
+	return ids
+}
+
+// allKNN is the one blocked parallel loop of AllKNN and the analytics
+// jobs: query i skips the global id exclude[i] when exclude is not nil.
+// ids (if non-nil) and sqDists (if non-nil) receive flat row-major results
+// with -1/+Inf padding.
+func (s *Snapshot) allKNN(queries geom.Points, exclude []int32, k int, ids []int32, sqDists []float64) {
+	parlay.ForBlocked(queries.Len(), 32, func(lo, hi int) {
 		buf := kdtree.NewKNNBuffer(k)
 		var order []shardDist
+		row := make([]int32, k)
+		drow := make([]float64, k)
 		for i := lo; i < hi; i++ {
-			buf.Reset()
-			order = s.knnOne(queries.At(i), -1, buf, order)
-			row := ids[i*k : (i+1)*k]
-			var drow []float64
-			if sqDists != nil {
-				drow = sqDists[i*k : (i+1)*k]
+			ex := int32(-1)
+			if exclude != nil {
+				ex = exclude[i]
 			}
+			buf.Reset()
+			order = s.knnOne(queries.At(i), ex, buf, order)
 			m := buf.ResultInto(row, drow)
 			for j := m; j < k; j++ {
 				row[j] = -1
-				if drow != nil {
-					drow[j] = math.Inf(1)
-				}
+				drow[j] = math.Inf(1)
+			}
+			if ids != nil {
+				copy(ids[i*k:(i+1)*k], row)
+			}
+			if sqDists != nil {
+				copy(sqDists[i*k:(i+1)*k], drow)
 			}
 		}
 	})
-	return ids
 }
 
 type shardDist struct {

@@ -122,16 +122,6 @@ type BDLOptions = bdltree.Options
 // NewBDLTree returns an empty BDL-tree for dim-dimensional points.
 func NewBDLTree(dim int, opts BDLOptions) *BDLTree { return bdltree.New(dim, opts) }
 
-// DynamicTree is the common batch-dynamic interface implemented by the
-// BDL-tree and the B1/B2 baselines.
-type DynamicTree = bdltree.Dynamic
-
-// NewB1 returns the rebuild-on-every-update baseline.
-func NewB1(dim int, split SplitRule) DynamicTree { return bdltree.NewB1(dim, split) }
-
-// NewB2 returns the insert-in-place / tombstone baseline.
-func NewB2(dim int, split SplitRule) DynamicTree { return bdltree.NewB2(dim, split) }
-
 // --- concurrent query engine (serving path) --------------------------------
 
 // Engine is a concurrent spatial query service over Morton-sharded

@@ -80,23 +80,18 @@ func TestFacadeTreeAndGraphs(t *testing.T) {
 
 func TestFacadeBDL(t *testing.T) {
 	pts := Uniform(1000, 5, 5)
-	for _, tr := range []DynamicTree{
-		NewBDLTree(5, BDLOptions{}),
-		NewB1(5, ObjectMedian),
-		NewB2(5, ObjectMedian),
-	} {
-		ids := tr.Insert(pts)
-		if tr.Size() != 1000 {
-			t.Fatalf("size %d", tr.Size())
-		}
-		got := tr.KNN(pts.Slice(0, 5), 3, ids[:5])
-		if len(got) != 5 || len(got[0]) != 3 {
-			t.Fatalf("bdl knn shape %v", got)
-		}
-		tr.Delete(pts.Slice(0, 500))
-		if tr.Size() != 500 {
-			t.Fatalf("size after delete %d", tr.Size())
-		}
+	tr := NewBDLTree(5, BDLOptions{})
+	ids := tr.Insert(pts)
+	if tr.Size() != 1000 {
+		t.Fatalf("size %d", tr.Size())
+	}
+	got := tr.KNN(pts.Slice(0, 5), 3, ids[:5])
+	if len(got) != 5 || len(got[0]) != 3 {
+		t.Fatalf("bdl knn shape %v", got)
+	}
+	tr.Delete(pts.Slice(0, 500))
+	if tr.Size() != 500 {
+		t.Fatalf("size after delete %d", tr.Size())
 	}
 }
 
