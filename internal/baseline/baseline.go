@@ -74,8 +74,8 @@ func knn(queries geom.Points, k int, exclude []int32, query func(q []float64, ex
 // boxTree is the node arena B2 and the Zd-tree search. A node's box bounds
 // every row below it: B2 widens the boxes on each insert's path, and the
 // Zd-tree derives them from its rows. The search orders and prunes
-// children by box distance alone; the Zd-tree's halving has no split
-// planes.
+// children by box distance alone; the Zd-tree's Morton-bit splits keep
+// no split planes.
 type boxTree struct {
 	dim    int
 	nodes  []kdtree.Node // preorder, root first; Left == 0 marks a leaf

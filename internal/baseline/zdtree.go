@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -46,7 +47,7 @@ type ZdTree struct {
 }
 
 // zdLeafSize is the row count below which the implicit hierarchy stops
-// halving.
+// splitting.
 const zdLeafSize = 16
 
 // NewZdTree returns an empty Zd-tree whose Morton quantization covers box.
@@ -135,9 +136,11 @@ func (t *ZdTree) compact() {
 }
 
 // rebuildNodes derives the implicit kd-hierarchy over the sorted array:
-// recursively halve the array (Morton order means each half is spatially
-// coherent), computing bounding boxes bottom-up. A leaf's rows are views
-// of the arrays, so a tombstone in gids is seen by the search.
+// recursively split the array at the highest Morton bit on which its first
+// and last codes differ, so each child is one cell of the Morton quadtree
+// and siblings are disjoint along that bit's axis, and compute bounding
+// boxes bottom-up. A leaf's rows are views of the arrays, so a tombstone
+// in gids is seen by the search.
 func (t *ZdTree) rebuildNodes() {
 	t.nodes, t.leaves = t.nodes[:0], t.leaves[:0]
 	if len(t.codes) > 0 {
@@ -155,6 +158,12 @@ func (t *ZdTree) buildNode(lo, hi int32) int32 {
 		return id
 	}
 	mid := (lo + hi) / 2
+	if x := t.codes[lo] ^ t.codes[hi-1]; x != 0 {
+		// The codes in [lo, hi) share every bit above the highest set bit
+		// of x, so those with that bit clear sort first.
+		bit := uint64(1) << (63 - bits.LeadingZeros64(x))
+		mid = lo + int32(sort.Search(int(hi-lo), func(i int) bool { return t.codes[lo+int32(i)]&bit != 0 }))
+	}
 	l := t.buildNode(lo, mid)
 	r := t.buildNode(mid, hi)
 	nd := &t.nodes[id]

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"fmt"
+	"math/bits"
 	"sort"
 	"testing"
 
@@ -122,5 +124,41 @@ func TestZdDuplicateCoordinates(t *testing.T) {
 	}
 	if tr.Size() != 2 {
 		t.Fatalf("size %d", tr.Size())
+	}
+}
+
+// TestZdSplitsAtMortonBit: every internal node splits its rows at the
+// highest Morton bit on which they differ, so its children's boxes are
+// disjoint along that bit's axis. Halving by index lets siblings straddle
+// a cell boundary and overlap. The inputs repeat every point, so some
+// nodes hold equal codes only; those halve by index and are skipped.
+func TestZdSplitsAtMortonBit(t *testing.T) {
+	for _, dim := range []int{2, 3, 5} {
+		for name, pts := range map[string]geom.Points{
+			"uniform":      generators.UniformCube(3000, dim, 7),
+			"seedspreader": generators.SeedSpreader(3000, dim, 8),
+		} {
+			label := fmt.Sprintf("%s/d%d", name, dim)
+			tr := NewZdTree(dim, geom.BoundingBoxAll(pts))
+			tr.Insert(pts)
+			tr.Insert(pts)
+			splits := 0
+			for _, nd := range tr.nodes {
+				x := tr.codes[nd.Lo] ^ tr.codes[nd.Hi-1]
+				if nd.IsLeaf() || x == 0 {
+					continue
+				}
+				a := (63 - bits.LeadingZeros64(x)) % dim
+				l, r := &tr.nodes[nd.Left], &tr.nodes[nd.Right]
+				if !(l.MaxC[a] < r.MinC[a]) {
+					t.Fatalf("%s: rows [%d, %d) split on axis %d into boxes [%v, %v] and [%v, %v]",
+						label, nd.Lo, nd.Hi, a, l.MinC[a], l.MaxC[a], r.MinC[a], r.MaxC[a])
+				}
+				splits++
+			}
+			if splits == 0 {
+				t.Fatalf("%s: no node split on a Morton bit", label)
+			}
+		}
 	}
 }

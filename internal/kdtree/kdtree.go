@@ -1,10 +1,11 @@
 // Package kdtree implements ParGeo's static parallel kd-tree (Module 1):
 // parallel construction with object-median or spatial-median splits,
-// exact k-nearest-neighbor search with the paper's 2k quickselect buffer
-// (single-query KNNInto and the batched, data-parallel AllKNN), and
-// orthogonal range search. The tree also exposes its node structure
-// (bounding boxes, children, subtree point ranges), which the WSPD, EMST,
-// and bichromatic-closest-pair modules traverse directly.
+// exact k-nearest-neighbor search through a k-slot max-heap buffer whose
+// root is the exact k-th distance (single-query KNNInto and the batched,
+// data-parallel AllKNN), and orthogonal range search. The tree also
+// exposes its node structure (bounding boxes, children, subtree point
+// ranges), which the WSPD, EMST, and bichromatic-closest-pair modules
+// traverse directly.
 //
 // Construction follows §2 and Appendix C.1: split along the widest
 // dimension of the node's bounding box, either at the object median (median
@@ -562,17 +563,14 @@ func (t *Tree) scanLeafF32(nd *Node, q []float64, exclude int32, buf *KNNBuffer)
 	dists := buf.DistScratch(m)
 	kernel.SqDistsF32(dists, buf.Q32(dim), t.CoordsF32[base:base+m*dim], m, m)
 	thr := buf.RefineThreshold()
-	unbounded := math.IsInf(thr, 1)
-	if unbounded {
-		// Unbounded (eager) phase: bound the true k-th distance from the
-		// f32 scan itself, so even the first leaf refines only ~k points.
-		// That bound counts every scanned row as a neighbour, and the slab
-		// still holds tombstoned rows: where k dead rows sit nearest, it
-		// would discard every live one. A tree with tombstones refines the
-		// whole leaf instead.
-		if t.Dead == nil {
-			thr = buf.EagerThreshold(dists)
-		}
+	// Unbounded (eager) phase: bound the true k-th distance from the f32
+	// scan itself, so even the first leaf refines only ~k points. That
+	// bound counts every scanned row as a neighbour, and the slab still
+	// holds tombstoned rows: where k dead rows sit nearest, it would
+	// discard every live one. A tree with tombstones refines the whole
+	// leaf instead.
+	if math.IsInf(thr, 1) && t.Dead == nil {
+		thr = buf.EagerThreshold(dists)
 	}
 	for i := 0; i < m; i++ {
 		if float64(dists[i]) <= thr {
@@ -581,9 +579,6 @@ func (t *Tree) scanLeafF32(nd *Node, q []float64, exclude int32, buf *KNNBuffer)
 				thr = t2
 			}
 		}
-	}
-	if unbounded {
-		buf.SealEager()
 	}
 }
 

@@ -43,23 +43,29 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkKNNQuery times one k-NN query through KNNInto. The 3-D arms
+// sweep k: the buffer's heap costs O(log k) per accepted candidate.
 func BenchmarkKNNQuery(b *testing.B) {
+	run := func(name string, pts geom.Points, t *Tree, k int) {
+		b.Run(name, func(b *testing.B) {
+			buf := NewKNNBuffer(k)
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				q := i % pts.Len()
+				t.KNNInto(pts.At(q), int32(q), buf)
+			}
+		})
+	}
 	for _, dim := range []int{2, 5, 7} {
 		pts := generators.UniformCube(100000, dim, uint64(dim))
-		t := Build(pts, Options{})
-		run := func(name string, pts geom.Points, t *Tree) {
-			b.Run(name, func(b *testing.B) {
-				buf := NewKNNBuffer(5)
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					q := i % pts.Len()
-					t.KNNInto(pts.At(q), int32(q), buf)
-				}
-			})
-		}
-		run(fmt.Sprintf("d=%d/k=5", dim), pts, t)
+		run(fmt.Sprintf("d=%d/k=5", dim), pts, Build(pts, Options{}), 5)
 		pts64, t64 := buildPastF32(b, pts)
-		run(fmt.Sprintf("d=%d/k=5/f64", dim), pts64, t64)
+		run(fmt.Sprintf("d=%d/k=5/f64", dim), pts64, t64, 5)
+	}
+	pts := generators.UniformCube(100000, 3, 3)
+	t := Build(pts, Options{})
+	for _, k := range []int{1, 16, 64, 256} {
+		run(fmt.Sprintf("d=3/k=%d", k), pts, t, k)
 	}
 }
 
