@@ -147,8 +147,8 @@
 // pruning never drops an answer):
 //
 //   - Range queries test the query box against each shard's cell boxes and
-//     search only overlapping shards, in parallel via parlay.Submit,
-//     concatenating the results.
+//     search only overlapping shards, in parallel via one parlay.For over
+//     them, concatenating the results.
 //   - k-NN queries visit shards nearest-first through one shared k-NN
 //     buffer: the buffer's k-th-distance bound shrinks as shards are
 //     visited and prunes — with a sorted visit order, usually truncates —

@@ -721,14 +721,8 @@ func (e *Engine) commit(stream int, group []*updateReq) {
 		}
 		pool := geom.Points{Data: data, Dim: e.dim}
 		newPart, trees = e.shardedBuild(geom.BoundingBoxAll(pool), pool, ids)
-	case len(work) == 1:
-		work[0].prepare(old.trees[work[0].shard], e.dim)
 	default:
-		thunks := make([]func(), len(work))
-		for t, w := range work {
-			thunks[t] = func() { w.prepare(old.trees[w.shard], e.dim) }
-		}
-		parlay.Submit(thunks).Wait()
+		parlay.For(len(work), 1, func(t int) { work[t].prepare(old.trees[work[t].shard], e.dim) })
 	}
 	deleted := make([]int, len(group))
 	for _, w := range work {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"pargeo/internal/bdltree"
 	"pargeo/internal/geom"
@@ -226,28 +227,12 @@ func (s *Snapshot) rangeShards(box geom.Box) []int {
 func (s *Snapshot) RangeSearch(box geom.Box) []int32 {
 	s.countQueries(1)
 	shards := s.rangeShards(box)
-	if len(shards) == 0 {
-		return nil
-	}
 	if len(shards) == 1 {
 		return s.trees[shards[0]].RangeSearch(box)
 	}
 	parts := make([][]int32, len(shards))
-	thunks := make([]func(), len(shards))
-	for i, sh := range shards {
-		i, sh := i, sh
-		thunks[i] = func() { parts[i] = s.trees[sh].RangeSearch(box) }
-	}
-	parlay.Submit(thunks).Wait()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]int32, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
+	parlay.For(len(shards), 1, func(i int) { parts[i] = s.trees[shards[i]].RangeSearch(box) })
+	return slices.Concat(parts...)
 }
 
 // RangeCount returns the number of points inside the closed box, with the
@@ -255,19 +240,11 @@ func (s *Snapshot) RangeSearch(box geom.Box) []int32 {
 func (s *Snapshot) RangeCount(box geom.Box) int {
 	s.countQueries(1)
 	shards := s.rangeShards(box)
-	if len(shards) == 0 {
-		return 0
-	}
 	if len(shards) == 1 {
 		return s.trees[shards[0]].RangeCount(box)
 	}
 	counts := make([]int, len(shards))
-	thunks := make([]func(), len(shards))
-	for i, sh := range shards {
-		i, sh := i, sh
-		thunks[i] = func() { counts[i] = s.trees[sh].RangeCount(box) }
-	}
-	parlay.Submit(thunks).Wait()
+	parlay.For(len(shards), 1, func(i int) { counts[i] = s.trees[shards[i]].RangeCount(box) })
 	total := 0
 	for _, c := range counts {
 		total += c

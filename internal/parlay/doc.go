@@ -27,7 +27,7 @@
 //     lazily on the first parallel call and parked (idle, costing nothing)
 //     whenever there is no work.
 //
-//   - One Chase-Lev deque of task closures per worker. The owner pushes and
+//   - One Chase-Lev deque of tasks per worker. The owner pushes and
 //     pops at the bottom in LIFO order, so the task it just forked — whose
 //     data is cache-hot — runs next; thieves steal from the top in FIFO
 //     order, so a thief takes the oldest and (in divide-and-conquer trees)
@@ -38,25 +38,33 @@
 //     (a single atomic load when nobody is parked, so a busy system pays
 //     nothing for the wake protocol).
 //
-//   - Nested fork-join: Do(a, b) on a worker pushes b, runs a inline, and
-//     then *helps* — pops b back (the common case: no thief arrived, zero
+//   - One fork routine. Do, the loops (For, ForBlocked, and so Pack and
+//     FindFirst), Reduce and ScanInts all reach the scheduler through it:
+//     a fork is a slice of tasks, each a Do thunk or a loop body with its
+//     block, under one join. Piece 0 runs inline; the caller then *helps*
+//     until the join resolves. Do(a, b) on a worker pushes b, runs a, and
+//     pops b back (the common case: no thief arrived, zero
 //     synchronization beyond one CAS-free pop) or, if b was stolen, runs
-//     other outstanding tasks until the join resolves, parking only when
-//     the whole scheduler has nothing left to do. Divide-and-conquer code
-//     therefore nests Do freely, with no hand-tuned depth limits; the only
-//     tuning knob is the leaf grain at which recursion goes sequential.
+//     other outstanding tasks, parking only when the whole scheduler has
+//     nothing left to do. Divide-and-conquer code therefore nests Do
+//     freely, with no hand-tuned depth limits; the only tuning knob is the
+//     leaf grain at which recursion goes sequential.
 //
-//   - Calls from goroutines outside the pool (the user's goroutine) submit
-//     forks to an injection queue that workers drain, run the first thunk
-//     inline, and help by stealing — any goroutine may steal; only push
-//     and pop are owner-only.
+//   - Where a fork runs is decided once, at entry. A worker forks on its
+//     own scheduler, pushing onto its own deque, without reading
+//     GOMAXPROCS: it runs only because an entry went parallel, and a
+//     private scheduler's tasks keep their nested forks. Only a goroutine
+//     outside the pool (the user's goroutine) reads GOMAXPROCS; it gives
+//     its forks to an injection queue that workers drain, runs the first
+//     piece inline, and helps by stealing — any goroutine may steal; only
+//     push and pop are owner-only.
 //
 // # Sequential degradation
 //
 // Every primitive degrades to its plain sequential form when the input is
-// at or below the grain size or when GOMAXPROCS is 1: no tasks are created,
-// no worker is woken, and the scheduler is never even started in a
-// single-processor process. Single-thread runs therefore pay (almost)
+// at or below the grain size or when it is called from outside the pool
+// with GOMAXPROCS 1: no tasks are created, no worker is woken, and the
+// scheduler is never even started in a single-processor process. Single-thread runs therefore pay (almost)
 // nothing for parallel readiness, which is the same guarantee ParlayLib
 // makes and which the reproduction's sequential baselines rely on.
 //

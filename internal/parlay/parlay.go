@@ -63,18 +63,31 @@ func ForBlocked(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	nblocks, blockSize := blocking(n, grain)
-	if nblocks <= 1 || seqMode() {
+	s, w, _, blockSize := loopEntry(n, grain)
+	if s == nil {
 		body(0, n)
 		return
 	}
-	defaultSched().parallelFor(nblocks, func(b int) {
+	s.forkBlocks(w, n, blockSize, body)
+}
+
+// loopEntry returns the blocking of an n-iteration loop and where it forks
+// (see entry): a nil scheduler when the loop runs inline as one block.
+func loopEntry(n, grain int) (s *sched, w *worker, nblocks, blockSize int) {
+	if nblocks, blockSize = blocking(n, grain); nblocks > 1 {
+		s, w = entry()
+	}
+	return
+}
+
+// forkBlocks runs body over the blocks of [0, n) as one fork on s.
+func (s *sched) forkBlocks(w *worker, n, blockSize int, body func(lo, hi int)) {
+	ts := make([]task, (n+blockSize-1)/blockSize)
+	for b := range ts {
 		lo := b * blockSize
-		hi := min(lo+blockSize, n)
-		if lo < hi {
-			body(lo, hi)
-		}
-	})
+		ts[b] = task{body: body, lo: lo, hi: min(lo+blockSize, n)}
+	}
+	s.fork(w, ts)
 }
 
 // Do runs the given thunks as parallel fork-join tasks and waits for all of
@@ -84,20 +97,22 @@ func ForBlocked(n, grain int, body func(lo, hi int)) {
 // callers need no depth limits — only a sequential cutoff below which
 // forking is not worth its (small) cost.
 func Do(thunks ...func()) {
-	if len(thunks) == 0 {
-		return
+	var s *sched
+	var w *worker
+	if len(thunks) > 1 {
+		s, w = entry()
 	}
-	if len(thunks) == 1 || seqMode() {
+	if s == nil {
 		for _, t := range thunks {
 			t()
 		}
 		return
 	}
-	if w := currentWorker(); w != nil {
-		w.do(thunks)
-		return
+	ts := make([]task, len(thunks))
+	for i, t := range thunks {
+		ts[i].fn = t
 	}
-	defaultSched().externalDo(thunks)
+	s.fork(w, ts)
 }
 
 // Reduce computes merge over f(i) for i in [0, n) in parallel.
@@ -106,8 +121,8 @@ func Reduce[T any](n, grain int, id T, f func(i int) T, merge func(a, b T) T) T 
 	if n <= 0 {
 		return id
 	}
-	nblocks, blockSize := blocking(n, grain)
-	if nblocks <= 1 || seqMode() {
+	s, w, nblocks, blockSize := loopEntry(n, grain)
+	if s == nil {
 		acc := id
 		for i := 0; i < n; i++ {
 			acc = merge(acc, f(i))
@@ -115,12 +130,12 @@ func Reduce[T any](n, grain int, id T, f func(i int) T, merge func(a, b T) T) T 
 		return acc
 	}
 	partial := make([]T, nblocks)
-	defaultSched().parallelFor(nblocks, func(b int) {
+	s.forkBlocks(w, n, blockSize, func(lo, hi int) {
 		acc := id
-		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
+		for i := lo; i < hi; i++ {
 			acc = merge(acc, f(i))
 		}
-		partial[b] = acc
+		partial[lo/blockSize] = acc
 	})
 	acc := id
 	for _, v := range partial {
@@ -183,8 +198,8 @@ func ScanInts(in []int) int {
 	if n == 0 {
 		return 0
 	}
-	nblocks, blockSize := blocking(n, 0)
-	if nblocks <= 1 || seqMode() {
+	s, w, nblocks, blockSize := loopEntry(n, 0)
+	if s == nil {
 		total := 0
 		for i := 0; i < n; i++ {
 			v := in[i]
@@ -194,23 +209,21 @@ func ScanInts(in []int) int {
 		return total
 	}
 	sums := make([]int, nblocks)
-	s := defaultSched()
-	s.parallelFor(nblocks, func(b int) {
+	s.forkBlocks(w, n, blockSize, func(lo, hi int) {
 		acc := 0
-		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
-			acc += in[i]
+		for _, v := range in[lo:hi] {
+			acc += v
 		}
-		sums[b] = acc
+		sums[lo/blockSize] = acc
 	})
 	total := 0
-	for b := 0; b < nblocks; b++ {
-		v := sums[b]
+	for b, v := range sums {
 		sums[b] = total
 		total += v
 	}
-	s.parallelFor(nblocks, func(b int) {
-		acc := sums[b]
-		for i := b * blockSize; i < min((b+1)*blockSize, n); i++ {
+	s.forkBlocks(w, n, blockSize, func(lo, hi int) {
+		acc := sums[lo/blockSize]
+		for i := lo; i < hi; i++ {
 			v := in[i]
 			in[i] = acc
 			acc += v

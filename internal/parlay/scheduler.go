@@ -11,25 +11,36 @@ import (
 
 // This file implements the work-stealing fork-join scheduler described in
 // doc.go: a pool of long-lived worker goroutines, one Chase-Lev deque per
-// worker, randomized stealing with idle parking, and a nested Do/fork-join
-// protocol in which waiters help execute outstanding tasks instead of
+// worker, randomized stealing with idle parking, and one nested fork-join
+// routine (fork) in which waiters help execute outstanding tasks instead of
 // blocking while work remains.
 
-// task is one schedulable unit: a closure plus the join it reports to.
+// task is one schedulable piece of a fork: a Do thunk (fn), or else a
+// loop body with its block [lo, hi), plus the join it reports to. A loop's
+// pieces share its body, so forking a loop allocates no closure per block.
 type task struct {
-	fn func()
-	j  *join
+	fn     func()
+	body   func(lo, hi int)
+	lo, hi int
+	j      *join
+}
+
+func (t *task) run() {
+	if t.fn != nil {
+		t.fn()
+		return
+	}
+	t.body(t.lo, t.hi)
 }
 
 func (t *task) exec() {
-	t.fn()
+	t.run()
 	t.j.finish()
 }
 
-// join counts outstanding forked tasks of one Do / parallel-loop call. The
-// completion channel is allocated lazily, only when a waiter actually has to
-// block (the common case — the owner pops its own forks back — never pays
-// for it).
+// join counts outstanding forked tasks of one fork. The completion channel
+// is allocated lazily, only when a waiter actually has to block (the common
+// case — the owner pops its own forks back — never pays for it).
 type join struct {
 	pending atomic.Int32
 	donec   atomic.Pointer[chan struct{}]
@@ -45,26 +56,18 @@ func (j *join) finish() {
 	}
 }
 
-// wait blocks until the join completes. The double-check after installing
-// the channel closes the race with a concurrent finish that loaded a nil
+// wait blocks until the join completes. The re-check after installing the
+// channel closes the race with a concurrent finish that loaded a nil
 // channel pointer.
 func (j *join) wait() {
 	if j.done() {
 		return
 	}
-	cp := j.donec.Load()
-	if cp == nil {
-		ch := make(chan struct{})
-		if j.donec.CompareAndSwap(nil, &ch) {
-			cp = &ch
-		} else {
-			cp = j.donec.Load()
-		}
-	}
+	c := j.waitc()
 	if j.done() {
 		return
 	}
-	<-*cp
+	<-c
 }
 
 // waitc returns the (lazily created) completion channel for use in select.
@@ -102,7 +105,9 @@ type sched struct {
 	// runtime caps running threads at the new value anyway).
 	workersP atomic.Pointer[[]*worker]
 	growMu   sync.Mutex
-	stop     chan struct{}
+	// stopped is the workers' main-loop join: only shutdown completes it,
+	// and its channel exists from the start.
+	stopped join
 
 	// inject receives tasks from goroutines that are not workers (callers
 	// entering the scheduler from outside). Workers drain it when their own
@@ -172,7 +177,10 @@ func newSched(p int) *sched {
 	if p < 1 {
 		p = 1
 	}
-	s := &sched{stop: make(chan struct{})}
+	s := &sched{}
+	stop := make(chan struct{})
+	s.stopped.pending.Store(1)
+	s.stopped.donec.Store(&stop)
 	s.extRng.Store(0x9e3779b97f4a7c15)
 	empty := make([]*worker, 0, p)
 	s.workersP.Store(&empty)
@@ -211,7 +219,7 @@ func (s *sched) grow(p int) {
 // lives for the process. It must not be called while a fork-join operation
 // on this scheduler is still in flight.
 func (s *sched) shutdown() {
-	close(s.stop)
+	s.stopped.finish()
 }
 
 var (
@@ -220,15 +228,14 @@ var (
 )
 
 // defaultSched returns the process-wide scheduler, starting it on first use
-// with GOMAXPROCS workers and growing the pool if GOMAXPROCS has been
-// raised since (benchmark drivers sweep thread counts in one process).
-// Callers have already established that more than one worker is available.
-func defaultSched() *sched {
-	p := runtime.GOMAXPROCS(0)
+// with p workers and growing the pool if GOMAXPROCS (p, read by the caller)
+// has been raised since (benchmark drivers sweep thread counts in one
+// process).
+func defaultSched(p int) *sched {
 	s := defaultSchedPtr.Load()
 	if s == nil {
 		defaultSchedOnce.Do(func() {
-			defaultSchedPtr.Store(newSched(runtime.GOMAXPROCS(0)))
+			defaultSchedPtr.Store(newSched(p))
 		})
 		s = defaultSchedPtr.Load()
 	}
@@ -238,9 +245,9 @@ func defaultSched() *sched {
 	return s
 }
 
-// seqMode reports whether parallel primitives must degrade to their
-// sequential form because only one processor is available. Checked on every
-// entry so that a GOMAXPROCS(1) process never touches the scheduler at all.
+// seqMode reports whether only one processor is available, so that a
+// caller outside the pool runs its fork inline and a GOMAXPROCS(1) process
+// never touches the scheduler at all.
 func seqMode() bool { return runtime.GOMAXPROCS(0) == 1 }
 
 func (w *worker) xrand() uint64 {
@@ -252,41 +259,13 @@ func (w *worker) xrand() uint64 {
 	return x
 }
 
-// loop is the worker main loop: drain own deque, then the inject queue,
-// then steal; park when a full sweep finds nothing.
+// loop is the worker main loop: help (see helpUntil) until shutdown.
 func (w *worker) loop(ready *sync.WaitGroup) {
 	key := setWorkerLabel()
 	workerMap.Store(key, w)
 	defer workerMap.Delete(key)
 	ready.Done()
-	s := w.s
-	for {
-		if t := w.next(); t != nil {
-			s.tasksRun.Add(1)
-			t.exec()
-			continue
-		}
-		// Publish idleness, then re-check: a forker that missed us on its
-		// nIdle fast path must find either our idle entry or our re-check.
-		s.idleMu.Lock()
-		s.idle = append(s.idle, w)
-		w.parked = true
-		s.nIdle.Add(1)
-		s.idleMu.Unlock()
-		if t := w.next(); t != nil {
-			w.cancelPark()
-			s.tasksRun.Add(1)
-			t.exec()
-			continue
-		}
-		select {
-		case <-w.parkc:
-			w.cancelPark() // tolerate spurious tokens; re-sweep for work
-		case <-s.stop:
-			w.cancelPark()
-			return
-		}
-	}
+	w.helpUntil(&w.s.stopped)
 }
 
 // next finds a runnable task: own deque (LIFO), inject queue, then a
@@ -374,9 +353,13 @@ func (w *worker) spawn(t *task) {
 	w.s.signal()
 }
 
-func (s *sched) injectTasks(ts []*task) {
+// injectTasks queues ts for the workers, in reverse so that popInject
+// hands them out in ascending order.
+func (s *sched) injectTasks(ts []task) {
 	s.injectMu.Lock()
-	s.inject = append(s.inject, ts...)
+	for i := len(ts) - 1; i >= 0; i-- {
+		s.inject = append(s.inject, &ts[i])
+	}
 	s.injectLen.Store(int32(len(s.inject)))
 	s.injectMu.Unlock()
 	for range ts {
@@ -422,18 +405,46 @@ func (s *sched) stealAny(r *uint64) *task {
 	return nil
 }
 
-// do is the fork-join entry point on a worker goroutine: fork all thunks
-// but the first onto the own deque, run the first inline, then help until
-// the forks have completed (they are usually popped right back, unexecuted,
-// in LIFO order — the work-first discipline that makes nested Do cheap).
-func (w *worker) do(thunks []func()) {
-	var jn join
-	jn.pending.Store(int32(len(thunks) - 1))
-	for i := len(thunks) - 1; i >= 1; i-- {
-		w.spawn(&task{fn: thunks[i], j: &jn})
+// entry decides where a fork from the calling goroutine runs. A worker
+// forks on its own scheduler without re-reading GOMAXPROCS: it runs only
+// because an entry went parallel. A goroutine outside the pool forks on
+// the default scheduler, or, when GOMAXPROCS is 1, gets a nil scheduler
+// and runs the fork inline.
+func entry() (*sched, *worker) {
+	if w := currentWorker(); w != nil {
+		return w.s, w
 	}
-	thunks[0]()
-	w.helpUntil(&jn)
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		return defaultSched(p), nil
+	}
+	return nil, nil
+}
+
+// fork is the one fork-join routine: it runs the pieces ts on s and
+// returns when all have finished. ts[0] runs inline. A worker w of s
+// pushes the rest onto its own deque in reverse, so it pops them back in
+// ascending order (a cache-friendly sweep, and the work-first discipline
+// that makes nested Do cheap) while thieves steal descending from the far
+// end. A goroutine outside the pool (w == nil) gives them to the inject
+// queue. Either then helps until the join resolves.
+func (s *sched) fork(w *worker, ts []task) {
+	jn := new(join)
+	jn.pending.Store(int32(len(ts) - 1))
+	rest := ts[1:]
+	for i := range rest {
+		rest[i].j = jn
+	}
+	if w != nil {
+		for i := len(rest) - 1; i >= 0; i-- {
+			w.spawn(&rest[i])
+		}
+		ts[0].run()
+		w.helpUntil(jn)
+		return
+	}
+	s.injectTasks(rest)
+	ts[0].run()
+	s.externalHelp(jn)
 }
 
 // helpUntil runs tasks — own deque first, then inject, then steals — until
@@ -451,6 +462,8 @@ func (w *worker) helpUntil(jn *join) {
 			t.exec()
 			continue
 		}
+		// Publish idleness, then re-check: a forker that missed us on its
+		// nIdle fast path must find either our idle entry or our re-check.
 		s.idleMu.Lock()
 		s.idle = append(s.idle, w)
 		w.parked = true
@@ -473,7 +486,7 @@ func (w *worker) helpUntil(jn *join) {
 		}
 		select {
 		case <-w.parkc:
-			w.cancelPark()
+			w.cancelPark() // tolerate spurious tokens; re-sweep for work
 		case <-donec:
 			w.cancelPark()
 			return
@@ -481,22 +494,9 @@ func (w *worker) helpUntil(jn *join) {
 	}
 }
 
-// externalDo is Do for goroutines outside the scheduler: the forks go to
-// the inject queue, the caller runs the first thunk inline and then helps
-// via the inject queue and steals (any goroutine may steal), blocking on
-// the join only when no work is left anywhere.
-func (s *sched) externalDo(thunks []func()) {
-	var jn join
-	jn.pending.Store(int32(len(thunks) - 1))
-	ts := make([]*task, 0, len(thunks)-1)
-	for i := len(thunks) - 1; i >= 1; i-- {
-		ts = append(ts, &task{fn: thunks[i], j: &jn})
-	}
-	s.injectTasks(ts)
-	thunks[0]()
-	s.externalHelp(&jn)
-}
-
+// externalHelp is helpUntil for a goroutine outside the pool: it runs
+// tasks from the inject queue and steals (any goroutine may steal),
+// blocking on the join only when no work is left anywhere.
 func (s *sched) externalHelp(jn *join) {
 	r := s.extRng.Add(0x9e3779b97f4a7c15)
 	for !jn.done() {
@@ -513,40 +513,4 @@ func (s *sched) externalHelp(jn *join) {
 		jn.wait()
 		return
 	}
-}
-
-// doThunks dispatches a fork-join on this scheduler from any goroutine.
-func (s *sched) doThunks(thunks []func()) {
-	if w := currentWorker(); w != nil && w.s == s {
-		w.do(thunks)
-		return
-	}
-	s.externalDo(thunks)
-}
-
-// parallelFor runs runBlock(0..nblocks-1) on this scheduler under a single
-// join: block 0 runs inline on the caller, the rest are forked. A worker
-// caller pushes them onto its own deque in reverse so it pops them back in
-// ascending block order (cache-friendly sequential sweep) while thieves
-// steal descending from the far end.
-func (s *sched) parallelFor(nblocks int, runBlock func(b int)) {
-	var jn join
-	jn.pending.Store(int32(nblocks - 1))
-	if w := currentWorker(); w != nil && w.s == s {
-		for b := nblocks - 1; b >= 1; b-- {
-			b := b
-			w.spawn(&task{fn: func() { runBlock(b) }, j: &jn})
-		}
-		runBlock(0)
-		w.helpUntil(&jn)
-		return
-	}
-	ts := make([]*task, 0, nblocks-1)
-	for b := nblocks - 1; b >= 1; b-- {
-		b := b
-		ts = append(ts, &task{fn: func() { runBlock(b) }, j: &jn})
-	}
-	s.injectTasks(ts)
-	runBlock(0)
-	s.externalHelp(&jn)
 }

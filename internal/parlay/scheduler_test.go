@@ -228,95 +228,165 @@ func TestDoManyThunks(t *testing.T) {
 
 // --- steal path ----------------------------------------------------------
 
+// onWorker runs f on a worker of s through the one fork routine: the
+// calling goroutine, outside the pool, blocks in the fork's inline piece
+// until a worker has taken f from the inject queue, so f cannot run on the
+// caller.
+func onWorker(s *sched, f func()) {
+	started := make(chan struct{})
+	s.fork(nil, []task{
+		{fn: func() { <-started }},
+		{fn: func() { close(started); f() }},
+	})
+}
+
 // TestStealPathDeterministic forces a steal: a worker forks a task and then
 // blocks until some *other* worker has stolen and run it. Passing proves
-// the fork/signal/wake/steal chain works end to end.
+// the fork/signal/wake/steal chain works end to end. The workers fork
+// whatever GOMAXPROCS reads, so the test needs no resize.
 func TestStealPathDeterministic(t *testing.T) {
 	for _, p := range []int{2, 4} {
-		withProcs(t, p, func() {
-			s := newSched(p)
-			defer s.shutdown()
+		s := newSched(p)
+		ok := make(chan bool, 1)
+		onWorker(s, func() {
 			stolen := make(chan struct{})
-			rootStarted := make(chan struct{})
-			ok := make(chan bool, 1)
-			root := func() {
-				// Running on a worker goroutine of s (the caller is blocked
-				// until rootStarted, so it cannot have popped this task).
-				close(rootStarted)
-				Do(
-					func() {
-						// Hold the worker hostage: only a thief — another
-						// worker or the external helper — can run the forked
-						// sibling that releases us.
-						select {
-						case <-stolen:
-							ok <- true
-						case <-time.After(20 * time.Second):
-							ok <- false
-						}
-					},
-					func() { close(stolen) },
-				)
-			}
-			// Route root onto a worker via the inject queue; the first thunk
-			// runs inline on this goroutine and blocks until a worker has
-			// picked root up.
-			s.doThunks([]func(){func() { <-rootStarted }, root})
-			if !<-ok {
-				t.Fatalf("p=%d: forked task was never stolen", p)
-			}
-			if s.steals.Load() == 0 {
-				t.Fatalf("p=%d: steal counter is zero after a forced steal", p)
-			}
+			Do(
+				func() {
+					// Hold the worker hostage: only a thief — another
+					// worker or the external helper — can run the forked
+					// sibling that releases us.
+					select {
+					case <-stolen:
+						ok <- true
+					case <-time.After(20 * time.Second):
+						ok <- false
+					}
+				},
+				func() { close(stolen) },
+			)
 		})
+		s.shutdown()
+		if !<-ok {
+			t.Fatalf("p=%d: forked task was never stolen", p)
+		}
+		if s.steals.Load() == 0 {
+			t.Fatalf("p=%d: steal counter is zero after a forced steal", p)
+		}
 	}
 }
 
 // TestStealsUnderSkewedLoop checks that a grain-1 loop with wildly uneven
 // iteration costs actually migrates work between workers.
 func TestStealsUnderSkewedLoop(t *testing.T) {
-	withProcs(t, 4, func() {
-		s := newSched(4)
-		defer s.shutdown()
-		var sum atomic.Int64
-		n := 256
-		s.parallelFor(n, func(b int) {
-			// First blocks are ~100x more expensive.
+	s := newSched(4)
+	defer s.shutdown()
+	var sum atomic.Int64
+	n := 256
+	onWorker(s, func() {
+		For(n, 1, func(i int) {
+			// First iterations are ~100x more expensive.
 			spin := 100
-			if b < n/8 {
+			if i < n/8 {
 				spin = 10000
 			}
 			acc := 0
-			for i := 0; i < spin; i++ {
-				acc += i
+			for j := 0; j < spin; j++ {
+				acc += j
 			}
 			sum.Add(int64(acc % 7))
 			sum.Add(1)
 		})
-		if got := sum.Load(); got < int64(n) {
-			t.Fatalf("loop dropped blocks: %d", got)
-		}
-		t.Logf("steals=%d tasksRun=%d", s.steals.Load(), s.tasksRun.Load())
-		if s.tasksRun.Load() == 0 {
-			t.Fatal("scheduler ran no tasks for a 256-block loop")
-		}
 	})
+	if got := sum.Load(); got < int64(n) {
+		t.Fatalf("loop dropped iterations: %d", got)
+	}
+	t.Logf("steals=%d tasksRun=%d", s.steals.Load(), s.tasksRun.Load())
+	if s.tasksRun.Load() <= 1 {
+		t.Fatal("scheduler forked no blocks for a 256-iteration grain-1 loop")
+	}
 }
 
 func TestPrivateSchedSingleWorker(t *testing.T) {
-	withProcs(t, 2, func() {
-		s := newSched(1)
-		defer s.shutdown()
-		var cnt atomic.Int32
-		s.doThunks([]func(){
-			func() { cnt.Add(1) },
-			func() { cnt.Add(1) },
-			func() { cnt.Add(1) },
+	s := newSched(1)
+	defer s.shutdown()
+	var cnt atomic.Int32
+	inc := func() { cnt.Add(1) }
+	s.fork(nil, []task{{fn: inc}, {fn: inc}, {fn: inc}})
+	if cnt.Load() != 3 {
+		t.Fatalf("single-worker sched ran %d of 3 thunks", cnt.Load())
+	}
+	onWorker(s, func() { Do(inc, inc, inc) })
+	if cnt.Load() != 6 {
+		t.Fatalf("single-worker sched ran %d of 3 nested thunks", cnt.Load()-3)
+	}
+}
+
+// TestPrivateSchedLoopsStayOnIt: loops forked by a task of a private
+// scheduler run on that scheduler, not on the default one, whatever
+// GOMAXPROCS reads.
+func TestPrivateSchedLoopsStayOnIt(t *testing.T) {
+	For(1<<16, 0, func(int) {}) // start the default scheduler, if it forks
+	s := newSched(2)
+	defer s.shutdown()
+	_, defTasks0 := schedCounters()
+	n := 1 << 16
+	in := make([]int, n)
+	var covered atomic.Int64
+	var sum, total int
+	onWorker(s, func() {
+		ForBlocked(n, 0, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				in[i] = i & 7
+			}
+			covered.Add(int64(hi - lo))
 		})
-		if cnt.Load() != 3 {
-			t.Fatalf("single-worker sched ran %d of 3 thunks", cnt.Load())
-		}
+		sum = SumInt(n, 0, func(i int) int { return in[i] })
+		total = ScanInts(in)
 	})
+	if covered.Load() != int64(n) {
+		t.Fatalf("ForBlocked covered %d of %d", covered.Load(), n)
+	}
+	if want := n / 8 * 28; sum != want || total != want {
+		t.Fatalf("SumInt = %d, ScanInts total = %d, want %d", sum, total, want)
+	}
+	// The root task, then every forked block but each fork's inline one:
+	// ForBlocked, Reduce and ScanInts' two sweeps.
+	nb, _ := blocking(n, 0)
+	if got, want := s.tasksRun.Load(), int64(1+4*(nb-1)); got < want {
+		t.Fatalf("private scheduler ran %d tasks, want >= %d (%d blocks per loop)", got, want, nb)
+	}
+	if _, defTasks1 := schedCounters(); defTasks1 != defTasks0 {
+		t.Fatalf("default scheduler ran %d of the private scheduler's blocks", defTasks1-defTasks0)
+	}
+}
+
+// TestForkAllocs: a fork allocates a fixed number of objects whatever its
+// size, and a Do that runs inline allocates nothing. testing.AllocsPerRun
+// runs at GOMAXPROCS 1, which is the sequential form for a goroutine
+// outside the pool and no change for a worker.
+func TestForkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var x, y int
+	a, b := func() { x++ }, func() { y++ }
+	if got := testing.AllocsPerRun(100, func() { Do(a, b) }); got != 0 {
+		t.Errorf("Do(a, b) at GOMAXPROCS 1 allocates %v objects, want 0", got)
+	}
+	s := newSched(2)
+	defer s.shutdown()
+	var sink atomic.Int64
+	body := func(lo, hi int) { sink.Add(int64(hi - lo)) }
+	for _, nblocks := range []int{2, 16, 64} {
+		var got float64
+		onWorker(s, func() {
+			got = testing.AllocsPerRun(100, func() { ForBlocked(nblocks*1024, 1024, body) })
+		})
+		t.Logf("%d blocks: %v allocs", nblocks, got)
+		if got > 8 {
+			t.Errorf("a %d-block ForBlocked on a 2-worker scheduler allocates %v objects, want <= 8", nblocks, got)
+		}
+	}
 }
 
 // --- sequential degradation ----------------------------------------------
@@ -351,6 +421,32 @@ func TestGOMAXPROCS1Bypass(t *testing.T) {
 			t.Fatalf("treeSum = %d", got)
 		}
 		ScanInts(a)
+		steals1, tasks1 := schedCounters()
+		if steals0 != steals1 || tasks0 != tasks1 {
+			t.Fatalf("scheduler was engaged under GOMAXPROCS=1: steals %d->%d tasks %d->%d",
+				steals0, steals1, tasks0, tasks1)
+		}
+	})
+}
+
+// TestSubmitSeqMode: with GOMAXPROCS=1 a submitted batch of pieces (a
+// multi-thunk Do, a ForBlocked) runs on the calling goroutine, never
+// touching the scheduler.
+func TestSubmitSeqMode(t *testing.T) {
+	withProcs(t, 1, func() {
+		steals0, tasks0 := schedCounters()
+		caller := goid()
+		n := 100000
+		ForBlocked(n, 1, func(lo, hi int) {
+			if lo != 0 || hi != n || goid() != caller {
+				t.Errorf("ForBlocked ran [%d, %d) off the caller, want one inline block", lo, hi)
+			}
+		})
+		ran := 0
+		Do(func() { ran++ }, func() { ran++ }, func() { ran++ })
+		if ran != 3 {
+			t.Fatalf("Do ran %d of 3 thunks", ran)
+		}
 		steals1, tasks1 := schedCounters()
 		if steals0 != steals1 || tasks0 != tasks1 {
 			t.Fatalf("scheduler was engaged under GOMAXPROCS=1: steals %d->%d tasks %d->%d",
@@ -444,6 +540,28 @@ func TestExternalCallersConcurrent(t *testing.T) {
 	})
 }
 
+// TestSubmitConcurrentBatches: many goroutines outside the pool submitting
+// and waiting on independent batches at once, as grain-1 loops of 8 pieces
+// (the engine's shard fan-out shape).
+func TestSubmitConcurrentBatches(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				var ran atomic.Int64
+				For(8, 1, func(int) { ran.Add(1) })
+				if ran.Load() != 8 {
+					t.Errorf("goroutine %d: batch ran %d of 8 pieces", g, ran.Load())
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestDefaultSchedGrowsWithGOMAXPROCS: the in-process thread sweeps of
 // cmd/pargeo-bench raise GOMAXPROCS between measurements; the default
 // scheduler must grow its pool to match instead of staying pinned at the
@@ -474,20 +592,18 @@ func TestDefaultSchedGrowsWithGOMAXPROCS(t *testing.T) {
 // TestWorkersParkWhenIdle: shortly after a burst of work, all workers of a
 // private scheduler must be parked (no busy-spinning).
 func TestWorkersParkWhenIdle(t *testing.T) {
-	withProcs(t, 4, func() {
-		s := newSched(3)
-		defer s.shutdown()
-		var sink atomic.Int64
-		s.parallelFor(64, func(b int) { sink.Add(int64(b)) })
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if int(s.nIdle.Load()) == len(s.workerList()) {
-				return
-			}
-			time.Sleep(time.Millisecond)
+	s := newSched(3)
+	defer s.shutdown()
+	var sink atomic.Int64
+	onWorker(s, func() { For(64, 1, func(i int) { sink.Add(int64(i)) }) })
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if int(s.nIdle.Load()) == len(s.workerList()) {
+			return
 		}
-		t.Fatalf("workers never parked: %d of %d idle", s.nIdle.Load(), len(s.workerList()))
-	})
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("workers never parked: %d of %d idle", s.nIdle.Load(), len(s.workerList()))
 }
 
 // TestShutdownUnregistersWorkers: after shutdown, the goid registry must not

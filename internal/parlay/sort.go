@@ -20,7 +20,8 @@ const sortSeqThreshold = 8192
 // the only cutoff is the sequential grain.
 func Sort[T any](s []T, less func(a, b T) bool) {
 	n := len(s)
-	if n <= sortSeqThreshold || seqMode() {
+	// As in entry: a worker forks whatever GOMAXPROCS reads.
+	if n <= sortSeqThreshold || seqMode() && currentWorker() == nil {
 		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
 		return
 	}
