@@ -61,7 +61,6 @@ var experiments = []experiment{
 	{"zdcompare", "§6.3 BDL-tree vs Zd-tree", func() { zdCompare(*flagN, *flagSeed) }},
 	{"engine", "mixed read/write serving throughput", func() {
 		engineBench(*flagN, *flagSeed, parseThreads(*flagShards), *flagMeasure)
-		engineDriftBench(*flagN, *flagSeed, parseRebalance(*flagRebalance))
 	}},
 	{"overload", "admission control: goodput + tails at 0.5-2x saturation", func() {
 		overloadBench(*flagN, *flagSeed, *flagMeasure, *flagOverAssert)
@@ -90,7 +89,6 @@ var (
 	flagMeasure    = flag.Duration("measure", 1500*time.Millisecond, "measurement window per engine-experiment configuration")
 	flagOverAssert = flag.Bool("overload-assert", false, "overload experiment: exit 1 unless goodput at 2x saturation stays within 80% of the best observed and the successful-read p99 stays bounded")
 	flagMVCCAssert = flag.Bool("mvcc-assert", false, "mvcc experiment: exit 1 unless writer throughput under concurrent pinned analytics stays >= 70% of the no-analytics baseline")
-	flagRebalance  = flag.String("rebalance", "off,on", "comma-separated rebalancer modes (off,on) for the engine experiment's drifting hot-spot sweep")
 )
 
 func main() {
@@ -136,23 +134,6 @@ func parseThreads(s string) []int {
 			os.Exit(2)
 		}
 		out = append(out, v)
-	}
-	return out
-}
-
-// parseRebalance parses the -rebalance sweep list ("off,on") into bools.
-func parseRebalance(s string) []bool {
-	var out []bool
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "off":
-			out = append(out, false)
-		case "on":
-			out = append(out, true)
-		default:
-			fmt.Fprintf(os.Stderr, "bad rebalance mode %q (want off or on)\n", part)
-			os.Exit(2)
-		}
 	}
 	return out
 }

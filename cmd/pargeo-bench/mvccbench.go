@@ -43,8 +43,8 @@ import (
 //     retained epoch is the delta the epoch's commit rebuilt — far below
 //     a full copy — and this table is where that claim is checked.
 //
-// Interference rows follow the drift experiment's fixed-window protocol
-// (median of 5 one-second windows). -mvcc-assert additionally gates the
+// Interference rows follow a fixed-window protocol (median of 5
+// one-second windows). -mvcc-assert additionally gates the
 // >= 70% interference contract in-process, which is what the nightly
 // stress job runs.
 func mvccBench(n int, seed uint64, assert bool) {
@@ -174,11 +174,10 @@ func mvccBench(n int, seed uint64, assert bool) {
 	}
 }
 
-// Interference measurement protocol: fixed windows with the median taken,
-// exactly like the drift experiment (see engine.go) and for the same
-// reason — the committed baseline and CI's fresh runs must measure the
-// same thing, and the median discards the odd window distorted by a GC
-// pause or a repartition.
+// Interference measurement protocol: fixed windows with the median taken.
+// Windows are fixed (rather than -measure-scaled) so that the committed
+// baseline and CI's fresh runs measure the same thing, and the median
+// discards the odd window distorted by a GC pause.
 const (
 	mvccWindows = 5
 	mvccWindow  = time.Second

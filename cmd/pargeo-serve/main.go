@@ -33,7 +33,6 @@ func main() {
 		shards    = flag.Int("shards", engine.AutoShards, "shard count (-1 = one per GOMAXPROCS worker)")
 		syncEvery = flag.Int("sync-every", 1, "fsync cadence: 1 = every commit (strict), K>1 = group of K (relaxed)")
 		ckptEvery = flag.Int("checkpoint-every", 4096, "automatic checkpoint after N WAL records (0 = manual only)")
-		rebalance = flag.Bool("rebalance", true, "run the online shard rebalancer")
 		retain    = flag.Int("retain", 0, "MVCC retention window: keep the last N epochs answerable via as-of reads (0 = live only; pins work regardless)")
 
 		// Overload control: finite budgets shed excess load with a typed
@@ -46,13 +45,13 @@ func main() {
 	log.SetPrefix("pargeo-serve: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	lim := server.Limits{Reads: *maxReads, Writes: *maxWrites, Control: *maxControl}
-	if err := run(*addr, *dir, *dim, *shards, *syncEvery, *ckptEvery, *rebalance, *retain, lim); err != nil {
+	if err := run(*addr, *dir, *dim, *shards, *syncEvery, *ckptEvery, *retain, lim); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(addr, dir string, dim, shards, syncEvery, ckptEvery int, rebalance bool, retain int, lim server.Limits) error {
-	opts := engine.Options{Shards: shards, Rebalance: rebalance, RetainEpochs: retain}
+func run(addr, dir string, dim, shards, syncEvery, ckptEvery, retain int, lim server.Limits) error {
+	opts := engine.Options{Shards: shards, RetainEpochs: retain}
 	if dir != "" {
 		opts.Durability = &engine.Durability{
 			Dir:             dir,

@@ -41,19 +41,16 @@ func main() {
 		rounds   = 10    // update batches per mover
 	)
 
-	// The engine is durable and rebalancing, as in embedded use: every
-	// commit is written ahead to the segmented log (SyncEvery=64 acks
-	// immediately, fsyncs every 64 commits — prefix durability, right for
-	// a fleet tracker), and the background rebalancer keeps the shard
-	// partition tracking the fleet when the expansion mover (below)
-	// relocates couriers beyond the founding city limits.
+	// The engine is durable, as in embedded use: every commit is written
+	// ahead to the segmented log (SyncEvery=64 acks immediately, fsyncs
+	// every 64 commits — prefix durability, right for a fleet tracker).
 	dir, err := os.MkdirTemp("", "pargeo-serving-*")
 	if err != nil {
 		panic(err)
 	}
 	defer os.RemoveAll(dir)
 	opts := pargeo.EngineOptions{
-		Shards: movers, Rebalance: true,
+		Shards:     movers,
 		Durability: &pargeo.Durability{SyncEvery: 64},
 	}
 	e, err := pargeo.OpenEngine(dir, dim, opts)
@@ -161,11 +158,10 @@ func main() {
 	// The expansion mover: the city grows. One block of couriers is
 	// progressively relocated into a brand-new district east of the
 	// founding city limits — outside the world box the partition was
-	// founded on. Without rebalancing every one of these updates would
-	// clamp into a boundary Morton cell and pile onto one edge shard; the
-	// background rebalancer instead repartitions under a widened world the
-	// moment the drift counter trips, and the new district gets shard
-	// capacity of its own. The block comes home with the final commit.
+	// founded on. The partition stays as founded: these updates clamp into
+	// boundary Morton cells and land on the edge shards, whose cell
+	// geometry covers clamped points, so every query still finds them.
+	// The block comes home with the final commit.
 	expConn := dial()
 	wg.Add(1)
 	go func() {
@@ -245,8 +241,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("final epoch %d, fleet size %d, %d partition migrations while serving\n",
-		st["epoch"], st["size"], st["rebalances"])
+	fmt.Printf("final epoch %d, fleet size %d\n", st["epoch"], st["size"])
 	fmt.Printf("%d client queries and %d update batches in %v (%.0f queries/s)\n",
 		queries.Load(), updates.Load(), elapsed.Round(time.Millisecond),
 		float64(queries.Load())/elapsed.Seconds())
@@ -276,7 +271,7 @@ func main() {
 	if err := e.Close(); err != nil {
 		panic(err)
 	}
-	// Close stopped the rebalancer, so the epoch is final now.
+	// The engine is closed, so the epoch is final now.
 	finalEpoch := e.Epoch()
 
 	// Reopen the directory and serve it again: same state, same epoch,

@@ -1,12 +1,8 @@
 package bdltree
 
 import (
-	"sort"
-
 	"pargeo/internal/geom"
 	"pargeo/internal/kdtree"
-	"pargeo/internal/morton"
-	"pargeo/internal/parlay"
 )
 
 // Shard-facing API: a Morton-sharded engine runs one BDL-tree per shard and
@@ -14,9 +10,8 @@ import (
 // pre-partitioned slice, insertion under engine-assigned global ids, a
 // k-NN entry point that accumulates into a caller-owned buffer so one
 // query's candidate set (and its shrinking radius bound) can be threaded
-// across several shard trees, and the migration primitives (ExtractRange,
-// Merge) an online repartitioner uses to split a hot shard's tree or fuse
-// two cold neighbors.
+// across several shard trees, and a persistent update that leaves the old
+// version queryable.
 
 // NewFromSorted builds a tree directly from a pre-sorted contiguous slice
 // of points carrying their global ids — the per-shard construction step of
@@ -61,69 +56,6 @@ func (t *Tree) EachLive(yield func(coords []float64, ids []int32)) {
 	}
 	t.buffer.eachLive(yield)
 	t.tail.eachLive(yield)
-}
-
-// ExtractRange returns the tree's live points whose Morton code under the
-// quantization box world lies in the inclusive code interval [lo, hi], in
-// ascending code order, along with those codes and the points' global ids.
-// This is the extraction half of a shard migration: a repartitioner pulls a
-// shard's live points out code-sorted, cuts the sorted run at the new
-// boundary, and feeds each piece straight back into NewFromSorted. An empty
-// interval (lo > hi) yields nothing. The returned buffers are fresh and do
-// not alias the tree.
-func (t *Tree) ExtractRange(world geom.Box, lo, hi uint64) ([]uint64, geom.Points, []int32) {
-	pts, ids := t.Points()
-	n := pts.Len()
-	if n == 0 || lo > hi {
-		return nil, geom.Points{Dim: t.dim}, nil
-	}
-	codes := make([]uint64, n)
-	parlay.For(n, 512, func(i int) { codes[i] = morton.Encode(pts.At(i), world) })
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	parlay.SortPairs(codes, idx)
-	from := sort.Search(n, func(i int) bool { return codes[i] >= lo })
-	to := sort.Search(n, func(i int) bool { return codes[i] > hi })
-	if from >= to {
-		return nil, geom.Points{Dim: t.dim}, nil
-	}
-	sub := idx[from:to]
-	outIDs := make([]int32, len(sub))
-	for i, j := range sub {
-		outIDs[i] = ids[j]
-	}
-	return codes[from:to], pts.Gather(sub), outIDs
-}
-
-// Merge builds one fresh tree (with a's options) holding every live point
-// of a and b, laid out in ascending Morton order under world — the fusion
-// half of a shard migration, used when two cold adjacent Morton-range
-// shards collapse into one. The inputs are read-only and stay queryable;
-// their code runs are merged (not concatenated), so the result is sorted
-// even if the two trees' ranges interleave.
-func Merge(world geom.Box, a, b *Tree) *Tree {
-	all := ^uint64(0)
-	ca, pa, ia := a.ExtractRange(world, 0, all)
-	cb, pb, ib := b.ExtractRange(world, 0, all)
-	dim := a.dim
-	n := len(ia) + len(ib)
-	pts := geom.Points{Data: make([]float64, 0, n*dim), Dim: dim}
-	ids := make([]int32, 0, n)
-	i, j := 0, 0
-	for i < len(ia) || j < len(ib) {
-		if j >= len(ib) || (i < len(ia) && ca[i] <= cb[j]) {
-			pts.Data = append(pts.Data, pa.At(i)...)
-			ids = append(ids, ia[i])
-			i++
-		} else {
-			pts.Data = append(pts.Data, pb.At(j)...)
-			ids = append(ids, ib[j])
-			j++
-		}
-	}
-	return NewFromSorted(dim, Options{Split: a.split, BufferSize: a.x}, pts, ids)
 }
 
 // KNNInto adds the tree's candidates for query q into buf, which the caller

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -81,6 +82,21 @@ func buildCrashScript() (steps []crashStep, states [][]string) {
 		states = append(states, modelState(model))
 	}
 	ckpt := func() { steps = append(steps, crashStep{ckpt: true}) }
+	// update is one scripted step of explicit rows, deletes before
+	// inserts like a commit group; it must change the live set.
+	update := func(ins, del []float64) {
+		step := crashStep{ins: geom.Points{Data: ins, Dim: 2}, del: geom.Points{Data: del, Dim: 2}}
+		steps = append(steps, step)
+		model.Remove(step.del)
+		ids := make([]int32, step.ins.Len())
+		for i := range ids {
+			ids[i] = nextID
+			nextID++
+		}
+		model.Insert(ids, step.ins)
+		states = append(states, modelState(model))
+	}
+	nan := math.NaN()
 
 	insert(12) // founding
 	insert(8)
@@ -92,6 +108,14 @@ func buildCrashScript() (steps []crashStep, states [][]string) {
 	insert(8)
 	del(3)
 	ckpt() // second checkpoint: prunes segments with live history behind it
+	// Rows recovery must replay the way the live engine applies them: a
+	// -0 delete removes the +0 row, a NaN delete removes nothing, and a
+	// delete followed by a re-insert of the same coordinates keeps one
+	// row, within one record and across two.
+	update([]float64{0, 1, nan, 2, 3, 3}, nil)
+	update(nil, []float64{math.Copysign(0, -1), 1, nan, 2})
+	update([]float64{3, 3}, []float64{3, 3})
+	update([]float64{0, 1}, nil)
 	insert(8)
 	insert(6)
 	del(4)
@@ -226,8 +250,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 }
 
 // TestCrashRecoveryStress: randomized kill points under CONCURRENT
-// writers with the rebalancer and automatic checkpoints on — the
-// non-deterministic companion to the exhaustive single-threaded matrix.
+// writers with automatic checkpoints on — the non-deterministic companion to the exhaustive single-threaded matrix.
 // Each writer tags its points with (writer, seq) in the coordinates;
 // after recovery every acknowledged point must be present (SyncEvery=1:
 // ack ⇒ fsynced ⇒ survives either reboot image) and every recovered
@@ -247,13 +270,11 @@ func TestCrashRecoveryStress(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		fs := wal.NewMemFS()
 		opts := crashScriptOpts(fs)
-		opts.Rebalance = true
 		opts.Durability.CheckpointEvery = 8
 		e, err := Open(2, opts)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		stopRebalance := rebalanceEveryMs(e)
 		// Arm the crash somewhere inside the workload's op range.
 		fs.SetCrash(10+rng.Intn(400), rng.Intn(2) == 0)
 
@@ -282,7 +303,6 @@ func TestCrashRecoveryStress(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		stopRebalance()
 		e.Close() //nolint:errcheck // post-crash close error is expected
 
 		img := fs.CrashImage(rng.Intn(2) == 0)

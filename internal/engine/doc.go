@@ -7,7 +7,7 @@
 // # Sharding
 //
 // Space is partitioned into S contiguous Morton-code ranges (S ≈
-// GOMAXPROCS via AutoShards, or Options.Shards). The boundaries are first
+// GOMAXPROCS via AutoShards, or Options.Shards). The boundaries are
 // chosen by sampling the Morton codes of the first committed insertion
 // (the "founding commit") and placing them at sample quantiles. Each shard
 // owns one BDL-tree plus its persistent (copy-on-write) version chain and
@@ -16,62 +16,21 @@
 // spatially local, fall entirely into one shard, and therefore commit
 // without ever contending with the other shards' write streams.
 //
-// A partition VALUE is immutable — routing and pruning read whichever
-// partition pointer they loaded without synchronization — but the
-// engine's current partition is not frozen at the founding commit: with
-// Options.Rebalance set, a background rebalancer replaces it online as
-// the load moves (see "Online repartitioning" below). Writers that routed
-// a batch under a partition that has since been replaced detect the swap
-// under their shard commit locks and re-route; in-flight queries are
-// untouched, because a snapshot carries the exact partition its tree
-// vector was built under.
-//
-// # Online repartitioning
-//
-// The founding partition is a guess frozen at the first insertion; a
-// workload that drifts or concentrates afterward would pile every write
-// onto one shard's committer, and any point outside the founding world
-// box is clamped by the Morton encoding into a boundary cell — a workload
-// that outgrows the founding extent would route all of its inserts into
-// the edge shards. The rebalancer (Options.Rebalance, or synchronous
-// Engine.Rebalance calls) tracks per-shard load — live tree size plus an
-// EWMA of committed update rows, with a small reservoir of recently
-// committed row coordinates per shard — and migrates the partition in two
-// granularities:
-//
-//   - split/merge: a hot shard's range is cut at the weighted median code
-//     of its recent writes (falling back to its live-point median) and the
-//     two coldest adjacent shards are fused, keeping S constant so the
-//     per-shard lock/combiner vector never changes shape. Only the three
-//     affected trees are rebuilt (bdltree.ExtractRange + NewFromSorted for
-//     the halves, bdltree.Merge for the fused pair); the rest of the shard
-//     vector is reused. Two triggers fire it: a shard dominating by
-//     combined score (size imbalance) or one absorbing a disproportionate
-//     share of recent write rows (a hot spot confined to a sliver of a
-//     shard). A split is vetoed when the recent-write sample shows update
-//     requests would straddle the cut — that would turn the stream's
-//     single-shard commits into multi-shard ones instead of dividing it —
-//     and a size-triggered split vetoed this way escalates to a full
-//     repartition instead.
-//   - full repartition: when enough inserted rows have routed outside the
-//     world box (the drift counter), every boundary is re-placed at fresh
-//     quantiles under a widened world — the live bounding box plus margin
-//     — so clamped codes stop aliasing into boundary cells and successive
-//     repartitions of a steady drift are geometrically spaced.
-//
-// Migration safety: a migration takes EVERY shard commit lock in
-// ascending order — the same protocol every committer uses, so it cannot
-// deadlock against them — freezing the write path while the affected
-// trees are rebuilt from their sorted live points. The new partition and
-// its matching tree vector are then published in ONE snapshot pointer
-// swap under the publish lock. Queries only ever read a snapshot's
-// coupled (partition, tree-vector) pair, so they observe a migration
-// atomically and keep seeing every committed batch all-or-nothing. A
-// committer that routed its group under the old partition discovers the
-// swap once it holds its shard locks (commit compares the partition it
-// routed under against the current one) and re-routes the whole group
-// under the new partition — no update is lost or applied twice across a
-// migration.
+// The founding partition is the engine's partition for the rest of its
+// life; recovery restores it from the checkpoint (or refounds it over the
+// recovered points when replay changed the live set). A point outside the
+// founding world box is clamped by the Morton encoding into a boundary
+// cell, so it routes to an edge shard, and the partition's cell geometry
+// covers clamped points, so pruning never drops one. The partition is
+// written once — by recovery, before the engine serves, or by the
+// founding commit, which runs on the global commit stream while no shard
+// stream exists yet — so a committer never has to re-validate the
+// partition it routed under. An online rebalancer that migrated the
+// partition as load moved was measured and deleted: the pargeo-serve
+// daemon with it switched off showed no resolvable difference under the
+// benchmark's serve-mixed workload, and an S = 4 engine loaded with
+// 500 k points in 10 k batches and given 200 more 512-point inserts made
+// no migration at all.
 //
 // # Snapshot protocol and two-phase publish
 //
@@ -94,8 +53,7 @@
 //
 // There is one commit path (Engine.commit), parameterised by the set of
 // shards a commit group touches: lock those shards' commit locks in
-// ascending order (deadlock-free against every other committer and the
-// rebalancer), re-validate the routing partition under the locks, prepare
+// ascending order (deadlock-free against every other committer), prepare
 // each affected shard's next version — inline for one shard, in parallel
 // via the scheduler for several — publish them with ONE vector swap, and
 // acknowledge each request. A group confined to one shard is the set {s};
@@ -104,8 +62,8 @@
 // trees. Readers therefore observe a multi-shard batch all-or-nothing:
 // there is no instant at which some of its shards are visible and others
 // are not. Engine.publish is the only function that installs a snapshot
-// (commits, the founding commit, and migrations alike) and Engine.finish
-// the only one that produces an acknowledgement.
+// (commits and the founding commit alike) and Engine.finish the only one
+// that produces an acknowledgement.
 //
 // Consistency guarantee: every query runs entirely against one snapshot
 // load. The counts, ids, and neighbors it returns are
@@ -194,10 +152,8 @@
 // RetainWatermark is the oldest currently resolvable epoch — the GC
 // boundary the ring trim advances.
 //
-// Every installed snapshot feeds the ring — publish (commits, the
-// founding commit, and rebalancer migrations, whose note epochs change no
-// live points but still consume epochs, so AsOf across a migration
-// resolves), and recovery. Recovery RESETS the ring: the recovered epoch
+// Every installed snapshot feeds the ring — publish (commits and the
+// founding commit) and recovery. Recovery RESETS the ring: the recovered epoch
 // is not contiguous with anything the process held before, and
 // pre-restart history (including pins, which are per-process serving
 // state, or per-connection state at the server layer) does not survive —
@@ -226,9 +182,7 @@
 // record order is exactly the epoch order and a failed append publishes
 // nothing (the group is rejected, UpdateResult.Err). The fsync wait sits
 // OUTSIDE the shard commit locks, so parallel shard committers share
-// group-commit fsyncs instead of serializing on the disk. Rebalancer
-// migrations consume an epoch without changing the live set; they log an
-// empty "note" record the same way, keeping the epoch chain contiguous.
+// group-commit fsyncs instead of serializing on the disk.
 //
 // Engine.Checkpoint serializes the current snapshot — every shard tree's
 // live rows streamed out of its levels' own arrays (bdltree.EachLive →

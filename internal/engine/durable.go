@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"pargeo/internal/bdltree"
@@ -55,7 +56,6 @@ func Open(dim int, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.startRebalancer()
 	return e, nil
 }
 
@@ -164,8 +164,10 @@ func (e *Engine) recoverDurable(d Durability) error {
 // replayRecords applies commit records to a base live set and returns
 // the final live points and ids. It reproduces the engine's group
 // semantics exactly: a delete row tombstones EVERY live point whose
-// coordinates match it bit-for-bit, all of a record's deletes apply
-// before any of its inserts, and note records change nothing.
+// coordinates match it by ==, as the live erase does (so -0 matches +0,
+// and a row holding a NaN matches nothing), all of a record's deletes
+// apply before any of its inserts, and note records (written by older
+// engines for partition migrations) change nothing.
 func replayRecords(dim int, basePts geom.Points, baseIDs []int32, recs []wal.Record) (geom.Points, []int32) {
 	data := append([]float64(nil), basePts.Data...)
 	ids := append([]int32(nil), baseIDs...)
@@ -173,10 +175,12 @@ func replayRecords(dim int, basePts geom.Points, baseIDs []int32, recs []wal.Rec
 	for i := range alive {
 		alive[i] = true
 	}
+	// v + 0 turns -0 into +0, so the key equates exactly what == does,
+	// NaN aside (bdltree.rowHash keys its level filters the same way).
 	key := func(row []float64) string {
 		b := make([]byte, 0, dim*8)
 		for _, v := range row {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v+0))
 		}
 		return string(b)
 	}
@@ -191,6 +195,9 @@ func replayRecords(dim int, basePts geom.Points, baseIDs []int32, recs []wal.Rec
 		}
 		for _, d := range rec.Dels {
 			for r, n := 0, d.Len(); r < n; r++ {
+				if slices.ContainsFunc(d.At(r), math.IsNaN) {
+					continue
+				}
 				k := key(d.At(r))
 				for _, i := range index[k] {
 					alive[i] = false

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -159,7 +160,7 @@ func TestDurableDimMismatchRejected(t *testing.T) {
 
 // checkpoint round-trip property test: for every distribution × dim —
 // including duplicate-coordinate and tombstone-heavy inputs — the
-// serialize→restore cycle (ExtractRange → checkpoint encode → decode →
+// serialize→restore cycle (EachLive → checkpoint encode → decode →
 // NewFromSorted inside Checkpoint/Open) must reproduce a tree that
 // answers KNN and range queries exactly like the brute-force oracle over
 // the surviving live set.
@@ -314,13 +315,10 @@ func TestCloseWithInflightCommits(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	fs := wal.NewMemFS()
-	opts := durOpts(fs, 4, nil)
-	opts.Rebalance = true
-	e, err := Open(2, opts)
+	e, err := Open(2, durOpts(fs, 4, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopRebalance := rebalanceEveryMs(e)
 
 	const writers = 8
 	type ack struct {
@@ -360,14 +358,13 @@ func TestCloseWithInflightCommits(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	stopRebalance()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 	close(ackedCh)
 
-	// No goroutine leak: rebalancer, checkpointer, and all commit paths
+	// No goroutine leak: checkpointer and all commit paths
 	// must have unwound. (Parlay's worker pool is global and counted in
 	// the baseline.)
 	deadline := time.Now().Add(2 * time.Second)
@@ -402,6 +399,49 @@ func TestCloseWithInflightCommits(t *testing.T) {
 	}
 	if nacked < 50 {
 		t.Fatalf("only %d updates acked before Close; test raced to nothing", nacked)
+	}
+}
+
+// TestReplayMatchesLiveDeletes: recovery must replay a delete exactly as
+// the live engine applied it. The live erase matches rows by ==, so a -0
+// delete removes the +0 row and a NaN delete removes nothing; a delete
+// followed by a re-insert of the same coordinates leaves the new row
+// live, whether the two share a record or not. With no checkpoint the
+// whole history is replayed from the log.
+func TestReplayMatchesLiveDeletes(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	rows := func(v ...float64) geom.Points { return geom.Points{Data: v, Dim: 2} }
+	for _, shards := range []int{1, 4} {
+		fs := wal.NewMemFS()
+		e, err := Open(2, durOpts(fs, shards, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []struct{ ins, del geom.Points }{
+			{ins: rows(0, 1, 5, 5, nan, 2, 3, 3)},
+			{del: rows(negZero, 1, nan, 2)},
+			{ins: rows(5, 5), del: rows(5, 5)}, // one record
+			{del: rows(3, 3)},
+			{ins: rows(3, 3)}, // across records
+		}
+		for i, s := range steps {
+			if res := e.Update(s.ins, s.del); res.Err != nil {
+				t.Fatalf("shards=%d step %d: %v", shards, i, res.Err)
+			}
+		}
+		want := engineState(e)
+		if len(want) != 3 {
+			t.Fatalf("shards=%d: live engine holds %v, want (5,5), (NaN,2) and (3,3) once each", shards, want)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(2, durOpts(fs, shards, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffStates(t, fmt.Sprintf("shards=%d recovered", shards), engineState(re), want)
+		re.Close()
 	}
 }
 

@@ -28,20 +28,11 @@ type Options struct {
 	// Shards is the number of Morton-range shards S: independent BDL-trees
 	// whose disjoint updates commit in parallel. 0 or 1 runs unsharded
 	// (one tree, one committer); AutoShards picks GOMAXPROCS. Boundaries
-	// are sampled from the first committed insertion; with Rebalance set
-	// they then track the live load online.
+	// are sampled from the first committed insertion and stay fixed for
+	// the engine's life; recovery restores them from the checkpoint, or
+	// refounds them over the recovered points when the log replayed past
+	// it.
 	Shards int
-	// Rebalance starts the background rebalancer on a sharded engine: a
-	// goroutine that watches per-shard load (live size + committed-batch
-	// EWMA + a recent-write sample), splits a hot shard's Morton range at
-	// the weighted median code of its recent writes (merging the two
-	// coldest adjacent shards to keep S constant), and — when enough
-	// inserted rows land outside the partition's world box — rebuilds the
-	// whole partition under a widened world so drifting workloads stop
-	// aliasing into boundary cells. A pass runs every 25 ms; call Close
-	// to stop the loop. Engine.Rebalance runs one pass synchronously
-	// whether or not the background loop is enabled.
-	Rebalance bool
 	// RetainEpochs enables MVCC retention: the engine keeps the most
 	// recent RetainEpochs published snapshots (the live one included)
 	// resolvable through AsOf and PinEpoch, forming a sliding time-travel
@@ -89,7 +80,6 @@ type updateReq struct {
 	ins    geom.Points
 	insIDs []int32 // global ids reserved for ins rows, in batch order
 	del    geom.Points
-	part   *partition // partition the request was routed under (nil pre-founding)
 	res    UpdateResult
 	done   chan struct{}
 	lead   chan struct{} // baton: receiver becomes the next committer
@@ -106,130 +96,11 @@ type combiner struct {
 
 // shard is one Morton-range shard's write machinery. comb coalesces the
 // shard's single-shard updates; commitMu serializes version preparation
-// for this shard between its own committer, multi-shard committers, and
-// the rebalancer (which takes every shard's lock). load is the shard's
-// committed-batch EWMA — recent update rows per commit — read atomically
-// by the rebalancer's hot-shard scoring and rewritten by it when a
-// migration remaps shard ranges. recent is a ring of recently committed
-// row coordinates (written under commitMu, read by the rebalancer under
-// every commitMu): the write-load sample whose median Morton code places
-// a split boundary where the writes are, not where the points are. The
-// ring stores float32 in dimension-major order (coordinate c of slot i at
-// recent[c*recentRows+i], matching the kd-tree leaf slab layout): Morton
-// quantization uses at most 21 bits per axis, far below float32
-// precision, and the rebalancer only ever reads the ring column-wise
-// through morton.EncodeCols.
+// for this shard between its own committer and multi-shard committers.
 type shard struct {
-	comb      combiner
-	commitMu  sync.Mutex
-	load      atomic.Uint64 // float64 bits of the committed-rows EWMA
-	recent    []float32     // dim-major ring of sampled committed rows
-	recentReq []int32       // per-row tag: which update request the row came from
-	reqSeq    int32         // request tag generator
-	recentW   int           // ring write cursor, in rows
+	comb     combiner
+	commitMu sync.Mutex
 }
-
-// loadAlpha is the committed-batch EWMA smoothing factor: each commit of r
-// rows moves the shard's load a quarter of the way toward r.
-const loadAlpha = 0.25
-
-// Recent-write reservoir geometry: ring capacity and rows sampled per
-// update request.
-const (
-	recentRows      = 256
-	samplePerCommit = 8
-)
-
-// sampleRows records a spread sample of one update request's committed
-// coordinates in the shard's recent-write ring, tagging every sampled row
-// with the request it came from — the tags let the rebalancer judge
-// whether a candidate split boundary would divide the write STREAM
-// (requests fall wholly on one side: good, parallel streams) or merely cut
-// through every request (bad: each update would turn multi-shard). Caller
-// holds the shard's commit lock.
-func (sh *shard) sampleRows(batch geom.Points, dim int) {
-	n := batch.Len()
-	if n == 0 {
-		return
-	}
-	if sh.recent == nil {
-		sh.recent = make([]float32, recentRows*dim)
-		sh.recentReq = make([]int32, recentRows)
-	}
-	tag := sh.reqSeq
-	sh.reqSeq++
-	step := n / samplePerCommit
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < n; i += step {
-		slot := sh.recentW % recentRows
-		p := batch.At(i)
-		for c := 0; c < dim; c++ {
-			sh.recent[c*recentRows+slot] = float32(p[c])
-		}
-		sh.recentReq[slot] = tag
-		sh.recentW++
-	}
-}
-
-// recentCount returns how many sampled rows the ring currently holds.
-func (sh *shard) recentCount() int {
-	if sh.recentW < recentRows {
-		return sh.recentW
-	}
-	return recentRows
-}
-
-// sampleGroup records a committed group's write sample: every request's
-// insert batch, falling back to the first non-empty delete batch when the
-// group inserted nothing. ins[i] and del[i] are request i's batches as
-// routed to this shard. Caller holds the shard's commit lock.
-func (sh *shard) sampleGroup(dim int, ins, del []geom.Points) {
-	sampled := false
-	for _, b := range ins {
-		if b.Len() > 0 {
-			sh.sampleRows(b, dim)
-			sampled = true
-		}
-	}
-	if sampled {
-		return
-	}
-	for _, b := range del {
-		if b.Len() > 0 {
-			sh.sampleRows(b, dim)
-			return
-		}
-	}
-}
-
-// noteCommit folds a committed group's row count into the shard's EWMA.
-// CAS loop: commits update under the shard's commit lock, but the
-// rebalancer decays loads without holding it.
-func (sh *shard) noteCommit(rows int) {
-	for {
-		old := sh.load.Load()
-		next := math.Float64bits(math.Float64frombits(old)*(1-loadAlpha) + float64(rows)*loadAlpha)
-		if sh.load.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// scaleLoad multiplies the shard's EWMA by f (rebalancer decay / remap).
-func (sh *shard) scaleLoad(f float64) {
-	for {
-		old := sh.load.Load()
-		next := math.Float64bits(math.Float64frombits(old) * f)
-		if sh.load.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// loadEWMA returns the shard's committed-batch EWMA.
-func (sh *shard) loadEWMA() float64 { return math.Float64frombits(sh.load.Load()) }
 
 // Engine is a concurrent spatial query service over Morton-sharded
 // BDL-trees. See the package documentation for the snapshot/epoch protocol
@@ -241,20 +112,10 @@ type Engine struct {
 	nshard int
 
 	snap   atomic.Pointer[Snapshot]
-	part   atomic.Pointer[partition] // set by the founding commit, replaced by migrations
+	part   atomic.Pointer[partition] // set once: by the founding commit, or by recovery
 	nextID atomic.Int64              // engine-global id block reservation
 
-	// Rebalancer bookkeeping: inserted rows committed outside the current
-	// partition's world box since the last repartition (the drift signal),
-	// completed migrations, backoff state for triggered-but-unactionable
-	// passes, and the background loop's stop channel.
-	outOfWorld atomic.Int64
-	rebalanced atomic.Uint64
-	noopStreak atomic.Int32
-	skipPasses atomic.Int32
-	stop       chan struct{}
-	rebalDone  chan struct{}
-	closeOnce  sync.Once
+	closeOnce sync.Once
 
 	// Durability plumbing (all zero on a non-durable engine): the WAL,
 	// its backing VFS and directory, shutdown coordination (closed gate +
@@ -320,8 +181,7 @@ func New(dim int, opts Options) *Engine {
 }
 
 // newEngine builds the in-memory engine shell: options normalized, shards
-// allocated, empty epoch-0 snapshot published, no background rebalancer
-// yet (Open starts it after any recovery).
+// allocated, empty epoch-0 snapshot published.
 func newEngine(dim int, opts Options) *Engine {
 	ns := opts.Shards
 	if ns == AutoShards {
@@ -341,27 +201,15 @@ func newEngine(dim int, opts Options) *Engine {
 	return e
 }
 
-// startRebalancer starts the background rebalance loop when configured.
-func (e *Engine) startRebalancer() {
-	if e.opts.Rebalance && e.nshard > 1 {
-		e.stop = make(chan struct{})
-		e.rebalDone = make(chan struct{})
-		go func() {
-			defer close(e.rebalDone)
-			e.rebalanceLoop()
-		}()
-	}
-}
-
 // Close shuts the engine down. On a durable engine it rejects new
 // updates (UpdateResult.Err = ErrClosed), waits for every in-flight
-// update to commit and acknowledge, stops the rebalancer and any
-// background checkpoint, and closes the WAL with a final fsync — so a
-// clean shutdown leaves no torn tail and loses nothing acknowledged,
-// even in relaxed SyncEvery>1 mode. Queries keep serving from the last
-// snapshot. On a non-durable engine Close only stops the background
-// rebalancer and the engine keeps accepting updates (the pre-durability
-// contract). Safe to call multiple times; later calls return nil.
+// update to commit and acknowledge, waits for any background checkpoint,
+// and closes the WAL with a final fsync — so a clean shutdown leaves no
+// torn tail and loses nothing acknowledged, even in relaxed SyncEvery>1
+// mode. Queries keep serving from the last snapshot. On a non-durable
+// engine Close does nothing and the engine keeps accepting updates (the
+// pre-durability contract). Safe to call multiple times; later calls
+// return nil.
 func (e *Engine) Close() error {
 	var err error
 	e.closeOnce.Do(func() {
@@ -371,12 +219,6 @@ func (e *Engine) Close() error {
 			// update (each holds it shared across its whole commit).
 			e.closeMu.Lock()
 			e.closeMu.Unlock() //nolint:staticcheck // empty critical section is the drain
-		}
-		if e.stop != nil {
-			close(e.stop)
-			<-e.rebalDone
-		}
-		if e.log != nil {
 			e.ckptWG.Wait()
 			err = e.log.Close()
 		}
@@ -436,8 +278,8 @@ func (e *Engine) Update(insert, del geom.Points) UpdateResult {
 	}
 	req := e.newUpdateReq(insert, del)
 	stream := globalStream // multi-shard updates, and everything before the partition exists
-	if req.part != nil {
-		if s, single := singleShard(req.part, insert, del); single {
+	if part := e.part.Load(); part != nil {
+		if s, single := singleShard(part, insert, del); single {
 			stream = s
 		}
 	}
@@ -448,11 +290,10 @@ func (e *Engine) Update(insert, del geom.Points) UpdateResult {
 	return req.res
 }
 
-// newUpdateReq builds one update's commit request: it reserves the insert
-// batch's block of global ids and records the partition the request is
-// about to be routed under (nil before the founding commit).
+// newUpdateReq builds one update's commit request and reserves the insert
+// batch's block of global ids.
 func (e *Engine) newUpdateReq(insert, del geom.Points) *updateReq {
-	req := &updateReq{ins: insert, del: del, part: e.part.Load(), done: make(chan struct{}), lead: make(chan struct{})}
+	req := &updateReq{ins: insert, del: del, done: make(chan struct{}), lead: make(chan struct{})}
 	if n := insert.Len(); n > 0 {
 		base := e.nextID.Add(int64(n)) - int64(n)
 		if base+int64(n) > math.MaxInt32 {
@@ -541,28 +382,6 @@ func (e *Engine) submitUpdate(stream int, req *updateReq) {
 	c.mu.Unlock()
 }
 
-// noteDrift counts a group's inserted rows that fall outside part's world
-// box — the rebalancer's repartition signal. Called with part pinned by a
-// held shard commit lock, so the count can never race a concurrent
-// repartition's counter reset (which runs under every shard lock): rows
-// counted here are genuinely out of the CURRENT world.
-func (e *Engine) noteDrift(part *partition, group []*updateReq) {
-	if part == nil {
-		return
-	}
-	out := 0
-	for _, r := range group {
-		for i, n := 0, r.ins.Len(); i < n; i++ {
-			if !part.world.Contains(r.ins.At(i)) {
-				out++
-			}
-		}
-	}
-	if out > 0 {
-		e.outOfWorld.Add(int64(out))
-	}
-}
-
 // shardWork is one affected shard's share of a commit group, request-major:
 // ins[i], ids[i] and del[i] are the rows of group member i that route to
 // the shard (empty for a member that does not touch it).
@@ -572,7 +391,6 @@ type shardWork struct {
 	ids     [][]int32
 	del     []geom.Points
 	deleted []int         // per member: live points its deletions removed here
-	rows    int           // update rows routed here, for the shard's load EWMA
 	next    *bdltree.Tree // prepared version; nil leaves the shard unchanged
 }
 
@@ -585,10 +403,9 @@ type shardWork struct {
 func (w *shardWork) prepare(old *bdltree.Tree, dim int) {
 	var insData []float64
 	var insIDs []int32
-	for i, del := range w.del {
+	for i := range w.ins {
 		insData = append(insData, w.ins[i].Data...)
 		insIDs = append(insIDs, w.ids[i]...)
-		w.rows += w.ins[i].Len() + del.Len()
 	}
 	tree, deleted := old.PersistentUpdate(w.del, geom.Points{Data: insData, Dim: dim}, insIDs)
 	w.deleted = deleted
@@ -599,14 +416,13 @@ func (w *shardWork) prepare(old *bdltree.Tree, dim int) {
 
 // route decides which shards a commit group touches under part and returns
 // each one's share of the group, ascending by shard. A group drained from
-// shard s's stream whose members all routed under part is the set {s} and
-// needs no re-splitting; so is any group while there is no partition (one
-// tree, shard 0). The exception is founding: the first insertions of a
-// sharded engine define the partition, so they touch every shard and are
-// not split (the returned shares are empty — the founding commit pools the
-// group instead). Everything else — global-stream groups, and shard-stream
-// groups holding a member that routed under a partition a migration has
-// since replaced — is re-split row by row under part.
+// shard s's stream is the set {s} and needs no re-splitting: its members
+// routed there under part, the only partition the engine ever has. So is
+// any group while there is no partition (one tree, shard 0). The exception
+// is founding: the first insertions of a sharded engine define the
+// partition, so they touch every shard and are not split (the returned
+// shares are empty — the founding commit pools the group instead). A
+// global-stream group is re-split row by row under part.
 func (e *Engine) route(part *partition, group []*updateReq, stream int) (work []*shardWork, founding bool) {
 	newWork := func(s int) *shardWork {
 		n := len(group)
@@ -618,9 +434,6 @@ func (e *Engine) route(part *partition, group []*updateReq, stream int) (work []
 		for _, r := range group {
 			founding = founding || (e.nshard > 1 && r.ins.Len() > 0)
 		}
-	}
-	for _, r := range group {
-		single = single && r.part == part
 	}
 	switch {
 	case founding:
@@ -665,14 +478,12 @@ func (e *Engine) route(part *partition, group []*updateReq, stream int) (work []
 // stream or the global one, whatever it touches, goes through the same
 // lock–prepare–publish–ack sequence.
 //
-//	lock:    route the group under the current partition and take the
-//	  affected shards' commit locks in ascending order, so committers
-//	  cannot deadlock against each other or against the rebalancer (which
-//	  takes every lock, also ascending). The routing is only valid while
-//	  its partition is current, and a migration needs every shard lock to
-//	  swap partitions: if the pointer still matches under a held lock no
-//	  swap can complete before release; a mismatch means a migration won
-//	  the race, and the group is re-routed under the new partition.
+//	lock:    route the group under the partition and take the affected
+//	  shards' commit locks in ascending order, so committers cannot
+//	  deadlock against each other. The partition loaded here stays the
+//	  engine's for good: e.part is written only by recovery, before the
+//	  engine serves, and by the founding commit, which runs on the global
+//	  stream (one leader at a time) while no shard stream exists yet.
 //	prepare: derive every affected shard's next tree version copy-on-write
 //	  (see shardWork.prepare), in parallel through the scheduler when there
 //	  are several. Shards outside the set keep committing concurrently.
@@ -684,26 +495,10 @@ func (e *Engine) route(part *partition, group []*updateReq, stream int) (work []
 //	  Skipped when nothing changed.
 //	ack:     per request, outside the shard locks (see finish).
 func (e *Engine) commit(stream int, group []*updateReq) {
-	var part *partition
-	var work []*shardWork
-	var founding bool
-	unlock := func() {
-		for i := len(work) - 1; i >= 0; i-- {
-			e.shards[work[i].shard].commitMu.Unlock()
-		}
+	work, founding := e.route(e.part.Load(), group, stream)
+	for _, w := range work {
+		e.shards[w.shard].commitMu.Lock()
 	}
-	for {
-		part = e.part.Load()
-		work, founding = e.route(part, group, stream)
-		for _, w := range work {
-			e.shards[w.shard].commitMu.Lock()
-		}
-		if e.part.Load() == part {
-			break
-		}
-		unlock()
-	}
-	e.noteDrift(part, group)
 
 	// trees is the next shard vector; publish fills nil slots from the
 	// current one.
@@ -737,17 +532,11 @@ func (e *Engine) commit(stream int, group []*updateReq) {
 	var epoch, lsn uint64
 	var err error
 	if changed {
-		if epoch, lsn, err = e.publish(group, newPart, trees); err == nil {
-			for _, w := range work {
-				if w.next != nil {
-					sh := e.shards[w.shard]
-					sh.noteCommit(w.rows)
-					sh.sampleGroup(e.dim, w.ins, w.del)
-				}
-			}
-		}
+		epoch, lsn, err = e.publish(group, newPart, trees)
 	}
-	unlock()
+	for i := len(work) - 1; i >= 0; i-- {
+		e.shards[work[i].shard].commitMu.Unlock()
+	}
 	// Acks wait for durability outside the shard locks: other shards'
 	// committers append and join the same group-commit fsync concurrently.
 	e.finish(group, deleted, epoch, lsn, err)
@@ -781,7 +570,7 @@ func (e *Engine) finish(group []*updateReq, deleted []int, epoch, lsn uint64, pu
 }
 
 // shardedBuild is the shared bulk-construction step of the founding commit
-// and of a full repartition: place S-1 boundaries at sampled quantiles of
+// and of recovery's refounding: place S-1 boundaries at sampled quantiles of
 // the pool's Morton codes under world, sort the pool into Morton order, cut
 // it at the boundaries, and build every shard tree in parallel.
 func (e *Engine) shardedBuild(world geom.Box, pool geom.Points, ids []int32) (*partition, []*bdltree.Tree) {
@@ -817,17 +606,15 @@ func (e *Engine) shardedBuild(world geom.Box, pool geom.Points, ids []int32) (*p
 
 // publish is the only place a snapshot is installed: it takes publishMu,
 // appends the epoch's WAL record, swaps the snapshot pointer (one atomic
-// store), feeds the retention ring, and — when given one — stores the new
+// store), feeds the retention ring, and — when given one — stores the
 // routing partition. trees is the next shard vector with nil marking slots
 // kept from the current snapshot; callers prepared the non-nil slots
 // beforehand and hold those shards' commit locks, so concurrent publishes
-// never clobber each other's slots. A new partition (the founding commit,
-// a migration) comes with every slot set and every commit lock held; its
-// pointer is stored after, and under the same lock as, the snapshot built
-// under it, so a writer that routes per shard always finds the matching
-// shard vector. group is the commit being logged; nil publishes a
-// migration — an epoch that changes no live point, logged as a data-free
-// note record and not counted as a commit.
+// never clobber each other's slots. The partition (only the founding
+// commit passes one) comes with every slot set and every commit lock held;
+// its pointer is stored after, and under the same lock as, the snapshot
+// built under it, so a writer that routes per shard always finds the
+// matching shard vector. group is the commit being logged.
 //
 // The WAL append comes first, under the same lock — write-ahead: if it
 // fails, nothing is published (the error is returned and the in-memory
@@ -840,12 +627,7 @@ func (e *Engine) publish(group []*updateReq, part *partition, trees []*bdltree.T
 	cur := e.snap.Load()
 	epoch = cur.epoch + 1
 	if e.log != nil {
-		if group == nil {
-			lsn, err = e.log.Append(wal.KindNote, epoch, nil)
-		} else {
-			lsn, err = e.appendCommit(epoch, group)
-		}
-		if err != nil {
+		if lsn, err = e.appendCommit(epoch, group); err != nil {
 			e.publishMu.Unlock()
 			return 0, 0, err
 		}
@@ -867,10 +649,8 @@ func (e *Engine) publish(group []*updateReq, part *partition, trees []*bdltree.T
 		e.part.Store(part)
 	}
 	e.publishMu.Unlock()
-	if group != nil {
-		e.statCommits.Add(1)
-		e.noteWALCommit()
-	}
+	e.statCommits.Add(1)
+	e.noteWALCommit()
 	return epoch, lsn, nil
 }
 

@@ -10,12 +10,10 @@ import (
 // partition is one immutable Morton-range space partition: shard s owns the
 // inclusive code interval (bounds[s-1], bounds[s]] (with implicit 0-1 = -1
 // and bounds[S-1] = MaxCode). The first committed insertion creates the
-// founding partition (boundaries chosen by sampling that commit's points);
-// the rebalancer may later replace it wholesale — split/merge keeps the
-// world box and moves one boundary pair, a full repartition widens the
-// world and re-places every boundary — but a partition value itself never
-// mutates, so routing, pruning, and publish decisions read whichever
-// partition pointer they loaded without synchronization.
+// founding partition (boundaries chosen by sampling that commit's points),
+// and it stays the engine's partition for good; recovery restores it from
+// the checkpoint. A partition value never mutates, so routing, pruning,
+// and publish decisions read it without synchronization.
 type partition struct {
 	dim    int
 	world  geom.Box // quantization box of the defining commit
@@ -78,8 +76,7 @@ const shardSampleSize = 4096
 // newPartition places S-1 boundaries at the quantiles of a sample of the
 // defining commit's Morton codes. Duplicate quantiles (heavily skewed or
 // tiny samples) simply leave some shards empty — routing and pruning treat
-// an empty code interval consistently, and the rebalancer can later merge
-// them away.
+// an empty code interval consistently.
 func newPartition(dim, shards int, world geom.Box, codes []uint64) *partition {
 	sample := make([]uint64, 0, shardSampleSize)
 	if len(codes) <= shardSampleSize {
@@ -108,9 +105,7 @@ func newPartition(dim, shards int, world geom.Box, codes []uint64) *partition {
 
 // newPartitionFromBounds builds a partition directly from S-1 ascending
 // inclusive upper bounds, precomputing each shard's conservative cell-box
-// geometry. This is the constructor the rebalancer uses after moving a
-// boundary pair (split/merge keeps the world box) or re-placing every
-// boundary under a widened world.
+// geometry. Recovery uses it to reinstate a checkpoint's partition.
 func newPartitionFromBounds(dim int, world geom.Box, bounds []uint64) *partition {
 	shards := len(bounds) + 1
 	p := &partition{dim: dim, world: world, bounds: bounds}

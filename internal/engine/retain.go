@@ -22,9 +22,8 @@ import (
 //
 //   - The ring holds exactly the last min(RetainEpochs, published) epochs,
 //     contiguous, ending at the live epoch. EVERY published epoch passes
-//     through the ring — commit publishes, the founding commit, and
-//     rebalancer migrations (whose durable form is a data-free KindNote
-//     record) alike — so AsOf never has a gap inside the window.
+//     through the ring — commit publishes and the founding commit alike —
+//     so AsOf never has a gap inside the window.
 //   - A pinned epoch stays queryable indefinitely, however far the live
 //     epoch advances; releasing the last pin lets it fall out of AsOf the
 //     moment it is also past the ring (there is no deferred sweep to wait

@@ -187,69 +187,6 @@ func TestReleaseUnbalancedPanics(t *testing.T) {
 	s.Release()
 }
 
-// TestRetainNoteEpochs is the regression test for the rebalance/retention
-// interaction: a migration publishes an epoch whose durable form is a
-// data-free KindNote record, and that epoch must be a first-class retained
-// version — resolvable through AsOf, answering queries, with the same live
-// set as the epoch before it.
-func TestRetainNoteEpochs(t *testing.T) {
-	dir := t.TempDir()
-	fs := wal.OSFS{}
-	e, err := Open(2, Options{
-		BufferSize:   32,
-		Shards:       4,
-		RetainEpochs: 64,
-		Durability:   &Durability{Dir: dir, FS: fs},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	// Concentrate writes to make one shard hot, then force a migration.
-	for round := 0; round < 6; round++ {
-		e.Insert(generators.UniformCube(200, 2, uint64(round)+1))
-	}
-	hot := generators.UniformCube(800, 2, 99)
-	for i := 0; i < hot.Len(); i++ {
-		hot.At(i)[0] = hot.At(i)[0] * 0.05 // squeeze into a corner
-	}
-	e.Insert(hot)
-
-	before := e.Epoch()
-	act := e.Rebalance()
-	if act == RebalanceNone {
-		t.Skip("no migration triggered; nothing to regress against")
-	}
-	noteEpoch := before + 1
-	if e.Epoch() < noteEpoch {
-		t.Fatalf("rebalance did not publish: epoch %d", e.Epoch())
-	}
-
-	pre, err := e.AsOf(before)
-	if err != nil {
-		t.Fatalf("AsOf(pre-migration): %v", err)
-	}
-	note, err := e.AsOf(noteEpoch)
-	if err != nil {
-		t.Fatalf("AsOf(note epoch): %v — a KindNote publish must be retained", err)
-	}
-	if note.Size() != pre.Size() {
-		t.Fatalf("migration changed the live set: %d -> %d", pre.Size(), note.Size())
-	}
-	// Same answers from both sides of the migration.
-	q := []float64{0.02, 0.5}
-	preIDs := make(map[int32]bool)
-	for _, id := range pre.KNN(geom.Points{Data: q, Dim: 2}, 10)[0] {
-		preIDs[id] = true
-	}
-	for _, id := range note.KNN(geom.Points{Data: q, Dim: 2}, 10)[0] {
-		if !preIDs[id] {
-			t.Fatalf("note-epoch KNN returned id %d absent from the pre-migration answer", id)
-		}
-	}
-}
-
 // TestRetainNoopAck checks the no-op-ack/retention interaction: the epoch a
 // no-op commit acknowledges at is always one that actually published, so
 // with retention on it must resolve through AsOf.

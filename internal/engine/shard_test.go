@@ -1,13 +1,27 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pargeo/internal/generators"
 	"pargeo/internal/geom"
 	"pargeo/internal/oracle"
+	"pargeo/internal/wal"
 )
+
+// shardSizes returns the live point count of every shard of s, in shard
+// order.
+func shardSizes(s *Snapshot) []int {
+	out := make([]int, len(s.trees))
+	for i, tr := range s.trees {
+		out[i] = tr.Size()
+	}
+	return out
+}
 
 // TestShardedLifecycleOracle runs the sequential lifecycle differentially
 // against the brute-force mirror on a sharded engine: every KNN and range
@@ -63,7 +77,7 @@ func TestShardedFanoutEdgeCases(t *testing.T) {
 	res := e.Insert(base)
 	m.Insert(res.IDs, base)
 
-	sizes := e.Snapshot().ShardSizes()
+	sizes := shardSizes(e.Snapshot())
 	if len(sizes) != 4 {
 		t.Fatalf("shard vector %v", sizes)
 	}
@@ -129,7 +143,7 @@ func TestShardedFanoutEdgeCases(t *testing.T) {
 	r2 = e2.Insert(spread)
 	m2.Insert(r2.IDs, spread)
 	empty := 0
-	for _, n := range e2.Snapshot().ShardSizes() {
+	for _, n := range shardSizes(e2.Snapshot()) {
 		if n == 0 {
 			empty++
 		}
@@ -249,5 +263,172 @@ func TestFusedCommitGroup(t *testing.T) {
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestPreFoundingDeletes: deletes (and empty updates) issued before any
+// insertion has ever committed must return a zero UpdateResult at the
+// current epoch — no panic, no wedge, no spurious epoch churn — from many
+// goroutines at once, on sharded and unsharded engines alike.
+func TestPreFoundingDeletes(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		e := New(2, Options{Shards: shards})
+		const gor = 8
+		var wg sync.WaitGroup
+		for g := 0; g < gor; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					batch := generators.UniformCube(20, 2, uint64(g*10+i)+1)
+					res := e.Delete(batch)
+					if res.Deleted != 0 || len(res.IDs) != 0 {
+						t.Errorf("shards=%d: pre-founding delete result %+v", shards, res)
+						return
+					}
+					if res.Epoch != 0 {
+						t.Errorf("shards=%d: pre-founding delete advanced the epoch to %d", shards, res.Epoch)
+						return
+					}
+					if res := e.Update(geom.Points{Dim: 2}, geom.Points{Dim: 2}); res.Epoch != 0 {
+						t.Errorf("shards=%d: empty update advanced the epoch", shards)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if e.Epoch() != 0 || e.Size() != 0 {
+			t.Fatalf("shards=%d: epoch %d size %d after pre-founding deletes", shards, e.Epoch(), e.Size())
+		}
+		// The founding insertion must still establish the partition normally.
+		m := &oracle.LiveSet{Dim: 2}
+		batch := generators.UniformCube(400, 2, 99)
+		res := e.Insert(batch)
+		if res.Epoch == 0 || len(res.IDs) != 400 {
+			t.Fatalf("shards=%d: founding after deletes: %+v", shards, res)
+		}
+		m.Insert(res.IDs, batch)
+		checkAgainstOracle(t, e, m, 31)
+	}
+}
+
+// TestPartitionSetOnce: the engine's partition is written once per engine
+// life — by the founding commit, or by recovery before the engine serves —
+// and never replaced, across concurrent single-shard, multi-shard and
+// out-of-world churn, a checkpoint racing it, and a reopen. Engine.commit
+// routes a group under the partition it loads without re-validating it
+// under the shard locks, which is sound only under this invariant.
+func TestPartitionSetOnce(t *testing.T) {
+	const writers, rounds, batchB = 4, 24, 48
+	fs := wal.NewMemFS()
+	// churn runs the writers against e while a watcher, and each writer
+	// after each of its updates, collect every partition pointer the
+	// engine and its snapshots expose; it returns the one they saw.
+	churn := func(label string, e *Engine) *partition {
+		note := func(seen map[*partition]bool) {
+			for _, p := range []*partition{e.part.Load(), e.Snapshot().part} {
+				if p != nil {
+					seen[p] = true
+				}
+			}
+		}
+		var stop atomic.Bool
+		seen := map[*partition]bool{}
+		watched := make(chan struct{})
+		go func() {
+			defer close(watched)
+			for !stop.Load() {
+				note(seen)
+				runtime.Gosched()
+			}
+		}()
+		seenBy := make([]map[*partition]bool, writers)
+		var wg, ckpt sync.WaitGroup
+		var written atomic.Bool
+		for w := 0; w < writers; w++ {
+			w := w
+			seenBy[w] = map[*partition]bool{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var prev geom.Points
+				for r := 0; r < rounds; r++ {
+					var batch geom.Points
+					switch (w + r) % 3 {
+					case 0: // tight cluster: one shard
+						batch = geom.NewPoints(batchB, 2)
+						for i := 0; i < batchB; i++ {
+							batch.Set(i, []float64{float64(10+20*w) + float64(i)*0.01, float64(r)})
+						}
+					case 1: // spread: several shards
+						batch = generators.UniformCube(batchB, 2, uint64(w*rounds+r)+1)
+					default: // drifting past every earlier batch: clamped routing
+						batch = generators.UniformCube(batchB, 2, uint64(w*rounds+r)+7)
+						for i := 0; i < batchB; i++ {
+							batch.At(i)[0] += 1000 * float64(r+1)
+						}
+					}
+					if res := e.Update(batch, prev); res.Err != nil {
+						t.Errorf("%s: writer %d round %d: %v", label, w, r, res.Err)
+						return
+					}
+					note(seenBy[w])
+					prev = batch
+				}
+			}()
+		}
+		ckpt.Add(1)
+		go func() {
+			defer ckpt.Done()
+			for e.Epoch() < rounds && !written.Load() {
+				runtime.Gosched()
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Errorf("%s: checkpoint: %v", label, err)
+			}
+		}()
+		wg.Wait()
+		written.Store(true)
+		ckpt.Wait()
+		stop.Store(true)
+		<-watched
+		for _, m := range seenBy {
+			for p := range m {
+				seen[p] = true
+			}
+		}
+		part := e.part.Load()
+		if part == nil || len(seen) != 1 || !seen[part] {
+			t.Fatalf("%s: the engine exposed %d partitions, want exactly its own", label, len(seen))
+		}
+		return part
+	}
+
+	e, err := Open(2, durOpts(fs, 4, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	founded := churn("founding", e)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := engineState(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(2, durOpts(fs, 4, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	diffStates(t, "reopened", engineState(re), want)
+	restored := re.part.Load()
+	if restored == nil || fmt.Sprint(restored.world, restored.bounds) != fmt.Sprint(founded.world, founded.bounds) {
+		t.Fatalf("reopen did not restore the founding partition: %v, want %v", restored, founded)
+	}
+	if got := churn("recovered", re); got != restored {
+		t.Fatal("the recovered partition was replaced")
 	}
 }

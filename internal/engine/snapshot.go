@@ -36,16 +36,6 @@ func (s *Snapshot) Size() int { return s.size }
 // (1 until a sharded engine's partition is established).
 func (s *Snapshot) Shards() int { return len(s.trees) }
 
-// ShardSizes returns the live point count of every shard, in shard order (a
-// balance-inspection helper; O(S)).
-func (s *Snapshot) ShardSizes() []int {
-	out := make([]int, len(s.trees))
-	for i, tr := range s.trees {
-		out[i] = tr.Size()
-	}
-	return out
-}
-
 // KNN returns, for each query row, the global ids of its k nearest points
 // (sorted by increasing distance; fewer than k when the snapshot is
 // smaller), data-parallel over the queries. Each query walks the shards

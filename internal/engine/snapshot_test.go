@@ -32,7 +32,7 @@ func TestSnapshotAllKNNPadding(t *testing.T) {
 	res = e.Insert(spread)
 	m.Insert(res.IDs, spread)
 	empty := 0
-	for _, n := range e.Snapshot().ShardSizes() {
+	for _, n := range shardSizes(e.Snapshot()) {
 		if n == 0 {
 			empty++
 		}

@@ -14,8 +14,6 @@ type Stats struct {
 	Size uint64
 	// Shards is the shard count.
 	Shards uint64
-	// Rebalances counts completed shard migrations and repartitions.
-	Rebalances uint64
 	// Updates counts update requests acknowledged without error.
 	Updates uint64
 	// Commits counts snapshot publishes: commit groups that changed
@@ -60,7 +58,6 @@ func (e *Engine) Stats() Stats {
 		DurableEpoch: snap.epoch,
 		Size:         uint64(snap.size),
 		Shards:       uint64(e.nshard),
-		Rebalances:   e.rebalanced.Load(),
 		Updates:      e.statUpdates.Load(),
 		Commits:      e.statCommits.Load(),
 		Queries:      e.statQueries.Load(),

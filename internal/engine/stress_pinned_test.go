@@ -13,12 +13,12 @@ import (
 )
 
 // Pinned-reader stress: long-running analytics over pinned snapshots while
-// writers churn and a rebalancer thread migrates the partition. Each
+// a writer churns, drifting out of the founding world box. Each
 // analytics goroutine pins the latest epoch, runs KNNGraph/CoreDistances/
 // AllKNN over it, and asserts frozen-world invariants the whole time:
 //
 //   - the pinned snapshot's size, epoch, and universe count never change,
-//     however many commits and migrations happen after the pin;
+//     however many commits happen after the pin;
 //   - AsOf(pinned epoch) keeps resolving to a same-sized version for as
 //     long as the pin is held, even when the epoch is far behind the
 //     retention watermark;
@@ -49,8 +49,8 @@ func pinnedReaderStress(t *testing.T, analysts, rounds, foundingN, batchB int) {
 	}
 
 	var wg sync.WaitGroup
-	// Writer: drifting inserts+deletes so migrations and repartitions
-	// actually trigger underneath the pins.
+	// Writer: inserts+deletes drifting out of the founding world box
+	// (clamped into boundary cells) underneath the pins.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -75,16 +75,6 @@ func pinnedReaderStress(t *testing.T, analysts, rounds, foundingN, batchB int) {
 			prev, prevSet = batch, true
 		}
 	}()
-	// Rebalancer thread: continuous manual passes until everyone stops.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			e.Rebalance()
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
 	for a := 0; a < analysts; a++ {
 		a := a
 		wg.Add(1)

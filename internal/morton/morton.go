@@ -96,37 +96,6 @@ func Encode(p []float64, box geom.Box) uint64 {
 	return code
 }
 
-// EncodeF32 computes the Morton code of float32 coordinates p inside box.
-// Quantization uses at most 21 bits per axis — well inside float32's 24-bit
-// mantissa — so a point stored as float32 lands in the same cell as its
-// float64 original whenever the rounding error does not cross a cell
-// boundary; codes from the two representations differ by at most one cell
-// per axis.
-func EncodeF32(p []float32, box geom.Box) uint64 {
-	dim := len(p)
-	bits := BitsPerDim(dim)
-	maxCell := uint64(1)<<bits - 1
-	var code uint64
-	for c := 0; c < dim; c++ {
-		code = interleave(code, quantize(float64(p[c]), box, c, maxCell), bits, dim, c)
-	}
-	return code
-}
-
-// EncodeCols computes the Morton code of row i of a dimension-major float32
-// column store: coordinate c of row i lives at cols[c*stride+i]. This is
-// the layout the kd-tree leaf slabs and the engine's recent-write ring use,
-// so routing stays strided reads with no row materialization.
-func EncodeCols(cols []float32, stride, i, dim int, box geom.Box) uint64 {
-	bits := BitsPerDim(dim)
-	maxCell := uint64(1)<<bits - 1
-	var code uint64
-	for c := 0; c < dim; c++ {
-		code = interleave(code, quantize(float64(cols[c*stride+i]), box, c, maxCell), bits, dim, c)
-	}
-	return code
-}
-
 // Codes computes the Morton code of every point, in parallel.
 func Codes(pts geom.Points) []uint64 {
 	n := pts.Len()

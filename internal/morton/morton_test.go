@@ -109,62 +109,3 @@ func TestMortonLocality(t *testing.T) {
 		t.Fatalf("Morton order shows no locality: adj %.2f vs rand %.2f", avgAdj, avgRand)
 	}
 }
-
-func TestEncodeF32MatchesEncode(t *testing.T) {
-	// A float32 round-trip of a coordinate moves it by at most one
-	// quantization cell per axis, so the f32 code must equal the f64 code
-	// whenever re-encoding the rounded coordinates as float64 does.
-	for _, dim := range []int{2, 3, 5} {
-		pts := generators.UniformCube(2000, dim, uint64(60+dim))
-		box := geom.BoundingBoxAll(pts)
-		p32 := make([]float32, dim)
-		p64 := make([]float64, dim)
-		for i := 0; i < pts.Len(); i++ {
-			p := pts.At(i)
-			for c := 0; c < dim; c++ {
-				p32[c] = float32(p[c])
-				p64[c] = float64(p32[c])
-			}
-			if got, want := EncodeF32(p32, box), Encode(p64, box); got != want {
-				t.Fatalf("dim %d point %d: EncodeF32 %#x, Encode of rounded coords %#x", dim, i, got, want)
-			}
-		}
-	}
-}
-
-func TestEncodeColsMatchesEncodeF32(t *testing.T) {
-	// EncodeCols reads the dim-major layout: coordinate c of row i at
-	// cols[c*stride+i]. Every row must produce the same code as the
-	// row-materialized EncodeF32.
-	for _, dim := range []int{2, 3, 5} {
-		pts := generators.UniformCube(500, dim, uint64(70+dim))
-		box := geom.BoundingBoxAll(pts)
-		stride := pts.Len() + 3 // stride larger than row count must not matter
-		cols := make([]float32, stride*dim)
-		row := make([]float32, dim)
-		for i := 0; i < pts.Len(); i++ {
-			p := pts.At(i)
-			for c := 0; c < dim; c++ {
-				cols[c*stride+i] = float32(p[c])
-			}
-		}
-		for i := 0; i < pts.Len(); i++ {
-			p := pts.At(i)
-			for c := 0; c < dim; c++ {
-				row[c] = float32(p[c])
-			}
-			if got, want := EncodeCols(cols, stride, i, dim, box), EncodeF32(row, box); got != want {
-				t.Fatalf("dim %d row %d: EncodeCols %#x, EncodeF32 %#x", dim, i, got, want)
-			}
-		}
-	}
-}
-
-func TestEncodeF32Clamps(t *testing.T) {
-	box := geom.Box{Min: []float64{0, 0}, Max: []float64{1, 1}}
-	lo := EncodeF32([]float32{-5, -5}, box)
-	hi := EncodeF32([]float32{9, 9}, box)
-	if lo != Encode([]float64{0, 0}, box) || hi != Encode([]float64{1, 1}, box) {
-		t.Fatalf("EncodeF32 does not clamp to the box: lo %#x hi %#x", lo, hi)
-	}
-}

@@ -48,8 +48,8 @@ func TestInterleaveParity(t *testing.T) {
 	}
 }
 
-// FuzzEncodeParity: Encode and EncodeF32 return the loop's code bit for
-// bit in dimensions 1–7, for coordinates inside the box, outside it
+// FuzzEncodeParity: Encode returns the loop's code bit for bit in
+// dimensions 1–7, for coordinates inside the box, outside it
 // (clamped) and non-finite, and for degenerate and non-finite boxes.
 func FuzzEncodeParity(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -65,18 +65,11 @@ func FuzzEncodeParity(f *testing.F) {
 		dim := int(d)%7 + 1
 		p := []float64{x0, x1, x2, x3, x4, x5, x6}[:dim]
 		box := geom.Box{Min: make([]float64, dim), Max: make([]float64, dim)}
-		p32 := make([]float32, dim)
-		p64 := make([]float64, dim)
 		for c := range p {
 			box.Min[c], box.Max[c] = lo, hi
-			p32[c] = float32(p[c])
-			p64[c] = float64(p32[c])
 		}
 		if got, want := Encode(p, box), encodeLoop(p, box); got != want {
 			t.Fatalf("Encode(%v, [%v, %v]) = %#x, loop gives %#x", p, lo, hi, got, want)
-		}
-		if got, want := EncodeF32(p32, box), encodeLoop(p64, box); got != want {
-			t.Fatalf("EncodeF32(%v, [%v, %v]) = %#x, loop gives %#x", p32, lo, hi, got, want)
 		}
 	})
 }

@@ -27,14 +27,15 @@ func NumWorkers() int { return runtime.GOMAXPROCS(0) }
 // scheduling overhead without adding balance (grain is a floor — "at least
 // grain iterations per task" — not an exact block size).
 func blocking(n, grain int) (nblocks, blockSize int) {
+	p := NumWorkers() // one read: GOMAXPROCS takes the runtime's scheduler lock
 	if grain <= 0 {
 		grain = DefaultGrain
-		if g := (n + 16*NumWorkers() - 1) / (16 * NumWorkers()); g > grain {
+		if g := (n + 16*p - 1) / (16 * p); g > grain {
 			grain = g
 		}
 	}
 	nblocks = (n + grain - 1) / grain
-	if maxBlocks := 64 * NumWorkers(); nblocks > maxBlocks {
+	if maxBlocks := 64 * p; nblocks > maxBlocks {
 		nblocks = maxBlocks
 	}
 	blockSize = (n + nblocks - 1) / nblocks

@@ -335,7 +335,6 @@ func (s *Server) statList() []wire.Stat {
 		{Name: "durable_epoch", Value: st.DurableEpoch},
 		{Name: "size", Value: st.Size},
 		{Name: "shards", Value: st.Shards},
-		{Name: "rebalances", Value: st.Rebalances},
 		{Name: "updates", Value: st.Updates},
 		{Name: "commits", Value: st.Commits},
 		{Name: "queries", Value: st.Queries},

@@ -131,34 +131,17 @@ func NewBDLTree(dim int, opts BDLOptions) *BDLTree { return bdltree.New(dim, opt
 // concurrent small updates coalesce per shard — disjoint-shard batches
 // commit truly in parallel, multi-shard batches publish all-or-nothing via
 // a two-phase swap — and each query runs on its caller's goroutine,
-// fanning out over the shards it cannot prune. With
-// EngineOptions.Rebalance the shard partition additionally tracks the
-// live load online (hot-shard splits, cold merges, drift-triggered
-// repartitions under a widened world). See internal/engine for the
+// fanning out over the shards it cannot prune. The shard partition is
+// fixed by the first committed insertion. See internal/engine for the
 // protocol.
 type Engine = engine.Engine
 
 // EngineOptions configure an Engine. Set Shards (e.g. to AutoShards) to
 // partition space into independent Morton-range shards whose updates
-// commit in parallel; zero runs unsharded. Set Rebalance to keep the
-// partition tracking the live load online: a background goroutine splits
-// write-hot shards at the weighted median code of their recent writes,
-// merges cold neighbors, and rebuilds the partition under a widened world
-// box when inserts drift beyond the founding extent — all published
-// atomically, so queries never see a torn migration. Call Engine.Close to
-// stop the background rebalancer.
+// commit in parallel; zero runs unsharded. The shard boundaries are
+// sampled from the first committed insertion and stay fixed; points that
+// later fall outside its extent route to the edge shards.
 type EngineOptions = engine.Options
-
-// RebalanceAction reports what an Engine.Rebalance pass did (see
-// RebalanceNone, RebalanceSplitMerge, RebalanceRepartition).
-type RebalanceAction = engine.RebalanceAction
-
-// Rebalance pass outcomes.
-const (
-	RebalanceNone        = engine.RebalanceNone
-	RebalanceSplitMerge  = engine.RebalanceSplitMerge
-	RebalanceRepartition = engine.RebalanceRepartition
-)
 
 // AutoShards, as EngineOptions.Shards, selects one shard per GOMAXPROCS
 // worker at engine creation.
